@@ -99,6 +99,10 @@ def validate_config(cfg: dict) -> None:
         raise CliError(EXIT_CONFIG, "jobs must be >= 1")
     if cfg["tau"] < 0:
         raise CliError(EXIT_CONFIG, "tau must be >= 0")
+    if cfg["reproject_tol"] <= 0:
+        raise CliError(EXIT_CONFIG, "reproject_tol must be > 0")
+    if cfg["reproject_max_iter"] < 1:
+        raise CliError(EXIT_CONFIG, "reproject_max_iter must be >= 1")
     seen_sizes = set()
     for label, size in cfg["factors"].items():
         if len(size) != 2 or size[0] < 1 or size[1] < 1:
@@ -416,20 +420,27 @@ def cmd_sr(cfg, args) -> int:
             img, passes = sr.super_resolve(lr, side, side, spec, model=model)
         except sr.BackendError as exc:
             raise CliError(EXIT_BACKEND, str(exc))
-        iters = 0
+        iters, converged = 0, False
         if cfg["reproject"]:
-            img, iters, _ = reproject_mod.reproject(img, lr, rp_cfg)
+            img, iters, converged = reproject_mod.reproject(img, lr, rp_cfg)
         raster.write_pgm(os.path.join(img_dir, name), img)
-        return name, passes, iters
+        return name, passes, iters, converged
 
     results = _pmap(process, records, cfg["jobs"])
-    outputs = [os.path.join(img_dir, name) for name, _, _ in results]
+    outputs = [os.path.join(img_dir, name) for name, _, _, _ in results]
+    extra = {"factor": label, "method": method_name,
+             "passes": [p for _, p, _, _ in results],
+             "reproject_iterations": [i for _, _, i, _ in results],
+             "tau": cfg["tau"], "tol": cfg["reproject_tol"]}
+    line = f"sr[{method_name}, {label}]: {len(results)} images -> {out}"
+    if cfg["reproject"]:
+        converged = [c for _, _, _, c in results]
+        extra["reproject_converged"] = converged
+        line += (f" ({converged.count(False)} not converged within "
+                 f"{cfg['reproject_max_iter']} iterations)")
     write_stage_meta(out, "sr", cfg, outputs, time.perf_counter() - t0,
-                     extra={"factor": label, "method": method_name,
-                            "passes": [p for _, p, _ in results],
-                            "reproject_iterations": [i for _, _, i in results],
-                            "tau": cfg["tau"], "tol": cfg["reproject_tol"]})
-    print(f"sr[{method_name}, {label}]: {len(results)} images -> {out}")
+                     extra=extra)
+    print(line)
     return 0
 
 
@@ -629,8 +640,7 @@ def cmd_eval(cfg, args) -> int:
             score_dir = os.path.join(scores_root, method_name, slug)
             if not os.path.isdir(score_dir):
                 continue
-            check_stage(score_dir, "match")
-            label = slug.replace("_", "/")
+            label = check_stage(score_dir, "match")["extra"]["factor"]
             with open(os.path.join(score_dir, "labels.csv"), newline="") as fh:
                 reader = csv.reader(fh)
                 next(reader)

@@ -180,6 +180,20 @@ def upsample_linear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return resize_bicubic_unclamped(img, out_w, out_h)
 
 
+def axis_operator(in_n: int, out_n: int, sigma: float = 0.0) -> np.ndarray:
+    """One axis of blur-then-bicubic-resample as an (out_n, in_n) matrix M.
+
+    The blur is gaussian_blur's (sigma = 0 skips it), the resample is
+    _resample_axis's, both pushed through the identity. Applying them along
+    axis 0 of an image A gives M @ A, along axis 1 gives A @ M.T, so
+    degrade_linear(A) == Mh @ A @ Mw.T with Mh = axis_operator(h, out_h, sigma).
+    """
+    m = np.eye(in_n)
+    if sigma > 0:
+        m = correlate1d(m, BlurKernel.make(sigma).taps, axis=0, mode="nearest")
+    return _resample_axis(m, out_n, 0, "cubic")
+
+
 # ---------------------------------------------------------------------------
 # image I/O: 8-bit PGM (P5) mandatory, PNG optional via Pillow
 # ---------------------------------------------------------------------------

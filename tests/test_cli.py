@@ -133,6 +133,59 @@ def test_reproject_flags(pipeline):
     assert all(i >= 1 for i in meta["extra"]["reproject_iterations"])
 
 
+def test_reproject_convergence_recorded(pipeline, capsys):
+    out, cfg = pipeline
+    base = ["--config", cfg, "--out", out, "--factor", "1/4",
+            "--method", "bicubic", "--reproject"]
+    meta_path = os.path.join(out, "sr", "bicubic-rp", "1_4", "stage_sr.json")
+    for max_iter, expect in (("1", False), ("1000", True)):
+        capsys.readouterr()
+        assert run(["sr", *base, "--reproject-max-iter", max_iter]) == 0
+        extra = json.load(open(meta_path))["extra"]
+        flags = extra["reproject_converged"]
+        assert len(flags) == len(extra["reproject_iterations"]) > 0
+        assert flags == [expect] * len(flags)
+        missed = 0 if expect else len(flags)
+        assert f"({missed} not converged within {max_iter} iterations)" \
+            in capsys.readouterr().out
+    assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "bicubic"]) == 0
+    extra = json.load(open(os.path.join(out, "sr", "bicubic", "1_4",
+                                        "stage_sr.json")))["extra"]
+    assert "reproject_converged" not in extra
+
+
+def test_bad_reproject_settings_exit_code(pipeline, tmp_path):
+    out, cfg = pipeline
+    base = ["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+            "--method", "bicubic", "--reproject"]
+    assert run([*base, "--reproject-max-iter", "0"]) == cli.EXIT_CONFIG
+    assert run([*base, "--reproject-tol", "0"]) == cli.EXIT_CONFIG
+    assert run([*base, "--reproject-tol=-1e-5"]) == cli.EXIT_CONFIG
+    bad = write_config(tmp_path / "bad.json", reproject_max_iter=-3)
+    assert run(["synth", "--config", bad,
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
+def test_eval_reads_factor_label_from_match_stage(tmp_path):
+    # a label with "_" in it: its directory slug "1_4_sharp" cannot be
+    # turned back into the label by swapping "_" for "/"
+    label = "1/4_sharp"
+    cfg = write_config(tmp_path / "c.json", seeds=2, sessions=2,
+                       train_subjects=0, factors={label: [57, 57]},
+                       comparators=["lg"])
+    base = ["--config", cfg, "--out", str(tmp_path / "out")]
+    for argv in (["synth", *base], ["prep", *base],
+                 ["degrade", *base, "--factor", label],
+                 ["sr", *base, "--factor", label, "--method", "bicubic"],
+                 ["match", *base, "--factor", label, "--method", "bicubic"],
+                 ["eval", *base]):
+        assert run(argv) == 0, argv
+    with open(tmp_path / "out" / "eval" / "eer.csv") as fh:
+        rows = fh.read().strip().splitlines()
+    assert rows[1:] and all(r.startswith(f"bicubic,{label},LG,") for r in rows[1:])
+
+
 def test_missing_upstream_exit_code(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     out = str(tmp_path / "out")

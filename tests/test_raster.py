@@ -181,6 +181,29 @@ def test_upsample_contracts():
         raster.upsample(img, 12, 13)
 
 
+def test_axis_operator_matches_per_axis_code():
+    rng = np.random.default_rng(5)
+    img = rng.normal(size=(37, 29))
+    for out_h, out_w in [(9, 7), (37, 29), (80, 61), (37, 12)]:
+        mh = raster.axis_operator(37, out_h)
+        mw = raster.axis_operator(29, out_w)
+        assert mh.shape == (out_h, 37) and mw.shape == (out_w, 29)
+        direct = raster._resample_axis(
+            raster._resample_axis(img, out_h, 0, "cubic"), out_w, 1, "cubic")
+        assert np.abs(mh @ img @ mw.T - direct).max() < 1e-12
+    for sigma in (0.4, 1.5, 7.7):
+        gh = raster.axis_operator(37, 37, sigma)
+        gw = raster.axis_operator(29, 29, sigma)
+        assert np.abs(gh @ img @ gw.T
+                      - raster.gaussian_blur(img, sigma)).max() < 1e-12
+    for sigma in (0.0, 2.5):
+        dh = raster.axis_operator(37, 9, sigma)
+        dw = raster.axis_operator(29, 7, sigma)
+        assert np.abs(dh @ img @ dw.T
+                      - raster.degrade_linear(img, 7, 9, sigma)).max() < 1e-12
+    assert np.array_equal(raster.axis_operator(6, 6), np.eye(6))
+
+
 def test_resamplers_preserve_unit_range():
     rng = np.random.default_rng(11)
     for _ in range(5):

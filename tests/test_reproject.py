@@ -93,3 +93,55 @@ def test_trace_records_every_iteration():
     _, iters, _ = reproject.reproject(base, lr, cfg, trace=trace)
     assert len(trace) == iters
     assert all(d >= 0 for d in trace)
+
+
+def _reference_reproject(y0, x, cfg):
+    """The recurrence as first written, one HR degrade per iteration."""
+    y = np.asarray(y0, dtype=np.float64).copy()
+    hr_h, hr_w = y.shape
+    lr_sigma = cfg.resolve_lr_sigma(hr_w)
+    trace = []
+    iterations, converged = 0, False
+    for _ in range(cfg.max_iter):
+        iterations += 1
+        residual = raster.degrade_linear(y, cfg.lr_w, cfg.lr_h, cfg.sigma) - x
+        if lr_sigma > 0:
+            residual = raster.gaussian_blur(residual, lr_sigma)
+        step = raster.upsample_linear(residual, hr_w, hr_h)
+        y_next = y - cfg.tau * step
+        delta = float(np.mean(np.abs(y_next - y)))
+        trace.append(delta)
+        y = y_next
+        if delta < cfg.tol:
+            converged = True
+            break
+    return raster.clamp01(y), iterations, converged, trace
+
+
+@pytest.mark.parametrize("seed,hr,lr,sigma,extra", [
+    (0, (231, 231), (15, 15), None, {"max_iter": 300}),
+    (1, (231, 231), (57, 57), None, {}),
+    (2, (96, 80), (12, 16), None, {"max_iter": 400}),
+    (3, (64, 64), (16, 16), 0.0, {}),
+    (4, (64, 64), (16, 16), None, {"lr_sigma": 0.0, "max_iter": 200}),
+    (5, (64, 64), (16, 16), None, {"tau": 0.0}),
+])
+def test_operator_form_matches_reference(seed, hr, lr, sigma, extra):
+    hr_h, hr_w = hr
+    lr_h, lr_w = lr
+    img, _ = dataset.synth_iris(seed, max(hr))
+    img = img[:hr_h, :hr_w]
+    observed_sigma = raster.antialias_sigma(hr_w, hr_h, lr_w, lr_h)
+    lr_img, _ = dataset.simulate_lr(img, lr_w, lr_h, observed_sigma)
+    # a bilinear start is further from a fixed point than the bicubic baseline
+    y0 = raster.resize_bilinear(lr_img, hr_w, hr_h)
+    cfg = reproject.ReprojectConfig(
+        lr_w, lr_h, observed_sigma if sigma is None else sigma, **extra)
+    trace = []
+    y, iters, converged = reproject.reproject(y0, lr_img, cfg, trace=trace)
+    y_ref, iters_ref, converged_ref, trace_ref = _reference_reproject(
+        y0, lr_img, cfg)
+    assert iters == iters_ref and converged == converged_ref
+    assert np.abs(np.array(trace) - np.array(trace_ref)).max() < 1e-12
+    assert np.abs(y - y_ref).max() < 1e-12
+    assert np.array_equal(np.rint(y * 255), np.rint(y_ref * 255))

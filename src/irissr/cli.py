@@ -6,8 +6,13 @@ in and intermediates inspected. Every stage records SHA-256 hashes of its
 outputs; downstream stages verify those hashes before running, which makes
 interrupted pipelines resumable and stale artifacts detectable.
 
-Exit codes: 0 ok, 2 bad config/usage, 3 missing or stale input artifact,
-4 unwritable output, 5 external backend failure, 1 unexpected error.
+Every command checks the whole configuration before it does any work,
+including the method string and the `--factor` label, so a typo fails the
+same way in `sr`, `quality` and `match`.
+
+Exit codes: 0 ok, 2 bad config/usage or input data the configuration cannot
+process, 3 missing or stale input artifact, 4 unwritable output, 5 external
+backend failure, 1 unexpected error.
 """
 
 import argparse
@@ -59,6 +64,15 @@ class CliError(Exception):
         self.code = code
 
 
+# Module errors for input the configuration cannot process: exit 2. The one
+# other module error `main` maps is sr.BackendError: exit 5.
+INPUT_ERRORS = (
+    dataset.DatasetError, raster.RasterError, reproject_mod.ReprojectError,
+    sr.SrError, eigenpatch.EigenPatchError, quality.QualityError,
+    iriscode.IrisCodeError, siftmatch.SiftError, fusion_eval.FusionEvalError,
+)
+
+
 # ---------------------------------------------------------------------------
 # config and artifact helpers
 # ---------------------------------------------------------------------------
@@ -89,6 +103,10 @@ def load_config(args) -> dict:
     if getattr(args, "comparators", None):
         cfg["comparators"] = [c.strip() for c in args.comparators.split(",") if c.strip()]
     validate_config(cfg)
+    label = getattr(args, "factor", None)
+    if label is not None and label not in cfg["factors"]:
+        raise CliError(EXIT_CONFIG,
+                       f"factor {label!r} not in config (have {sorted(cfg['factors'])})")
     return cfg
 
 
@@ -97,6 +115,8 @@ def validate_config(cfg: dict) -> None:
         raise CliError(EXIT_CONFIG, "crop_side must be >= 1")
     if cfg["jobs"] < 1:
         raise CliError(EXIT_CONFIG, "jobs must be >= 1")
+    if cfg["train_subjects"] < 0:
+        raise CliError(EXIT_CONFIG, "train_subjects must be >= 0")
     if cfg["tau"] < 0:
         raise CliError(EXIT_CONFIG, "tau must be >= 0")
     if cfg["reproject_tol"] <= 0:
@@ -114,6 +134,14 @@ def validate_config(cfg: dict) -> None:
     for comp in cfg["comparators"]:
         if comp not in ("lg", "sift", "fused"):
             raise CliError(EXIT_CONFIG, f"unknown comparator {comp!r}")
+    method = cfg["method"]
+    if method.startswith("backend:"):
+        name = method.split(":", 1)[1]
+        if "command" not in (cfg["backends"].get(name) or {}):
+            raise CliError(EXIT_CONFIG,
+                           f"backend {name!r} not configured under config['backends']")
+    elif method not in ("bilinear", "bicubic", "eigenpatch"):
+        raise CliError(EXIT_CONFIG, f"unknown method {method!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -184,11 +212,9 @@ def factor_slug(label: str) -> str:
     return label.replace("/", "_")
 
 
-def factor_size(cfg, label):
-    if label not in cfg["factors"]:
-        raise CliError(EXIT_CONFIG,
-                       f"factor {label!r} not in config (have {sorted(cfg['factors'])})")
-    return tuple(cfg["factors"][label])
+def method_dir(cfg) -> str:
+    """Directory name of the SR run the config selects, e.g. `backend-nn2x-rp`."""
+    return cfg["method"].replace(":", "-", 1) + ("-rp" if cfg["reproject"] else "")
 
 
 def degrade_sigma(cfg, hr_side: int, lr_size) -> float:
@@ -310,7 +336,7 @@ def cmd_degrade(cfg, args) -> int:
     if not records:
         raise CliError(EXIT_CONFIG, "no target records left after the subject split")
     label = args.factor
-    lr_size = factor_size(cfg, label)
+    lr_size = cfg["factors"][label]
     sigma = degrade_sigma(cfg, cfg["crop_side"], lr_size)
 
     out = ensure_dir(os.path.join(args.out, "lr", factor_slug(label)))
@@ -337,11 +363,11 @@ def cmd_degrade(cfg, args) -> int:
 
 
 def _resolve_method(cfg, out_root, label, lr_size, prep_dir, prep_records):
-    """Turn the method string into (UpscalerSpec, model, method_slug)."""
+    """Turn the validated method string into (UpscalerSpec, model)."""
     method = cfg["method"]
     side = cfg["crop_side"]
     if method in ("bilinear", "bicubic"):
-        return sr.UpscalerSpec(name=method, kind=method), None, method
+        return sr.UpscalerSpec(name=method, kind=method), None
     if method == "eigenpatch":
         model_dir = cfg["model_dir"] or os.path.join(out_root, "models")
         ensure_dir(model_dir)
@@ -369,26 +395,15 @@ def _resolve_method(cfg, out_root, label, lr_size, prep_dir, prep_records):
             model = eigenpatch.train(hr_images, lr_size[0], lr_size[1], sigma,
                                      provenance=manifest_sha, prep_tag=prep_tag)
             eigenpatch.save_model(model_path, model)
-        spec = sr.UpscalerSpec(name="eigenpatch", kind="eigenpatch",
-                               model_path=model_path)
-        return spec, model, "eigenpatch"
-    if method.startswith("backend:"):
-        name = method.split(":", 1)[1]
-        entry = cfg["backends"].get(name)
-        if not entry or "command" not in entry:
-            raise CliError(EXIT_CONFIG,
-                           f"backend {name!r} not configured under config['backends']")
-        exchange = entry.get("exchange_dir") or os.environ.get(sr.EXCHANGE_ENV) \
-            or os.path.join(out_root, "exchange", name)
-        spec = sr.UpscalerSpec(name=name, kind="external",
-                               backend_command=entry["command"],
-                               exchange_dir=exchange)
-        return spec, None, f"backend-{name}"
-    raise CliError(EXIT_CONFIG, f"unknown method {method!r}")
-
-
-def _method_dir_name(cfg, method_slug):
-    return method_slug + ("-rp" if cfg["reproject"] else "")
+        return sr.UpscalerSpec(name="eigenpatch", kind="eigenpatch"), model
+    name = method.split(":", 1)[1]
+    entry = cfg["backends"][name]
+    exchange = entry.get("exchange_dir") or os.environ.get(sr.EXCHANGE_ENV) \
+        or os.path.join(out_root, "exchange", name)
+    spec = sr.UpscalerSpec(name=name, kind="external",
+                           backend_command=entry["command"],
+                           exchange_dir=exchange)
+    return spec, None
 
 
 def cmd_sr(cfg, args) -> int:
@@ -396,13 +411,12 @@ def cmd_sr(cfg, args) -> int:
     prep_dir, prep_records = _load_prep(cfg, args.out)
     records = target_records(cfg, prep_records)
     label = args.factor
-    lr_size = factor_size(cfg, label)
+    lr_size = tuple(cfg["factors"][label])
     lr_stage = os.path.join(args.out, "lr", factor_slug(label))
     check_stage(lr_stage, "degrade")
 
-    spec, model, method_slug = _resolve_method(
-        cfg, args.out, label, lr_size, prep_dir, prep_records)
-    method_name = _method_dir_name(cfg, method_slug)
+    spec, model = _resolve_method(cfg, args.out, label, lr_size, prep_dir, prep_records)
+    method_name = method_dir(cfg)
     side = cfg["crop_side"]
     sigma = degrade_sigma(cfg, side, lr_size)
     rp_cfg = reproject_mod.ReprojectConfig(
@@ -416,10 +430,7 @@ def cmd_sr(cfg, args) -> int:
     def process(rec):
         name = os.path.basename(rec.image_path)
         lr = raster.read_pgm(os.path.join(lr_stage, "lr", name))
-        try:
-            img, passes = sr.super_resolve(lr, side, side, spec, model=model)
-        except sr.BackendError as exc:
-            raise CliError(EXIT_BACKEND, str(exc))
+        img, passes = sr.super_resolve(lr, side, side, spec, model=model)
         iters, converged = 0, False
         if cfg["reproject"]:
             img, iters, converged = reproject_mod.reproject(img, lr, rp_cfg)
@@ -468,7 +479,7 @@ def cmd_quality(cfg, args) -> int:
     prep_dir, prep_records = _load_prep(cfg, args.out)
     records = target_records(cfg, prep_records)
     label = args.factor
-    spec_method = _method_dir_name(cfg, _method_slug_only(cfg))
+    spec_method = method_dir(cfg)
     sr_dir = os.path.join(args.out, "sr", spec_method, factor_slug(label))
     check_stage(sr_dir, "sr")
 
@@ -517,19 +528,12 @@ def cmd_quality(cfg, args) -> int:
     return 0
 
 
-def _method_slug_only(cfg):
-    method = cfg["method"]
-    if method.startswith("backend:"):
-        return "backend-" + method.split(":", 1)[1]
-    return method
-
-
 def cmd_match(cfg, args) -> int:
     t0 = time.perf_counter()
     prep_dir, prep_records = _load_prep(cfg, args.out)
     records = target_records(cfg, prep_records)
     label = args.factor
-    method_name = _method_dir_name(cfg, _method_slug_only(cfg))
+    method_name = method_dir(cfg)
     sr_dir = os.path.join(args.out, "sr", method_name, factor_slug(label))
     check_stage(sr_dir, "sr")
     comparators = [c for c in cfg["comparators"] if c != "fused"]
@@ -544,40 +548,30 @@ def cmd_match(cfg, args) -> int:
     def extract(rec):
         name = os.path.basename(rec.image_path)
         img = raster.read_pgm(os.path.join(sr_dir, "images", name))
-        written = []
+        feats, written = {}, []
         if "lg" in comparators:
+            feats["lg"] = iriscode.encode(iriscode.unwrap(img, rec.annotation))
             path = os.path.join(tpl_dir, name + ".irt")
-            iriscode.save_template(
-                path, iriscode.encode(iriscode.unwrap(img, rec.annotation)))
+            iriscode.save_template(path, feats["lg"])
             written.append(path)
         if "sift" in comparators:
-            kps, desc = siftmatch.detect_describe(
+            kps, feats["sift"] = siftmatch.detect_describe(
                 img, annulus=siftmatch.iris_annulus(rec.annotation))
             path = os.path.join(feat_dir, name + ".npz")
-            siftmatch.save_features(path, kps, desc)
+            siftmatch.save_features(path, kps, feats["sift"])
             written.append(path)
-        return name, written
+        return name, feats, written
 
+    # scores come from the extracted features; the written artifacts
+    # round-trip them exactly
     extracted = _pmap(extract, records, cfg["jobs"])
-    feature_files = [p for _, written in extracted for p in written]
-
-    # the batch matcher works from the serialized template/feature artifacts
-    features = {}
-    for name, _written in extracted:
-        feats = {}
-        if "lg" in comparators:
-            feats["lg"] = iriscode.load_template(
-                os.path.join(tpl_dir, name + ".irt"))
-        if "sift" in comparators:
-            _, feats["sift"] = siftmatch.load_features(
-                os.path.join(feat_dir, name + ".npz"))
-        features[name] = feats
+    features = {name: feats for name, feats, _ in extracted}
     ids = [(rec.subject_id, os.path.basename(rec.image_path)) for rec in records]
     genuine, impostor = fusion_eval.make_trials(ids)
     pairs = [(p, g, fusion_eval.GENUINE) for p, g in genuine]
     pairs += [(p, g, fusion_eval.IMPOSTOR) for p, g in impostor]
 
-    outputs = list(feature_files)
+    outputs = [p for _, _, written in extracted for p in written]
     for comp in comparators:
         def score(pair):
             probe, gallery, _ = pair
@@ -759,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, factor=False):
+    def common(p, factor=False, method=False):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", required=True, help="pipeline output directory")
         p.add_argument("--jobs", type=int, default=None,
@@ -767,6 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
         if factor:
             p.add_argument("--factor", required=True,
                            help="factor label from the config (e.g. 1/16)")
+        if method:
+            p.add_argument("--method",
+                           help="bilinear | bicubic | eigenpatch | backend:<name>")
+            p.add_argument("--reproject", action="store_true",
+                           help="the re-projected variant (sr applies iterative "
+                                "re-projection after SR)")
 
     p = sub.add_parser("synth", help="generate the synthetic iris corpus")
     common(p)
@@ -781,28 +781,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, factor=True)
 
     p = sub.add_parser("sr", help="reconstruct LR images with the chosen method")
-    common(p, factor=True)
-    p.add_argument("--method",
-                   help="bilinear | bicubic | eigenpatch | backend:<name>")
-    p.add_argument("--reproject", action="store_true",
-                   help="apply iterative image re-projection after SR")
+    common(p, factor=True, method=True)
     p.add_argument("--tau", type=float, default=None, help="re-projection step size")
     p.add_argument("--reproject-tol", dest="reproject_tol", type=float, default=None)
     p.add_argument("--reproject-max-iter", dest="reproject_max_iter", type=int,
                    default=None)
 
     p = sub.add_parser("quality", help="PSNR/SSIM/FSIM on full image and iris region")
-    common(p, factor=True)
-    p.add_argument("--method", help="method whose SR outputs to grade")
-    p.add_argument("--reproject", action="store_true",
-                   help="grade the re-projected variant")
+    common(p, factor=True, method=True)
     p.add_argument("--show-fsim", action="store_true",
                    help="also print FSIM (always stored in the CSV)")
 
     p = sub.add_parser("match", help="comparator scores for all trial pairs")
-    common(p, factor=True)
-    p.add_argument("--method", help="method whose SR outputs to match")
-    p.add_argument("--reproject", action="store_true")
+    common(p, factor=True, method=True)
     p.add_argument("--comparators", help="comma list from {lg,sift,fused}")
 
     p = sub.add_parser("eval", help="EERs, ROC exports and the run summary")
@@ -829,12 +820,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg, args)
-    except CliError as exc:
+    except (CliError, sr.BackendError, *INPUT_ERRORS) as exc:
         print(f"irissr {args.command}: {exc}", file=sys.stderr)
-        return exc.code
-    except (dataset.DatasetError, raster.RasterError) as exc:
-        print(f"irissr {args.command}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_BACKEND if isinstance(exc, sr.BackendError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -291,11 +291,3 @@ def load_image(path) -> np.ndarray:
     if p.lower().endswith(".png"):
         return read_png(path)
     return read_pgm(path)
-
-
-def save_image(path, img: np.ndarray) -> None:
-    p = str(path)
-    if p.lower().endswith(".png"):
-        write_png(path, img)
-    else:
-        write_pgm(path, img)

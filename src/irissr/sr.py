@@ -57,7 +57,6 @@ class UpscalerSpec:
     kind: str
     backend_command: str | None = None
     exchange_dir: str | None = None
-    model_path: str | None = None
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -116,17 +115,14 @@ def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, up: UpscalerSpec,
         return raster.resize_bicubic(lr, hr_w, hr_h), 1
     if up.kind == "eigenpatch":
         if model is None:
-            if not up.model_path:
-                raise SrError("eigenpatch upscaler requires a model or model_path")
-            model = eigenpatch.load_model(up.model_path)
+            raise SrError("eigenpatch upscaler requires a model")
         out = eigenpatch.reconstruct(lr, model)
         if out.shape != (hr_h, hr_w):
             out = raster.resize_bicubic(out, hr_w, hr_h)
         return out, 1
 
     # external: repeated x2 passes, then exact-size correction
-    n = hr_w / w
-    passes = max(0, math.ceil(math.log2(n))) if n > 1 else 0
+    passes = planned_passes(w, hr_w)
     img = lr
     for _ in range(passes):
         img = raster.clamp01(apply_backend(img, up))

@@ -1,11 +1,14 @@
+import importlib
 import json
 import os
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
-from irissr import cli, raster
+import irissr
+from irissr import cli, raster, sr
 
 
 def run(argv):
@@ -195,8 +198,9 @@ def test_missing_upstream_exit_code(tmp_path):
 
 def test_unknown_factor_exit_code(pipeline):
     out, cfg = pipeline
-    assert run(["degrade", "--config", cfg, "--out", out,
-                "--factor", "1/32"]) == cli.EXIT_CONFIG
+    for stage in ("degrade", "sr", "quality", "match"):
+        assert run([stage, "--config", cfg, "--out", out,
+                    "--factor", "1/32"]) == cli.EXIT_CONFIG, stage
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -205,6 +209,9 @@ def test_bad_config_exit_code(tmp_path):
     out = str(tmp_path / "out")
     assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG
     bad.write_text("{\"no_such_key\": 1}")
+    assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG
+    # a negative count would slice the subject list from the end
+    bad.write_text("{\"train_subjects\": -1}")
     assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG
 
 
@@ -221,8 +228,48 @@ def test_stale_artifact_detected(tmp_path):
 
 def test_unknown_backend_exit_code(pipeline):
     out, cfg = pipeline
+    for stage in ("sr", "quality", "match"):
+        for method in ("backend:nope", "foo"):
+            assert run([stage, "--config", cfg, "--out", out, "--factor", "1/4",
+                        "--method", method]) == cli.EXIT_CONFIG, (stage, method)
+
+
+def test_unsupported_cached_model_exit_code(pipeline, tmp_path):
+    out, _ = pipeline
+    model_dir = tmp_path / "models"
+    model_dir.mkdir()
+    meta = np.frombuffer(json.dumps({"version": "epm-0"}).encode(), dtype=np.uint8)
+    np.savez(model_dir / "eigenpatch_1_4.npz", meta=meta)
+    cfg = write_config(tmp_path / "c.json", model_dir=str(model_dir))
     assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
-                "--method", "backend:nope"]) == cli.EXIT_CONFIG
+                "--method", "eigenpatch"]) == cli.EXIT_CONFIG
+
+
+def test_eval_without_genuine_pairs_exit_code(tmp_path):
+    # one session per subject: every trial is an impostor, so no EER exists
+    cfg = write_config(tmp_path / "c.json", seeds=2, sessions=1,
+                       train_subjects=0, comparators=["lg"])
+    base = ["--config", cfg, "--out", str(tmp_path / "out")]
+    for argv in (["synth", *base], ["prep", *base],
+                 ["degrade", *base, "--factor", "1/4"],
+                 ["sr", *base, "--factor", "1/4", "--method", "bicubic"],
+                 ["match", *base, "--factor", "1/4", "--method", "bicubic"]):
+        assert run(argv) == 0, argv
+    assert run(["eval", *base]) == cli.EXIT_CONFIG
+
+
+def test_error_table_covers_module_errors():
+    # a module error missing from main's table would end in a traceback
+    covered = (*cli.INPUT_ERRORS, sr.BackendError)
+    found = []
+    for info in pkgutil.iter_modules(irissr.__path__):
+        module = importlib.import_module(f"irissr.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and issubclass(obj, (ValueError, RuntimeError))):
+                found.append(obj)
+                assert issubclass(obj, covered), obj
+    assert sr.BackendProcessError in found and sr.SrError in found
 
 
 def test_failing_backend_exit_code(tmp_path):

@@ -104,14 +104,4 @@ def test_eigenpatch_kind_single_pass():
     assert passes == 1
     assert out.shape == (64, 64)
     with pytest.raises(sr.SrError):
-        sr.super_resolve(lr, 64, 64, spec)  # no model and no model_path
-
-
-def test_eigenpatch_kind_from_path(tmp_path):
-    imgs = [dataset.synth_iris(seed, 64)[0] for seed in range(3)]
-    model = eigenpatch.train(imgs, 16, 16, 1.0)
-    path = tmp_path / "m.npz"
-    eigenpatch.save_model(path, model)
-    spec = sr.UpscalerSpec(name="ep", kind="eigenpatch", model_path=str(path))
-    out, passes = sr.super_resolve(raster.degrade(imgs[0], 16, 16, 1.0), 64, 64, spec)
-    assert passes == 1 and out.shape == (64, 64)
+        sr.super_resolve(lr, 64, 64, spec)  # no model

@@ -2,13 +2,15 @@
 
 Stages communicate only through artifacts on disk (PGM images, CSV manifests
 and score files, JSON stage metadata), so external SR backends can be plugged
-in and intermediates inspected. Every stage records SHA-256 hashes of its
-outputs; downstream stages verify those hashes before running, which makes
-interrupted pipelines resumable and stale artifacts detectable.
+in and intermediates inspected. Each stage meta records the hashes of its
+outputs and the fingerprints of the upstream metas it read; a stage verifies
+both across all its ancestors, so a rerun that changes a stage makes what was
+built from it stale, and an identical rerun does not.
 
-Every command checks the whole configuration before it does any work,
-including the method string and the `--factor` label, so a typo fails the
-same way in `sr`, `quality` and `match`.
+Each config key is read by one stage; later stages read what upstream stages
+recorded. Every command checks the whole configuration before it does any
+work, including the method string and the `--factor` label, so a typo fails
+the same way in `sr`, `quality` and `match`.
 
 Exit codes: 0 ok, 2 bad config/usage or input data the configuration cannot
 process, 3 missing or stale input artifact, 4 unwritable output, 5 external
@@ -92,14 +94,11 @@ def load_config(args) -> dict:
             raise CliError(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}")
         cfg.update(user)
     # flags win over the config file
-    for key in ("jobs", "method", "tau", "reproject_tol", "reproject_max_iter"):
+    for key in ("jobs", "method", "tau", "reproject_tol", "reproject_max_iter",
+                "seeds", "sessions", "reproject", "fusion_split"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if getattr(args, "reproject", False):
-        cfg["reproject"] = True
-    if getattr(args, "fusion_split", False):
-        cfg["fusion_split"] = True
     if getattr(args, "comparators", None):
         cfg["comparators"] = [c.strip() for c in args.comparators.split(",") if c.strip()]
     validate_config(cfg)
@@ -110,19 +109,31 @@ def load_config(args) -> dict:
     return cfg
 
 
+# Numeric config key -> (type, comparison, bound). A float key also takes an
+# int; a bool is neither. blur_sigma may also be null.
+NUMERIC_KEYS = {
+    "crop_side": (int, ">=", 1),
+    "target_sclera_radius": (float, ">", 0),
+    "synth_size": (int, ">=", 64),
+    "seeds": (int, ">=", 1),
+    "sessions": (int, ">=", 1),
+    "train_subjects": (int, ">=", 0),
+    "blur_sigma": (float, ">=", 0),
+    "tau": (float, ">=", 0),
+    "reproject_tol": (float, ">", 0),
+    "reproject_max_iter": (int, ">=", 1),
+    "jobs": (int, ">=", 1),
+}
+
+
 def validate_config(cfg: dict) -> None:
-    if cfg["crop_side"] < 1:
-        raise CliError(EXIT_CONFIG, "crop_side must be >= 1")
-    if cfg["jobs"] < 1:
-        raise CliError(EXIT_CONFIG, "jobs must be >= 1")
-    if cfg["train_subjects"] < 0:
-        raise CliError(EXIT_CONFIG, "train_subjects must be >= 0")
-    if cfg["tau"] < 0:
-        raise CliError(EXIT_CONFIG, "tau must be >= 0")
-    if cfg["reproject_tol"] <= 0:
-        raise CliError(EXIT_CONFIG, "reproject_tol must be > 0")
-    if cfg["reproject_max_iter"] < 1:
-        raise CliError(EXIT_CONFIG, "reproject_max_iter must be >= 1")
+    for key, (kind, op, bound) in NUMERIC_KEYS.items():
+        val = cfg[key]
+        if key == "blur_sigma" and val is None:
+            continue
+        if isinstance(val, bool) or not isinstance(val, (kind, int)) \
+                or not (val > bound if op == ">" else val >= bound):
+            raise CliError(EXIT_CONFIG, f"{key} must be {kind.__name__} {op} {bound}")
     seen_sizes = set()
     for label, size in cfg["factors"].items():
         if len(size) != 2 or size[0] < 1 or size[1] < 1:
@@ -134,6 +145,8 @@ def validate_config(cfg: dict) -> None:
     for comp in cfg["comparators"]:
         if comp not in ("lg", "sift", "fused"):
             raise CliError(EXIT_CONFIG, f"unknown comparator {comp!r}")
+    if not {"lg", "sift"} & set(cfg["comparators"]):
+        raise CliError(EXIT_CONFIG, "comparators must include lg or sift")
     method = cfg["method"]
     if method.startswith("backend:"):
         name = method.split(":", 1)[1]
@@ -144,9 +157,11 @@ def validate_config(cfg: dict) -> None:
         raise CliError(EXIT_CONFIG, f"unknown method {method!r}")
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+def fingerprint(obj: dict) -> str:
+    """SHA-256 of the sort_keys JSON of a config or a stage meta, leaving out
+    a meta's timing so that identical reruns match."""
+    body = {k: v for k, v in obj.items() if k != "elapsed_seconds"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def file_sha(path) -> str:
@@ -169,10 +184,11 @@ def ensure_dir(path) -> str:
     return path
 
 
-def write_stage_meta(stage_dir, stage, cfg, outputs, elapsed, extra=None) -> None:
+def write_stage_meta(stage_dir, stage, inputs, outputs, elapsed, extra=None) -> None:
+    """`inputs`: the fingerprint of each upstream meta read, by path under --out."""
     meta = {
         "stage": stage,
-        "config_hash": config_hash(cfg),
+        "inputs": inputs,
         "elapsed_seconds": round(elapsed, 3),
         "outputs": {os.path.relpath(p, stage_dir): file_sha(p) for p in outputs},
     }
@@ -183,14 +199,18 @@ def write_stage_meta(stage_dir, stage, cfg, outputs, elapsed, extra=None) -> Non
         fh.write("\n")
 
 
-def check_stage(stage_dir, stage) -> dict:
-    """Verify a completed upstream stage: meta present, output hashes intact."""
+def check_stage(out_root, stage_dir, stage, inputs) -> dict:
+    """Verify a completed upstream stage: meta present, output hashes intact,
+    every ancestor meta as its consumer recorded it (by fingerprint; ancestor
+    outputs are not hashed again). Adds the meta's fingerprint to `inputs`."""
     meta_path = os.path.join(stage_dir, f"stage_{stage}.json")
     if not os.path.exists(meta_path):
         raise CliError(EXIT_MISSING_INPUT,
                        f"missing upstream artifact: {meta_path} (run `{stage}` first)")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if "inputs" not in meta:  # written before stages recorded their lineage
+        raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: no lineage recorded")
     for rel, sha in meta.get("outputs", {}).items():
         path = os.path.join(stage_dir, rel)
         if not os.path.exists(path):
@@ -198,6 +218,19 @@ def check_stage(stage_dir, stage) -> dict:
         if file_sha(path) != sha:
             raise CliError(EXIT_MISSING_INPUT,
                            f"stale {stage} stage: hash mismatch for {path}")
+    pending = list(meta["inputs"].items())
+    while pending:
+        rel, recorded = pending.pop()
+        path = os.path.join(out_root, rel)
+        ancestor = {}
+        if os.path.exists(path):
+            with open(path) as fh:
+                ancestor = json.load(fh)
+        if fingerprint(ancestor) != recorded:
+            raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: {rel}, which it "
+                           f"was built from, is missing or has changed")
+        pending += ancestor["inputs"].items()
+    inputs[os.path.relpath(meta_path, out_root)] = fingerprint(meta)
     return meta
 
 
@@ -217,17 +250,6 @@ def method_dir(cfg) -> str:
     return cfg["method"].replace(":", "-", 1) + ("-rp" if cfg["reproject"] else "")
 
 
-def degrade_sigma(cfg, hr_side: int, lr_size) -> float:
-    if cfg["blur_sigma"] is not None:
-        return float(cfg["blur_sigma"])
-    return raster.antialias_sigma(hr_side, hr_side, lr_size[0], lr_size[1])
-
-
-def target_records(cfg, records):
-    _, target = dataset.split_by_subject(records, cfg["train_subjects"])
-    return target
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -236,8 +258,8 @@ def cmd_synth(cfg, args) -> int:
     t0 = time.perf_counter()
     out = ensure_dir(os.path.join(args.out, "synth"))
     img_dir = ensure_dir(os.path.join(out, "images"))
-    seeds = args.seeds if args.seeds is not None else cfg["seeds"]
-    sessions = args.sessions if args.sessions is not None else cfg["sessions"]
+    seeds = cfg["seeds"]
+    sessions = cfg["sessions"]
     size = cfg["synth_size"]
 
     jobs = [(seed, session) for seed in range(seeds) for session in range(sessions)]
@@ -256,7 +278,7 @@ def cmd_synth(cfg, args) -> int:
     dataset.save_manifest(manifest, records)
     outputs = [manifest] + [os.path.join(img_dir, f"s{s:03d}_j{j}.pgm")
                             for s, j in jobs]
-    write_stage_meta(out, "synth", cfg, outputs, time.perf_counter() - t0,
+    write_stage_meta(out, "synth", {}, outputs, time.perf_counter() - t0,
                      extra={"seeds": seeds, "sessions": sessions, "size": size})
     print(f"synth: {len(records)} images -> {out}")
     return 0
@@ -264,12 +286,13 @@ def cmd_synth(cfg, args) -> int:
 
 def cmd_prep(cfg, args) -> int:
     t0 = time.perf_counter()
+    inputs = {}
     if args.manifest:
         manifest_path = args.manifest
         src_root = os.path.dirname(os.path.abspath(manifest_path))
     else:
         synth_dir = os.path.join(args.out, "synth")
-        check_stage(synth_dir, "synth")
+        check_stage(args.out, synth_dir, "synth", inputs)
         manifest_path = os.path.join(synth_dir, "manifest.csv")
         src_root = synth_dir
     if not os.path.exists(manifest_path):
@@ -315,29 +338,39 @@ def cmd_prep(cfg, args) -> int:
 
     outputs = [manifest, sidecar] + [
         os.path.join(img_dir, os.path.basename(r.image_path)) for r in kept]
-    write_stage_meta(out, "prep", cfg, outputs, time.perf_counter() - t0,
+    write_stage_meta(out, "prep", inputs, outputs, time.perf_counter() - t0,
                      extra={"kept": len(kept), "discarded": len(discarded),
                             "crop_side": side, "target_sclera_radius": radius})
     print(f"prep: kept {len(kept)}, discarded {len(discarded)} -> {out}")
     return 0
 
 
-def _load_prep(cfg, out_root):
+def stage_records(meta, prep_records):
+    """The prep records of the images a stage wrote, in manifest order (trial
+    order, and so the bytes of the score files, follow it)."""
+    names = {os.path.basename(rel) for rel in meta["outputs"]}
+    return [r for r in prep_records if os.path.basename(r.image_path) in names]
+
+
+def _load_prep(out_root, inputs):
     prep_dir = os.path.join(out_root, "prep")
-    check_stage(prep_dir, "prep")
+    meta = check_stage(out_root, prep_dir, "prep", inputs)
     records = dataset.load_manifest(os.path.join(prep_dir, "manifest.csv"))
-    return prep_dir, records
+    return prep_dir, meta, records
 
 
 def cmd_degrade(cfg, args) -> int:
     t0 = time.perf_counter()
-    prep_dir, records = _load_prep(cfg, args.out)
-    records = target_records(cfg, records)
+    inputs = {}
+    prep_dir, prep, records = _load_prep(args.out, inputs)
+    _, records = dataset.split_by_subject(records, cfg["train_subjects"])
     if not records:
         raise CliError(EXIT_CONFIG, "no target records left after the subject split")
     label = args.factor
     lr_size = cfg["factors"][label]
-    sigma = degrade_sigma(cfg, cfg["crop_side"], lr_size)
+    side = prep["extra"]["crop_side"]
+    sigma = float(cfg["blur_sigma"]) if cfg["blur_sigma"] is not None \
+        else raster.antialias_sigma(side, side, lr_size[0], lr_size[1])
 
     out = ensure_dir(os.path.join(args.out, "lr", factor_slug(label)))
     lr_dir = ensure_dir(os.path.join(out, "lr"))
@@ -354,7 +387,7 @@ def cmd_degrade(cfg, args) -> int:
     names = _pmap(process, records, cfg["jobs"])
     outputs = [os.path.join(lr_dir, n) for n in names]
     outputs += [os.path.join(base_dir, n) for n in names]
-    write_stage_meta(out, "degrade", cfg, outputs, time.perf_counter() - t0,
+    write_stage_meta(out, "degrade", inputs, outputs, time.perf_counter() - t0,
                      extra={"factor": label, "lr_size": list(lr_size),
                             "sigma": sigma, "records": len(names)})
     print(f"degrade[{label}]: {len(names)} images at {lr_size[0]}x{lr_size[1]} "
@@ -362,38 +395,27 @@ def cmd_degrade(cfg, args) -> int:
     return 0
 
 
-def _resolve_method(cfg, out_root, label, lr_size, prep_dir, prep_records):
-    """Turn the validated method string into (UpscalerSpec, model)."""
+def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
+    """Turn the validated method string into (UpscalerSpec, model); an
+    eigen-patch model is retrained when its degrade stage's fingerprint changes."""
     method = cfg["method"]
-    side = cfg["crop_side"]
     if method in ("bilinear", "bicubic"):
         return sr.UpscalerSpec(name=method, kind=method), None
     if method == "eigenpatch":
         model_dir = cfg["model_dir"] or os.path.join(out_root, "models")
         ensure_dir(model_dir)
         model_path = os.path.join(model_dir, f"eigenpatch_{factor_slug(label)}.npz")
-        prep_tag = f"side={side},radius={cfg['target_sclera_radius']}"
-        if os.path.exists(model_path):
-            model = eigenpatch.load_model(model_path)
-            if model.prep_tag != prep_tag:
-                raise CliError(EXIT_CONFIG,
-                               f"model {model_path} was trained under different "
-                               f"preprocessing ({model.prep_tag!r} != {prep_tag!r})")
-            if (model.lr_w, model.lr_h) != lr_size:
-                raise CliError(EXIT_CONFIG,
-                               f"model {model_path} trained for LR "
-                               f"{model.lr_w}x{model.lr_h}, need {lr_size}")
-        else:
-            train_recs, _ = dataset.split_by_subject(prep_records, cfg["train_subjects"])
+        provenance = fingerprint(degrade)
+        model = eigenpatch.load_model(model_path) if os.path.exists(model_path) else None
+        if model is None or model.provenance != provenance:
             if not train_recs:
                 raise CliError(EXIT_CONFIG,
                                "eigenpatch training needs train_subjects > 0")
-            sigma = degrade_sigma(cfg, side, lr_size)
             hr_images = [raster.load_image(os.path.join(prep_dir, r.image_path))
                          for r in train_recs]
-            manifest_sha = file_sha(os.path.join(prep_dir, "manifest.csv"))
-            model = eigenpatch.train(hr_images, lr_size[0], lr_size[1], sigma,
-                                     provenance=manifest_sha, prep_tag=prep_tag)
+            lr_w, lr_h = degrade["extra"]["lr_size"]
+            model = eigenpatch.train(hr_images, lr_w, lr_h, degrade["extra"]["sigma"],
+                                     provenance=provenance)
             eigenpatch.save_model(model_path, model)
         return sr.UpscalerSpec(name="eigenpatch", kind="eigenpatch"), model
     name = method.split(":", 1)[1]
@@ -408,19 +430,20 @@ def _resolve_method(cfg, out_root, label, lr_size, prep_dir, prep_records):
 
 def cmd_sr(cfg, args) -> int:
     t0 = time.perf_counter()
-    prep_dir, prep_records = _load_prep(cfg, args.out)
-    records = target_records(cfg, prep_records)
+    inputs = {}
+    prep_dir, prep, prep_records = _load_prep(args.out, inputs)
     label = args.factor
-    lr_size = tuple(cfg["factors"][label])
     lr_stage = os.path.join(args.out, "lr", factor_slug(label))
-    check_stage(lr_stage, "degrade")
+    degrade = check_stage(args.out, lr_stage, "degrade", inputs)
+    records = stage_records(degrade, prep_records)
+    train_recs = [r for r in prep_records if r not in records]
 
-    spec, model = _resolve_method(cfg, args.out, label, lr_size, prep_dir, prep_records)
+    spec, model = _resolve_method(cfg, args.out, label, degrade, prep_dir, train_recs)
     method_name = method_dir(cfg)
-    side = cfg["crop_side"]
-    sigma = degrade_sigma(cfg, side, lr_size)
+    side = prep["extra"]["crop_side"]
+    lr_size = degrade["extra"]["lr_size"]
     rp_cfg = reproject_mod.ReprojectConfig(
-        lr_w=lr_size[0], lr_h=lr_size[1], sigma=sigma,
+        lr_w=lr_size[0], lr_h=lr_size[1], sigma=degrade["extra"]["sigma"],
         tau=cfg["tau"], tol=cfg["reproject_tol"],
         max_iter=cfg["reproject_max_iter"])
 
@@ -449,7 +472,7 @@ def cmd_sr(cfg, args) -> int:
         extra["reproject_converged"] = converged
         line += (f" ({converged.count(False)} not converged within "
                  f"{cfg['reproject_max_iter']} iterations)")
-    write_stage_meta(out, "sr", cfg, outputs, time.perf_counter() - t0,
+    write_stage_meta(out, "sr", inputs, outputs, time.perf_counter() - t0,
                      extra=extra)
     print(line)
     return 0
@@ -476,12 +499,12 @@ def _rewrite_csv_rows(path, header, key_cols, new_rows):
 
 def cmd_quality(cfg, args) -> int:
     t0 = time.perf_counter()
-    prep_dir, prep_records = _load_prep(cfg, args.out)
-    records = target_records(cfg, prep_records)
+    inputs = {}
+    prep_dir, _, prep_records = _load_prep(args.out, inputs)
     label = args.factor
     spec_method = method_dir(cfg)
     sr_dir = os.path.join(args.out, "sr", spec_method, factor_slug(label))
-    check_stage(sr_dir, "sr")
+    records = stage_records(check_stage(args.out, sr_dir, "sr", inputs), prep_records)
 
     def process(rec):
         name = os.path.basename(rec.image_path)
@@ -523,22 +546,20 @@ def cmd_quality(cfg, args) -> int:
     _rewrite_csv_rows(table_path,
                       ["method", "factor", "region", "psnr", "ssim", "fsim"],
                       (0, 1, 2), summary_rows)
-    write_stage_meta(out, f"quality_{spec_method}_{factor_slug(label)}", cfg,
+    write_stage_meta(out, f"quality_{spec_method}_{factor_slug(label)}", inputs,
                      [table_path, detail_path], time.perf_counter() - t0)
     return 0
 
 
 def cmd_match(cfg, args) -> int:
     t0 = time.perf_counter()
-    prep_dir, prep_records = _load_prep(cfg, args.out)
-    records = target_records(cfg, prep_records)
+    inputs = {}
+    _, _, prep_records = _load_prep(args.out, inputs)
     label = args.factor
     method_name = method_dir(cfg)
     sr_dir = os.path.join(args.out, "sr", method_name, factor_slug(label))
-    check_stage(sr_dir, "sr")
+    records = stage_records(check_stage(args.out, sr_dir, "sr", inputs), prep_records)
     comparators = [c for c in cfg["comparators"] if c != "fused"]
-    if not comparators:
-        raise CliError(EXIT_CONFIG, "no raw comparators selected")
 
     out = ensure_dir(os.path.join(args.out, "scores", method_name,
                                   factor_slug(label)))
@@ -598,7 +619,7 @@ def cmd_match(cfg, args) -> int:
             writer.writerow([probe, gallery, lab])
     outputs.append(labels_path)
 
-    write_stage_meta(out, "match", cfg, outputs, time.perf_counter() - t0,
+    write_stage_meta(out, "match", inputs, outputs, time.perf_counter() - t0,
                      extra={"factor": label, "method": method_name,
                             "genuine": len(genuine), "impostor": len(impostor)})
     print(f"match[{method_name}, {label}]: {len(genuine)} genuine / "
@@ -628,13 +649,14 @@ def cmd_eval(cfg, args) -> int:
     roc_outputs = []
     out = ensure_dir(os.path.join(args.out, "eval"))
     stage_meta = {}
+    inputs = {}
 
     for method_name in sorted(os.listdir(scores_root)):
         for slug in sorted(os.listdir(os.path.join(scores_root, method_name))):
             score_dir = os.path.join(scores_root, method_name, slug)
             if not os.path.isdir(score_dir):
                 continue
-            label = check_stage(score_dir, "match")["extra"]["factor"]
+            label = check_stage(args.out, score_dir, "match", inputs)["extra"]["factor"]
             with open(os.path.join(score_dir, "labels.csv"), newline="") as fh:
                 reader = csv.reader(fh)
                 next(reader)
@@ -661,7 +683,7 @@ def cmd_eval(cfg, args) -> int:
                 eer_rows.append([method_name, label, comp.upper(), f"{rate:.6f}"])
                 roc_outputs.append(_write_roc(out, method_name, slug, comp, roc))
 
-            if "fused" in cfg["comparators"] and len(comp_names) >= 1:
+            if "fused" in cfg["comparators"]:
                 if cfg["fusion_split"]:
                     train_set = trials[0::2]
                     eval_set = trials[1::2]
@@ -698,7 +720,7 @@ def cmd_eval(cfg, args) -> int:
         extra_outputs.append(eval_quality)
 
     summary = {
-        "config_hash": config_hash(cfg),
+        "config_hash": fingerprint(cfg)[:16],
         "versions": {
             "iris-sr": __version__,
             "python": sys.version.split()[0],
@@ -712,7 +734,7 @@ def cmd_eval(cfg, args) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    write_stage_meta(out, "eval", cfg,
+    write_stage_meta(out, "eval", inputs,
                      [eer_path, summary_path] + extra_outputs + roc_outputs,
                      time.perf_counter() - t0)
     for row in eer_rows:
@@ -764,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         if method:
             p.add_argument("--method",
                            help="bilinear | bicubic | eigenpatch | backend:<name>")
-            p.add_argument("--reproject", action="store_true",
+            p.add_argument("--reproject", action="store_true", default=None,
                            help="the re-projected variant (sr applies iterative "
                                 "re-projection after SR)")
 
@@ -800,6 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--comparators", help="comma list from {lg,sift,fused}")
     p.add_argument("--fusion-split", dest="fusion_split", action="store_true",
+                   default=None,
                    help="train fusion on a disjoint half of the trials")
     return parser
 

@@ -89,7 +89,6 @@ class EigenPatchModel:
     kcounts: np.ndarray        # (P,)
     hr_patches: np.ndarray     # (P, M, hd) raw co-located HR training patches
     provenance: str = ""
-    prep_tag: str = ""
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -113,7 +112,7 @@ class EigenPatchModel:
 def train(hr_images, lr_w: int, lr_h: int, sigma: float,
           patch_size: int = DEFAULT_PATCH_SIZE, stride: int = DEFAULT_STRIDE,
           variance_keep: float = DEFAULT_VARIANCE_KEEP,
-          provenance: str = "", prep_tag: str = "") -> EigenPatchModel:
+          provenance: str = "") -> EigenPatchModel:
     """Build the per-position PCA model from aligned same-size HR images.
 
     LR counterparts are produced by the same degradation used at test time.
@@ -207,7 +206,7 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
         means_lr=means_lr, means_hr=means_hr,
         deviations=deviations, eigvecs=eigvecs, eigvals=eigvals,
         kcounts=kcounts, hr_patches=hr_patches,
-        provenance=provenance, prep_tag=prep_tag,
+        provenance=provenance,
         metadata={"n_train": m, "variance_keep": variance_keep},
     )
 
@@ -262,7 +261,6 @@ def save_model(path, model: EigenPatchModel) -> None:
         "hp_w": model.hp_w, "hp_h": model.hp_h,
         "sigma": model.sigma,
         "provenance": model.provenance,
-        "prep_tag": model.prep_tag,
         "extra": model.metadata,
     }
     arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
@@ -289,6 +287,6 @@ def load_model(path, expect_patch_size: int | None = None,
         lr_w=meta["lr_w"], lr_h=meta["lr_h"], hr_w=meta["hr_w"], hr_h=meta["hr_h"],
         patch_size=meta["patch_size"], stride=meta["stride"],
         hp_w=meta["hp_w"], hp_h=meta["hp_h"], sigma=meta["sigma"],
-        provenance=meta.get("provenance", ""), prep_tag=meta.get("prep_tag", ""),
+        provenance=meta.get("provenance", ""),
         metadata=meta.get("extra", {}), **arrays,
     )

@@ -2,13 +2,14 @@ import importlib
 import json
 import os
 import pkgutil
+import shutil
 import sys
 
 import numpy as np
 import pytest
 
 import irissr
-from irissr import cli, raster, sr
+from irissr import cli, eigenpatch, raster, sr
 
 
 def run(argv):
@@ -45,6 +46,15 @@ def pipeline(tmp_path_factory):
     assert run(["match", *base, "--factor", "1/4", "--method", "bicubic"]) == 0
     assert run(["eval", *base]) == 0
     return out, cfg
+
+
+@pytest.fixture
+def own_pipeline(pipeline, tmp_path):
+    """A private copy of the shared run, for tests that rerun stages with
+    another config."""
+    out, cfg = pipeline
+    shutil.copytree(out, tmp_path / "out")
+    return str(tmp_path / "out"), cfg
 
 
 def test_pipeline_artifacts_exist(pipeline):
@@ -113,15 +123,27 @@ def test_backend_method_roundtrip(pipeline):
     assert img.shape == (231, 231)
 
 
-def test_eigenpatch_method_trains_and_caches(pipeline):
-    out, cfg = pipeline
+def test_eigenpatch_method_trains_and_caches(own_pipeline, tmp_path):
+    out, cfg = own_pipeline
     base = ["--config", cfg, "--out", out]
-    assert run(["sr", *base, "--factor", "1/4", "--method", "eigenpatch"]) == 0
+    sr_argv = ["sr", *base, "--factor", "1/4", "--method", "eigenpatch"]
+    assert run(sr_argv) == 0
     model_path = os.path.join(out, "models", "eigenpatch_1_4.npz")
     assert os.path.exists(model_path)
     mtime = os.path.getmtime(model_path)
     # second run reuses the cached model
-    assert run(["sr", *base, "--factor", "1/4", "--method", "eigenpatch"]) == 0
+    assert run(sr_argv) == 0
+    assert os.path.getmtime(model_path) == mtime
+    # a degrade rerun with another blur makes the cached model stale
+    sharp = write_config(tmp_path / "sharp.json", blur_sigma=1.0)
+    assert run(["degrade", "--config", sharp, "--out", out, "--factor", "1/4"]) == 0
+    assert run(sr_argv) == 0
+    model = eigenpatch.load_model(model_path)
+    assert model.sigma == 1.0
+    with open(os.path.join(out, "lr", "1_4", "stage_degrade.json")) as fh:
+        assert model.provenance == cli.fingerprint(json.load(fh))
+    mtime = os.path.getmtime(model_path)
+    assert run(sr_argv) == 0
     assert os.path.getmtime(model_path) == mtime
 
 
@@ -205,14 +227,63 @@ def test_unknown_factor_exit_code(pipeline):
 
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"factors\": {\"1/4\": [0, 57]}}")
     out = str(tmp_path / "out")
-    assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG
-    bad.write_text("{\"no_such_key\": 1}")
-    assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG
-    # a negative count would slice the subject list from the end
-    bad.write_text("{\"train_subjects\": -1}")
-    assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG
+    for text in ('{"factors": {"1/4": [0, 57]}}', '{"no_such_key": 1}',
+                 # a negative count would slice the subject list from the end
+                 '{"train_subjects": -1}',
+                 '{"jobs": "2"}', '{"jobs": true}', '{"blur_sigma": -0.5}',
+                 '{"target_sclera_radius": 0}', '{"seeds": 0}', '{"sessions": 0}',
+                 '{"crop_side": 0}', '{"synth_size": 63}', '{"tau": NaN}',
+                 '{"comparators": []}', '{"comparators": ["fused"]}'):
+        bad.write_text(text)
+        assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG, text
+    for flag in ("--seeds", "--sessions"):
+        assert run(["synth", "--out", out, flag, "-2"]) == cli.EXIT_CONFIG, flag
+    for argv in (["match", "--factor", "1/4", "--method", "bicubic"], ["eval"]):
+        assert run([*argv, "--out", out, "--comparators", "fused"]) == cli.EXIT_CONFIG
+    assert not os.path.exists(out)
+    for sigma in (None, 0):
+        cli.validate_config({**cli.DEFAULT_CONFIG, "blur_sigma": sigma})
+
+
+def test_degrade_rerun_makes_sr_outputs_stale(own_pipeline, tmp_path):
+    out, _ = own_pipeline
+    sharp = write_config(tmp_path / "sharp.json", blur_sigma=1.0)
+    assert run(["degrade", "--config", sharp, "--out", out, "--factor", "1/4"]) == 0
+    # the SR images were built from the old LR images
+    for stage in ("quality", "match"):
+        assert run([stage, "--config", sharp, "--out", out, "--factor", "1/4",
+                    "--method", "bicubic"]) == cli.EXIT_MISSING_INPUT, stage
+    # so they are when the degrade meta is gone
+    os.remove(os.path.join(out, "lr", "1_4", "stage_degrade.json"))
+    assert run(["quality", "--config", sharp, "--out", out, "--factor", "1/4",
+                "--method", "bicubic"]) == cli.EXIT_MISSING_INPUT
+
+
+def test_sr_reads_targets_from_degrade(own_pipeline, tmp_path):
+    out, _ = own_pipeline
+    cfg = write_config(tmp_path / "c.json", train_subjects=0)
+    assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "bicubic"]) == 0
+    assert sorted(os.listdir(os.path.join(out, "sr", "bicubic", "1_4", "images"))) \
+        == sorted(os.listdir(os.path.join(out, "lr", "1_4", "lr")))
+
+
+def test_identical_reruns_keep_downstream_valid(pipeline):
+    out, cfg = pipeline
+    base = ["--config", cfg, "--out", out]
+    assert run(["degrade", *base, "--factor", "1/4", "--jobs", "2"]) == 0
+    assert run(["sr", *base, "--factor", "1/4", "--method", "bicubic"]) == 0
+    # match was not rerun: its recorded lineage must still hold
+    assert run(["eval", *base]) == 0
+
+
+def test_prep_rerun_makes_degrade_stale(own_pipeline, tmp_path):
+    out, _ = own_pipeline
+    cfg = write_config(tmp_path / "c.json", target_sclera_radius=100.0)
+    assert run(["prep", "--config", cfg, "--out", out]) == 0
+    assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "bicubic"]) == cli.EXIT_MISSING_INPUT
 
 
 def test_stale_artifact_detected(tmp_path):
@@ -223,6 +294,15 @@ def test_stale_artifact_detected(tmp_path):
     # corrupt one synth output; prep must refuse to run on it
     victim = os.path.join(out, "synth", "images", "s000_j0.pgm")
     raster.write_pgm(victim, np.zeros((8, 8)))
+    assert run(["prep", *base]) == cli.EXIT_MISSING_INPUT
+    # a meta that records no lineage cannot be trusted either
+    assert run(["synth", *base]) == 0
+    meta_path = os.path.join(out, "synth", "stage_synth.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    del meta["inputs"]
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
     assert run(["prep", *base]) == cli.EXIT_MISSING_INPUT
 
 

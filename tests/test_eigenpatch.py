@@ -147,12 +147,11 @@ def test_reconstruction_deterministic():
 
 def test_model_roundtrip(tmp_path):
     imgs = small_corpus(4)
-    model = eigenpatch.train(imgs, 16, 16, 1.0, provenance="abc", prep_tag="side=64")
+    model = eigenpatch.train(imgs, 16, 16, 1.0, provenance="abc")
     path = tmp_path / "model.npz"
     eigenpatch.save_model(path, model)
     back = eigenpatch.load_model(path)
     assert back.provenance == "abc"
-    assert back.prep_tag == "side=64"
     lr = raster.degrade(imgs[1], 16, 16, 1.0)
     assert np.array_equal(eigenpatch.reconstruct(lr, back),
                           eigenpatch.reconstruct(lr, model))

@@ -19,6 +19,7 @@ backend failure, 1 unexpected error.
 
 import argparse
 import csv
+import glob
 import hashlib
 import json
 import os
@@ -134,23 +135,39 @@ def validate_config(cfg: dict) -> None:
         if isinstance(val, bool) or not isinstance(val, (kind, int)) \
                 or not (val > bound if op == ">" else val >= bound):
             raise CliError(EXIT_CONFIG, f"{key} must be {kind.__name__} {op} {bound}")
+    if not isinstance(cfg["factors"], dict):
+        raise CliError(EXIT_CONFIG, "factors must map each label to a [w, h] size")
     seen_sizes = set()
     for label, size in cfg["factors"].items():
-        if len(size) != 2 or size[0] < 1 or size[1] < 1:
-            raise CliError(EXIT_CONFIG, f"factor {label!r} needs a [w, h] size")
+        if not isinstance(size, (list, tuple)) or len(size) != 2 or not all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in size):
+            raise CliError(EXIT_CONFIG,
+                           f"factor {label!r} needs a [w, h] size of ints >= 1")
         key = tuple(size)
         if key in seen_sizes:
             raise CliError(EXIT_CONFIG, f"factor {label!r} duplicates an LR size")
         seen_sizes.add(key)
-    for comp in cfg["comparators"]:
+    comparators = cfg["comparators"]
+    if not isinstance(comparators, list) or \
+            not all(isinstance(comp, str) for comp in comparators):
+        raise CliError(EXIT_CONFIG, "comparators must be a list of names")
+    for comp in comparators:
         if comp not in ("lg", "sift", "fused"):
             raise CliError(EXIT_CONFIG, f"unknown comparator {comp!r}")
-    if not {"lg", "sift"} & set(cfg["comparators"]):
+    if not {"lg", "sift"} & set(comparators):
         raise CliError(EXIT_CONFIG, "comparators must include lg or sift")
+    backends = cfg["backends"]
+    if not isinstance(backends, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("command"), str)
+            for entry in backends.values()):
+        raise CliError(EXIT_CONFIG,
+                       'backends must map each name to {"command": "<string>", ...}')
     method = cfg["method"]
+    if not isinstance(method, str):
+        raise CliError(EXIT_CONFIG, "method must be a string")
     if method.startswith("backend:"):
         name = method.split(":", 1)[1]
-        if "command" not in (cfg["backends"].get(name) or {}):
+        if name not in backends:
             raise CliError(EXIT_CONFIG,
                            f"backend {name!r} not configured under config['backends']")
     elif method not in ("bilinear", "bicubic", "eigenpatch"):
@@ -546,8 +563,10 @@ def cmd_quality(cfg, args) -> int:
     _rewrite_csv_rows(table_path,
                       ["method", "factor", "region", "psnr", "ssim", "fsim"],
                       (0, 1, 2), summary_rows)
+    # quality.csv gathers every method and factor, so it is no stage's own
+    # output; eval checks each quality meta before it copies the table
     write_stage_meta(out, f"quality_{spec_method}_{factor_slug(label)}", inputs,
-                     [table_path, detail_path], time.perf_counter() - t0)
+                     [detail_path], time.perf_counter() - t0)
     return 0
 
 
@@ -650,6 +669,10 @@ def cmd_eval(cfg, args) -> int:
     out = ensure_dir(os.path.join(args.out, "eval"))
     stage_meta = {}
     inputs = {}
+    quality_dir = os.path.join(args.out, "quality")
+    for meta_path in sorted(glob.glob(os.path.join(quality_dir, "stage_quality_*.json"))):
+        stage = os.path.basename(meta_path)[len("stage_"):-len(".json")]
+        check_stage(args.out, quality_dir, stage, inputs)
 
     for method_name in sorted(os.listdir(scores_root)):
         for slug in sorted(os.listdir(os.path.join(scores_root, method_name))):
@@ -710,9 +733,10 @@ def cmd_eval(cfg, args) -> int:
     _rewrite_csv_rows(eer_path, ["method", "factor", "comparator", "eer"],
                       (0, 1, 2), eer_rows)
 
-    # gather the quality table next to the EER table when it exists
+    # gather the quality table next to the EER table when it exists (every
+    # quality meta was checked above)
     extra_outputs = []
-    quality_table = os.path.join(args.out, "quality", "quality.csv")
+    quality_table = os.path.join(quality_dir, "quality.csv")
     if os.path.exists(quality_table):
         eval_quality = os.path.join(out, "quality.csv")
         with open(quality_table, "rb") as src, open(eval_quality, "wb") as dst:

@@ -3,17 +3,24 @@
 All metrics take [0,1] images (peak = 1). PSNR of identical images is the
 math.inf sentinel; table writers cap it at 99.0 dB for printing.
 
-FSIM needs phase congruency maps; those are computed with a log-Gabor filter
-bank (4 scales x 4 orientations) following the standard construction used by
-the index's reference implementation, with the gradient step on a Scharr 3x3
-operator and constants rescaled for unit peak.
+SSIM (Wang et al. 2004) takes its five window means from a separable box
+sum: a running 8-sample window sum down the rows, then along the columns, so
+no per-window copy of the image is made.
+
+FSIM (Zhang et al. 2011) needs phase congruency maps; those are computed with
+a log-Gabor filter bank (4 scales x 4 orientations) following the standard
+construction used by the index's reference implementation, with the gradient
+step on a Scharr 3x3 operator and constants rescaled for unit peak. The bank
+is built once per image shape and parameter set and cached read-only; the
+scales of one orientation go through one batched inverse FFT in a buffer
+reused across orientations, and the local energy is taken in complex form.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate
 
 
@@ -57,6 +64,15 @@ def psnr_for_table(value: float) -> float:
     return min(value, PSNR_TABLE_CAP)
 
 
+def _window_sums(img: np.ndarray, window: int) -> np.ndarray:
+    """Sum over every dense window x window block: a running window sum down
+    the rows, then along the columns (a separable box filter)."""
+    rows = img.shape[0] - window + 1
+    cols = img.shape[1] - window + 1
+    down = sum(img[i:i + rows] for i in range(window))
+    return sum(down[:, j:j + cols] for j in range(window))
+
+
 def ssim(ref: np.ndarray, test: np.ndarray,
          window: int = SSIM_WINDOW, k1: float = SSIM_K1, k2: float = SSIM_K2) -> float:
     """Mean SSIM over all dense uniform windows (population moments)."""
@@ -66,13 +82,12 @@ def ssim(ref: np.ndarray, test: np.ndarray,
         raise QualityError(f"image {w}x{h} smaller than SSIM window {window}")
     c1 = (k1 * 1.0) ** 2
     c2 = (k2 * 1.0) ** 2
-    w1 = sliding_window_view(ref, (window, window))
-    w2 = sliding_window_view(test, (window, window))
-    mu1 = w1.mean(axis=(-2, -1))
-    mu2 = w2.mean(axis=(-2, -1))
-    var1 = (w1 * w1).mean(axis=(-2, -1)) - mu1 * mu1
-    var2 = (w2 * w2).mean(axis=(-2, -1)) - mu2 * mu2
-    cov = (w1 * w2).mean(axis=(-2, -1)) - mu1 * mu2
+    n = window * window
+    mu1 = _window_sums(ref, window) / n
+    mu2 = _window_sums(test, window) / n
+    var1 = _window_sums(ref * ref, window) / n - mu1 * mu1
+    var2 = _window_sums(test * test, window) / n - mu2 * mu2
+    cov = _window_sums(ref * test, window) / n - mu1 * mu2
     num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
     den = (mu1**2 + mu2**2 + c1) * (var1 + var2 + c2)
     return float(np.mean(num / den))
@@ -82,20 +97,12 @@ def ssim(ref: np.ndarray, test: np.ndarray,
 # phase congruency (log-Gabor bank) and FSIM
 # ---------------------------------------------------------------------------
 
-def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
-                     min_wavelength: float = 6.0, mult: float = 2.0,
-                     sigma_onf: float = 0.55, dtheta_on_sigma: float = 1.2,
-                     k_noise: float = 2.0, cutoff: float = 0.5, g: float = 10.0,
-                     epsilon: float = 1e-4) -> np.ndarray:
-    """Phase congruency map summed over orientations.
-
-    Log-Gabor bank over `nscale` scales and `norient` orientations with
-    median-based noise compensation and a sigmoidal frequency-spread weight.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    rows, cols = img.shape
-    im_fft = np.fft.fft2(img)
-
+@functools.lru_cache(maxsize=4)
+def _filter_bank(rows: int, cols: int, nscale: int, norient: int,
+                 min_wavelength: float, mult: float, sigma_onf: float,
+                 dtheta_on_sigma: float) -> np.ndarray:
+    """Read-only (norient, nscale, rows, cols) bank of log-Gabor radial
+    filters times angular spreads, in FFT frequency layout."""
     fx = np.fft.fftfreq(cols)
     fy = np.fft.fftfreq(rows)
     u, v = np.meshgrid(fx, fy)
@@ -108,51 +115,76 @@ def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
     # sharp low-pass keeps the bank away from the FFT corners
     lowpass = 1.0 / (1.0 + (radius / 0.45) ** 30)
 
-    log_gabors = []
+    theta_sigma = math.pi / norient / dtheta_on_sigma
+    bank = np.empty((norient, nscale, rows, cols))
     for s in range(nscale):
         f0 = 1.0 / (min_wavelength * mult**s)
         lg = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * math.log(sigma_onf) ** 2))
         lg *= lowpass
         lg[0, 0] = 0.0
-        log_gabors.append(lg)
-
-    theta_sigma = math.pi / norient / dtheta_on_sigma
-    pc_sum = np.zeros((rows, cols))
-
+        bank[:, s] = lg
     for o in range(norient):
         angl = o * math.pi / norient
         ds = sintheta * math.cos(angl) - costheta * math.sin(angl)
         dc = costheta * math.cos(angl) + sintheta * math.sin(angl)
         dtheta = np.abs(np.arctan2(ds, dc))
-        spread = np.exp(-(dtheta**2) / (2.0 * theta_sigma**2))
+        bank[o] *= np.exp(-(dtheta**2) / (2.0 * theta_sigma**2))
+    bank.flags.writeable = False
+    return bank
 
-        sum_e = np.zeros((rows, cols))
-        sum_o = np.zeros((rows, cols))
-        sum_an = np.zeros((rows, cols))
-        max_an = np.zeros((rows, cols))
-        eo_per_scale = []
-        tau = 0.0
-        for s in range(nscale):
-            filt = log_gabors[s] * spread
-            eo = np.fft.ifft2(im_fft * filt)
-            an = np.abs(eo)
-            eo_per_scale.append(eo)
-            sum_an += an
-            sum_e += eo.real
-            sum_o += eo.imag
-            if s == 0:
-                tau = float(np.median(sum_an)) / math.sqrt(math.log(4.0))
-                max_an = an.copy()
-            else:
-                max_an = np.maximum(max_an, an)
 
-        x_energy = np.hypot(sum_e, sum_o) + epsilon
-        mean_e = sum_e / x_energy
-        mean_o = sum_o / x_energy
-        energy = np.zeros((rows, cols))
-        for eo in eo_per_scale:
-            e, od = eo.real, eo.imag
-            energy += e * mean_e + od * mean_o - np.abs(e * mean_o - od * mean_e)
+def _median(values: np.ndarray) -> float:
+    """np.median of a flat array by partial sort: the mean of the two middle
+    values when the count is even."""
+    k = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, k)[k])
+    part = np.partition(values, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2.0)
+
+
+def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
+                     min_wavelength: float = 6.0, mult: float = 2.0,
+                     sigma_onf: float = 0.55, dtheta_on_sigma: float = 1.2,
+                     k_noise: float = 2.0, cutoff: float = 0.5, g: float = 10.0,
+                     epsilon: float = 1e-4) -> np.ndarray:
+    """Phase congruency map summed over orientations.
+
+    Log-Gabor bank over `nscale` scales and `norient` orientations with
+    median-based noise compensation and a sigmoidal frequency-spread weight.
+    The scales of one orientation go through one inverse FFT, in a buffer
+    reused from orientation to orientation.
+    """
+    # imported here, not with the package: every external-backend process
+    # imports the package and never needs it
+    import scipy.fft
+
+    img = np.asarray(img, dtype=np.float64)
+    rows, cols = img.shape
+    im_fft = np.fft.fft2(img)
+    bank = _filter_bank(rows, cols, nscale, norient, min_wavelength, mult,
+                        sigma_onf, dtheta_on_sigma)
+
+    eo = np.empty((nscale, rows, cols), dtype=np.complex128)
+    an = np.empty((nscale, rows, cols))
+    pc_sum = np.zeros((rows, cols))
+    for o in range(norient):
+        np.multiply(im_fft, bank[o], out=eo)
+        eo = scipy.fft.ifft2(eo, overwrite_x=True)
+        np.abs(eo, out=an)
+        sum_an = an.sum(axis=0)
+        max_an = an.max(axis=0)
+        tau = _median(an[0].ravel()) / math.sqrt(math.log(4.0))
+
+        # energy along the mean phase direction m of the summed response:
+        # sum over scales of Re(conj(eo) m) - |Im(conj(eo) m)|
+        sum_eo = eo.sum(axis=0)
+        sum_eo /= np.abs(sum_eo) + epsilon
+        np.conjugate(eo, out=eo)
+        eo *= sum_eo
+        energy = eo.real.sum(axis=0)
+        np.abs(eo.imag, out=an)
+        energy -= an.sum(axis=0)
 
         total_tau = tau * (1.0 - (1.0 / mult) ** nscale) / (1.0 - 1.0 / mult)
         noise_mean = total_tau * math.sqrt(math.pi / 2.0)

@@ -234,7 +234,12 @@ def test_bad_config_exit_code(tmp_path):
                  '{"jobs": "2"}', '{"jobs": true}', '{"blur_sigma": -0.5}',
                  '{"target_sclera_radius": 0}', '{"seeds": 0}', '{"sessions": 0}',
                  '{"crop_side": 0}', '{"synth_size": 63}', '{"tau": NaN}',
-                 '{"comparators": []}', '{"comparators": ["fused"]}'):
+                 '{"comparators": []}', '{"comparators": ["fused"]}',
+                 # structured keys of the wrong type end in exit 2, not a traceback
+                 '{"method": 5}', '{"factors": {"1/4": "ab"}}', '{"factors": [57, 57]}',
+                 '{"factors": {"1/4": [57.0, 57]}}', '{"comparators": "lg"}',
+                 '{"backends": []}', '{"backends": {"nn2x": {"command": 5}}}',
+                 '{"backends": {"nn2x": null}}'):
         bad.write_text(text)
         assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG, text
     for flag in ("--seeds", "--sessions"):
@@ -372,6 +377,21 @@ def test_eval_gathers_quality_table(pipeline):
     assert os.path.exists(gathered)
     assert open(gathered, "rb").read() == \
         open(os.path.join(out, "quality", "quality.csv"), "rb").read()
+
+
+def test_quality_metas_keep_lineage_across_methods(own_pipeline):
+    out, cfg = own_pipeline
+    base = ["--config", cfg, "--out", out, "--factor", "1/4"]
+    assert run(["sr", *base, "--method", "bilinear"]) == 0
+    assert run(["quality", *base, "--method", "bilinear"]) == 0
+    # the second run rewrote the shared quality.csv; both metas still verify
+    quality_dir = os.path.join(out, "quality")
+    for stage in ("quality_bicubic_1_4", "quality_bilinear_1_4"):
+        cli.check_stage(out, quality_dir, stage, {})
+    assert run(["eval", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(quality_dir, "detail_bilinear_1_4.csv"), "a") as fh:
+        fh.write("edited,full,0,0,0\n")
+    assert run(["eval", "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
 
 
 def test_fusion_split_option(pipeline):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from irissr import dataset, quality
+from irissr import dataset, iriscode, quality
 
 
 # --- brute-force scalar oracles ---------------------------------------------
@@ -61,6 +62,142 @@ def fsim_oracle(ref, test):
     if den < 1e-12:
         return 1.0 if np.max(np.abs(ref - test)) <= 1e-9 else 0.0
     return math.fsum(num_terms) / den
+
+
+# --- whole-array references: the direct forms the fast code replaced ---------
+
+def ssim_reference(ref, test, window=8, k1=0.01, k2=0.03):
+    """Means over the 4-D view of every dense window."""
+    c1 = (k1 * 1.0) ** 2
+    c2 = (k2 * 1.0) ** 2
+    w1 = sliding_window_view(ref, (window, window))
+    w2 = sliding_window_view(test, (window, window))
+    mu1 = w1.mean(axis=(-2, -1))
+    mu2 = w2.mean(axis=(-2, -1))
+    var1 = (w1 * w1).mean(axis=(-2, -1)) - mu1 * mu1
+    var2 = (w2 * w2).mean(axis=(-2, -1)) - mu2 * mu2
+    cov = (w1 * w2).mean(axis=(-2, -1)) - mu1 * mu2
+    num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
+    den = (mu1**2 + mu2**2 + c1) * (var1 + var2 + c2)
+    return float(np.mean(num / den))
+
+
+def phase_congruency_reference(img, nscale=4, norient=4, min_wavelength=6.0,
+                               mult=2.0, sigma_onf=0.55, dtheta_on_sigma=1.2,
+                               k_noise=2.0, cutoff=0.5, g=10.0, epsilon=1e-4):
+    """The bank built on every call, one inverse FFT per filter, real-valued
+    energy and np.median noise estimate."""
+    img = np.asarray(img, dtype=np.float64)
+    rows, cols = img.shape
+    im_fft = np.fft.fft2(img)
+
+    fx = np.fft.fftfreq(cols)
+    fy = np.fft.fftfreq(rows)
+    u, v = np.meshgrid(fx, fy)
+    radius = np.hypot(u, v)
+    radius[0, 0] = 1.0  # avoid log(0) at DC; the filters zero it anyway
+    theta = np.arctan2(-v, u)
+    sintheta = np.sin(theta)
+    costheta = np.cos(theta)
+
+    # sharp low-pass keeps the bank away from the FFT corners
+    lowpass = 1.0 / (1.0 + (radius / 0.45) ** 30)
+
+    log_gabors = []
+    for s in range(nscale):
+        f0 = 1.0 / (min_wavelength * mult**s)
+        lg = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * math.log(sigma_onf) ** 2))
+        lg *= lowpass
+        lg[0, 0] = 0.0
+        log_gabors.append(lg)
+
+    theta_sigma = math.pi / norient / dtheta_on_sigma
+    pc_sum = np.zeros((rows, cols))
+
+    for o in range(norient):
+        angl = o * math.pi / norient
+        ds = sintheta * math.cos(angl) - costheta * math.sin(angl)
+        dc = costheta * math.cos(angl) + sintheta * math.sin(angl)
+        dtheta = np.abs(np.arctan2(ds, dc))
+        spread = np.exp(-(dtheta**2) / (2.0 * theta_sigma**2))
+
+        sum_e = np.zeros((rows, cols))
+        sum_o = np.zeros((rows, cols))
+        sum_an = np.zeros((rows, cols))
+        max_an = np.zeros((rows, cols))
+        eo_per_scale = []
+        tau = 0.0
+        for s in range(nscale):
+            filt = log_gabors[s] * spread
+            eo = np.fft.ifft2(im_fft * filt)
+            an = np.abs(eo)
+            eo_per_scale.append(eo)
+            sum_an += an
+            sum_e += eo.real
+            sum_o += eo.imag
+            if s == 0:
+                tau = float(np.median(sum_an)) / math.sqrt(math.log(4.0))
+                max_an = an.copy()
+            else:
+                max_an = np.maximum(max_an, an)
+
+        x_energy = np.hypot(sum_e, sum_o) + epsilon
+        mean_e = sum_e / x_energy
+        mean_o = sum_o / x_energy
+        energy = np.zeros((rows, cols))
+        for eo in eo_per_scale:
+            e, od = eo.real, eo.imag
+            energy += e * mean_e + od * mean_o - np.abs(e * mean_o - od * mean_e)
+
+        total_tau = tau * (1.0 - (1.0 / mult) ** nscale) / (1.0 - 1.0 / mult)
+        noise_mean = total_tau * math.sqrt(math.pi / 2.0)
+        noise_sigma = total_tau * math.sqrt((4.0 - math.pi) / 2.0)
+        energy = np.maximum(energy - (noise_mean + k_noise * noise_sigma), 0.0)
+
+        width = (sum_an / (max_an + epsilon) - 1.0) / (nscale - 1)
+        weight = 1.0 / (1.0 + np.exp(g * (cutoff - width)))
+        pc_sum += weight * energy / (sum_an + epsilon)
+
+    return pc_sum
+
+
+def fsim_reference(ref, test, t1=quality.FSIM_T1, t2=quality.FSIM_T2):
+    """FSIM pooled from the reference phase-congruency maps."""
+    pc1 = phase_congruency_reference(ref)
+    pc2 = phase_congruency_reference(test)
+    pcm = np.maximum(pc1, pc2)
+    total = float(pcm.sum())
+    if total < 1e-12:
+        return 1.0 if float(np.max(np.abs(ref - test))) <= 1e-9 else 0.0
+    g1 = quality.gradient_magnitude(ref)
+    g2 = quality.gradient_magnitude(test)
+    s_pc = (2.0 * pc1 * pc2 + t1) / (pc1**2 + pc2**2 + t1)
+    s_g = (2.0 * g1 * g2 + t2) / (g1**2 + g2**2 + t2)
+    return float((s_pc * s_g * pcm).sum() / total)
+
+
+def reference_pairs():
+    """231x231 eyes against their 1/4 bicubic baselines, the 20x240 unwrapped
+    strips of the same pairs (an even pixel count: the noise median is the
+    mean of two middle values), an odd-count non-square pair, a pair of exactly
+    one SSIM window, and a constant pair."""
+    pairs = []
+    for seed in (0, 1):
+        img, ann = dataset.synth_iris(seed, 231)
+        _, base = dataset.simulate_lr(img, 57, 57, 2.0)
+        pairs.append((f"eye{seed}", img, base))
+        pairs.append((f"strip{seed}", iriscode.unwrap(img, ann).values,
+                      iriscode.unwrap(base, ann).values))
+    rng = np.random.default_rng(11)
+    for h, w in ((37, 53), (8, 8)):
+        ref = rng.uniform(size=(h, w))
+        pairs.append((f"{h}x{w}", ref, np.clip(ref + rng.normal(0, 0.1, (h, w)), 0, 1)))
+    pairs.append(("constant", np.full((16, 16), 0.3), np.full((16, 16), 0.6)))
+    return pairs
+
+
+REFERENCE_PAIRS = reference_pairs()
+REFERENCE_IDS = [name for name, _, _ in REFERENCE_PAIRS]
 
 
 # --- PSNR --------------------------------------------------------------------
@@ -161,6 +298,51 @@ def test_fsim_symmetric():
     a = rng.uniform(size=(20, 20))
     b = rng.uniform(size=(20, 20))
     assert quality.fsim(a, b) == pytest.approx(quality.fsim(b, a), abs=1e-12)
+
+
+# --- fast forms against the references ----------------------------------------
+
+@pytest.mark.parametrize("name,ref,test", REFERENCE_PAIRS, ids=REFERENCE_IDS)
+def test_ssim_matches_reference(name, ref, test):
+    assert abs(quality.ssim(ref, test) - ssim_reference(ref, test)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,ref,test", REFERENCE_PAIRS, ids=REFERENCE_IDS)
+def test_phase_congruency_matches_reference(name, ref, test):
+    for img in (ref, test):
+        got = quality.phase_congruency(img)
+        want = phase_congruency_reference(img)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,ref,test", REFERENCE_PAIRS, ids=REFERENCE_IDS)
+def test_fsim_matches_reference(name, ref, test):
+    assert abs(quality.fsim(ref, test) - fsim_reference(ref, test)) <= 1e-12
+
+
+def test_noise_median_matches_numpy():
+    rng = np.random.default_rng(12)
+    for n in (4800, 4801, 1, 2):
+        values = rng.uniform(size=n)
+        assert quality._median(values) == float(np.median(values))
+
+
+def test_filter_bank_cached_read_only():
+    quality._filter_bank.cache_clear()
+    img = dataset.synth_iris(2, 231)[0]
+    strip = np.random.default_rng(13).uniform(size=(20, 240))
+    first = quality.phase_congruency(img)
+    bank = quality._filter_bank(231, 231, 4, 4, 6.0, 2.0, 0.55, 1.2)
+    assert bank.shape == (4, 4, 231, 231)
+    assert not bank.flags.writeable
+    with pytest.raises(ValueError):
+        bank[0, 0, 0, 1] = 0.0
+    # a second shape gets its own bank and leaves the first one's results alone
+    quality.phase_congruency(strip)
+    assert quality._filter_bank.cache_info().currsize == 2
+    assert np.array_equal(quality.phase_congruency(img), first)
+    assert quality._filter_bank(231, 231, 4, 4, 6.0, 2.0, 0.55, 1.2) is bank
 
 
 # --- region reports -----------------------------------------------------------

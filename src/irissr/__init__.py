@@ -5,18 +5,22 @@ eigen-patch PCA hallucination, or external x2 backends chained log2(n) times),
 optionally applies iterative image re-projection, and evaluates both image
 quality (PSNR/SSIM/FSIM, full frame and iris region) and recognition accuracy
 (log-Gabor and SIFT comparators, logistic-regression fusion, EER).
+
+Submodules load on first use (`irissr.quality`, `from irissr import quality`),
+so a process that needs few of them, such as an external-backend call that
+needs only `raster`, does not pay for the others.
 """
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    dataset,
-    eigenpatch,
-    fusion_eval,
-    iriscode,
-    quality,
-    raster,
-    reproject,
-    siftmatch,
-    sr,
-)
+_SUBMODULES = ("cli", "dataset", "eigenpatch", "errors", "fusion_eval",
+               "iriscode", "quality", "raster", "refbackend", "reproject",
+               "siftmatch", "sr")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

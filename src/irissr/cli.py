@@ -22,6 +22,7 @@ import csv
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__, dataset, eigenpatch, fusion_eval, iriscode, quality, raster
 from . import reproject as reproject_mod
 from . import siftmatch, sr
+from .errors import InputError
 
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
@@ -49,7 +51,7 @@ DEFAULT_CONFIG = {
                 "1/8": [29, 29], "1/16": [15, 15]},
     "blur_sigma": None,  # null -> 0.5 * reduction factor per axis maximum
     "method": "bicubic",
-    "backends": {},      # name -> {"command": ..., "exchange_dir": optional}
+    "backends": {},      # name -> {"command": ..., optional "exchange_dir", "timeout"}
     "model_dir": None,   # defaults to <out>/models
     "reproject": False,
     "tau": reproject_mod.DEFAULT_TAU,
@@ -67,13 +69,10 @@ class CliError(Exception):
         self.code = code
 
 
-# Module errors for input the configuration cannot process: exit 2. The one
-# other module error `main` maps is sr.BackendError: exit 5.
-INPUT_ERRORS = (
-    dataset.DatasetError, raster.RasterError, reproject_mod.ReprojectError,
-    sr.SrError, eigenpatch.EigenPatchError, quality.QualityError,
-    iriscode.IrisCodeError, siftmatch.SiftError, fusion_eval.FusionEvalError,
-)
+# Module errors for input the configuration cannot process: exit 2. Every
+# module's error class derives from InputError; the one other module error
+# `main` maps is sr.BackendError: exit 5.
+INPUT_ERRORS = (InputError,)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +161,13 @@ def validate_config(cfg: dict) -> None:
             for entry in backends.values()):
         raise CliError(EXIT_CONFIG,
                        'backends must map each name to {"command": "<string>", ...}')
+    for name, entry in backends.items():
+        limit = entry.get("timeout")
+        if limit is not None and (isinstance(limit, bool)
+                                  or not isinstance(limit, (int, float))
+                                  or not 0 < limit < math.inf):
+            raise CliError(EXIT_CONFIG, f"backend {name!r}: timeout must be a "
+                           f"positive number of seconds, got {limit!r}")
     method = cfg["method"]
     if not isinstance(method, str):
         raise CliError(EXIT_CONFIG, "method must be a string")
@@ -441,7 +447,7 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
         or os.path.join(out_root, "exchange", name)
     spec = sr.UpscalerSpec(name=name, kind="external",
                            backend_command=entry["command"],
-                           exchange_dir=exchange)
+                           exchange_dir=exchange, timeout=entry.get("timeout"))
     return spec, None
 
 
@@ -495,6 +501,18 @@ def cmd_sr(cfg, args) -> int:
     return 0
 
 
+QUALITY_HEADER = ["method", "factor", "region", "psnr", "ssim", "fsim"]
+
+
+def _write_keyed_rows(path, header, rows) -> None:
+    """Write `rows` (key tuple -> row) under `header`, sorted by key."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for key in sorted(rows):
+            writer.writerow(rows[key])
+
+
 def _rewrite_csv_rows(path, header, key_cols, new_rows):
     """Replace rows matching the new keys, keep others, rewrite sorted."""
     rows = {}
@@ -507,11 +525,7 @@ def _rewrite_csv_rows(path, header, key_cols, new_rows):
                     rows[tuple(row[i] for i in key_cols)] = row
     for row in new_rows:
         rows[tuple(row[i] for i in key_cols)] = row
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for key in sorted(rows):
-            writer.writerow(rows[key])
+    _write_keyed_rows(path, header, rows)
 
 
 def cmd_quality(cfg, args) -> int:
@@ -560,13 +574,13 @@ def cmd_quality(cfg, args) -> int:
         print(line)
 
     table_path = os.path.join(out, "quality.csv")
-    _rewrite_csv_rows(table_path,
-                      ["method", "factor", "region", "psnr", "ssim", "fsim"],
-                      (0, 1, 2), summary_rows)
+    _rewrite_csv_rows(table_path, QUALITY_HEADER, (0, 1, 2), summary_rows)
     # quality.csv gathers every method and factor, so it is no stage's own
-    # output; eval checks each quality meta before it copies the table
+    # output; each meta records its own rows, and eval gathers its table
+    # from the metas it has checked
     write_stage_meta(out, f"quality_{spec_method}_{factor_slug(label)}", inputs,
-                     [detail_path], time.perf_counter() - t0)
+                     [detail_path], time.perf_counter() - t0,
+                     extra={"summary_rows": summary_rows})
     return 0
 
 
@@ -670,9 +684,15 @@ def cmd_eval(cfg, args) -> int:
     stage_meta = {}
     inputs = {}
     quality_dir = os.path.join(args.out, "quality")
+    quality_rows = {}
     for meta_path in sorted(glob.glob(os.path.join(quality_dir, "stage_quality_*.json"))):
         stage = os.path.basename(meta_path)[len("stage_"):-len(".json")]
-        check_stage(args.out, quality_dir, stage, inputs)
+        meta = check_stage(args.out, quality_dir, stage, inputs)
+        if "summary_rows" not in meta.get("extra", {}):
+            raise CliError(EXIT_MISSING_INPUT,
+                           f"stale {stage} stage: no summary rows recorded")
+        for row in meta["extra"]["summary_rows"]:
+            quality_rows[tuple(row[:3])] = row
 
     for method_name in sorted(os.listdir(scores_root)):
         for slug in sorted(os.listdir(os.path.join(scores_root, method_name))):
@@ -733,14 +753,12 @@ def cmd_eval(cfg, args) -> int:
     _rewrite_csv_rows(eer_path, ["method", "factor", "comparator", "eer"],
                       (0, 1, 2), eer_rows)
 
-    # gather the quality table next to the EER table when it exists (every
-    # quality meta was checked above)
+    # the quality table next to the EER table, from the rows of the quality
+    # metas checked above
     extra_outputs = []
-    quality_table = os.path.join(quality_dir, "quality.csv")
-    if os.path.exists(quality_table):
+    if quality_rows:
         eval_quality = os.path.join(out, "quality.csv")
-        with open(quality_table, "rb") as src, open(eval_quality, "wb") as dst:
-            dst.write(src.read())
+        _write_keyed_rows(eval_quality, QUALITY_HEADER, quality_rows)
         extra_outputs.append(eval_quality)
 
     summary = {

@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import raster
+from .errors import InputError
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     pass
 
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import raster
+from .errors import InputError
 
 
-class EigenPatchError(ValueError):
+class EigenPatchError(InputError):
     pass
 
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import InputError
 
-class FusionEvalError(ValueError):
+
+class FusionEvalError(InputError):
     pass
 
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 
-class IrisCodeError(ValueError):
+
+class IrisCodeError(InputError):
     pass
 
 

@@ -12,8 +12,9 @@ a log-Gabor filter bank (4 scales x 4 orientations) following the standard
 construction used by the index's reference implementation, with the gradient
 step on a Scharr 3x3 operator and constants rescaled for unit peak. The bank
 is built once per image shape and parameter set and cached read-only; the
-scales of one orientation go through one batched inverse FFT in a buffer
-reused across orientations, and the local energy is taken in complex form.
+scales of one orientation go through one batched inverse FFT, in place in a
+buffer reused across orientations, and the local energy is taken in complex
+form.
 """
 
 import functools
@@ -21,10 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate
+
+from .errors import InputError
 
 
-class QualityError(ValueError):
+class QualityError(InputError):
     pass
 
 
@@ -155,10 +157,6 @@ def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
     The scales of one orientation go through one inverse FFT, in a buffer
     reused from orientation to orientation.
     """
-    # imported here, not with the package: every external-backend process
-    # imports the package and never needs it
-    import scipy.fft
-
     img = np.asarray(img, dtype=np.float64)
     rows, cols = img.shape
     im_fft = np.fft.fft2(img)
@@ -170,7 +168,10 @@ def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
     pc_sum = np.zeros((rows, cols))
     for o in range(norient):
         np.multiply(im_fft, bank[o], out=eo)
-        eo = scipy.fft.ifft2(eo, overwrite_x=True)
+        # the 2-D inverse FFT as two 1-D passes in place: np.fft.ifft2 would
+        # allocate a new batch and take twice as long
+        np.fft.ifft(eo, axis=-1, out=eo)
+        np.fft.ifft(eo, axis=-2, out=eo)
         np.abs(eo, out=an)
         sum_an = an.sum(axis=0)
         max_an = an.max(axis=0)
@@ -198,12 +199,22 @@ def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
     return pc_sum
 
 
+def _correlate3x3(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """3x3 correlation of the image inside a 1-pixel edge pad: from 0, add
+    each nonzero tap's shifted image in row-major order, the order in which
+    scipy.ndimage.correlate sums them, so the result is equal bit for bit."""
+    h, w = padded.shape[0] - 2, padded.shape[1] - 2
+    out = np.zeros((h, w))
+    for (di, dj), tap in np.ndenumerate(weights):
+        if tap != 0.0:
+            out += padded[di:di + h, dj:dj + w] * tap
+    return out
+
+
 def gradient_magnitude(img: np.ndarray) -> np.ndarray:
     """Scharr 3x3 gradient magnitude with replicated borders."""
-    img = np.asarray(img, dtype=np.float64)
-    gx = correlate(img, SCHARR_X, mode="nearest")
-    gy = correlate(img, SCHARR_Y, mode="nearest")
-    return np.hypot(gx, gy)
+    padded = np.pad(np.asarray(img, dtype=np.float64), 1, mode="edge")
+    return np.hypot(_correlate3x3(padded, SCHARR_X), _correlate3x3(padded, SCHARR_Y))
 
 
 def fsim(ref: np.ndarray, test: np.ndarray,

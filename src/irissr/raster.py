@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
+
+from .errors import InputError
 
 
-class RasterError(ValueError):
+class RasterError(InputError):
     """Bad image data or an invalid geometry request."""
 
 
@@ -128,16 +129,37 @@ class BlurKernel:
         return cls(sigma=sigma, radius=radius, taps=taps)
 
 
+def _correlate_rows(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Correlate axis 0 with an odd symmetric kernel, borders replicated.
+
+    Equal bit for bit to scipy.ndimage.correlate1d(axis=0, mode="nearest"):
+    the centre tap first, then each symmetric pair summed before its weight,
+    from the outermost pair inward, which is the order of ndimage's loop for
+    a symmetric kernel.
+    """
+    r = len(taps) // 2
+    n = arr.shape[0]
+    padded = np.concatenate([arr[:1].repeat(r, axis=0), arr,
+                             arr[-1:].repeat(r, axis=0)])
+    out = padded[r:r + n] * taps[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=pair)
+        pair *= taps[r - j]
+        out += pair
+    return out
+
+
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with replicated borders.
 
     Linear: works unchanged on signed residual planes, not just [0,1] images.
+    The pass along axis 1 runs on the transpose, so both passes step through
+    contiguous rows.
     """
-    kern = BlurKernel.make(sigma)
-    arr = np.asarray(img, dtype=np.float64)
-    out = correlate1d(arr, kern.taps, axis=0, mode="nearest")
-    out = correlate1d(out, kern.taps, axis=1, mode="nearest")
-    return out
+    taps = BlurKernel.make(sigma).taps
+    out = _correlate_rows(np.asarray(img, dtype=np.float64), taps)
+    return np.ascontiguousarray(_correlate_rows(out.T, taps).T)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +212,7 @@ def axis_operator(in_n: int, out_n: int, sigma: float = 0.0) -> np.ndarray:
     """
     m = np.eye(in_n)
     if sigma > 0:
-        m = correlate1d(m, BlurKernel.make(sigma).taps, axis=0, mode="nearest")
+        m = _correlate_rows(m, BlurKernel.make(sigma).taps)
     return _resample_axis(m, out_n, 0, "cubic")
 
 

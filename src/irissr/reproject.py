@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import raster
+from .errors import InputError
 
 
 DEFAULT_TAU = 0.02
@@ -33,7 +34,7 @@ DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 1000
 
 
-class ReprojectError(ValueError):
+class ReprojectError(InputError):
     pass
 
 

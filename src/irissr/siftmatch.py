@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter, minimum_filter
 
 from . import raster
+from .errors import InputError
 
 
-class SiftError(ValueError):
+class SiftError(InputError):
     pass
 
 
@@ -84,17 +84,26 @@ def _build_pyramid(img: np.ndarray, cfg: SiftConfig):
     return gauss_octaves, dog_octaves
 
 
+def _fold3(a: np.ndarray, op) -> np.ndarray:
+    """`op` (np.maximum or np.minimum) over every 3x3x3 block of a 3-D array,
+    one axis at a time; each axis shrinks by 2."""
+    a = op(op(a[:-2], a[1:-1]), a[2:])
+    a = op(op(a[:, :-2], a[:, 1:-1]), a[:, 2:])
+    return op(op(a[:, :, :-2], a[:, :, 1:-1]), a[:, :, 2:])
+
+
 def _candidate_extrema(dog: np.ndarray, cfg: SiftConfig) -> np.ndarray:
-    """Indices (layer, i, j) of 26-neighborhood extrema above the prefilter."""
+    """Indices (layer, i, j) of 26-neighborhood extrema above the prefilter,
+    in the inner layers and at least `border` pixels from the edge. Every
+    neighborhood there lies inside the stack, so no border rule is needed."""
     pre = 0.5 * cfg.contrast_threshold / cfg.intervals
-    is_max = (dog == maximum_filter(dog, size=3, mode="nearest")) & (dog > pre)
-    is_min = (dog == minimum_filter(dog, size=3, mode="nearest")) & (dog < -pre)
-    cand = is_max | is_min
-    b = cfg.border
-    keep = np.zeros_like(cand)
-    keep[1:cfg.intervals + 1, b:dog.shape[1] - b, b:dog.shape[2] - b] = \
-        cand[1:cfg.intervals + 1, b:dog.shape[1] - b, b:dog.shape[2] - b]
-    return np.argwhere(keep)
+    s, b = cfg.intervals, cfg.border
+    _, h, w = dog.shape
+    ring = dog[:, b - 1:h - b + 1, b - 1:w - b + 1]
+    core = dog[1:s + 1, b:h - b, b:w - b]
+    cand = ((core == _fold3(ring, np.maximum)) & (core > pre)) | \
+        ((core == _fold3(ring, np.minimum)) & (core < -pre))
+    return np.argwhere(cand) + (1, b, b)
 
 
 def _refine(dog: np.ndarray, l: int, i: int, j: int, cfg: SiftConfig):

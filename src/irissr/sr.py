@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenpatch, raster
+from .errors import InputError
 
 EXCHANGE_ENV = "IRIS_SR_TMP"
 
 KINDS = ("bilinear", "bicubic", "eigenpatch", "external")
 
 
-class SrError(ValueError):
+class SrError(InputError):
     pass
 
 
@@ -45,6 +46,11 @@ class BackendOutputMissingError(BackendError):
         super().__init__(f"backend produced no output file: {path}")
 
 
+class BackendTimeoutError(BackendError):
+    def __init__(self, command, limit):
+        super().__init__(f"backend did not finish within {limit:g} s: {command}")
+
+
 class BackendDimensionError(BackendError):
     def __init__(self, got, expected):
         super().__init__(
@@ -57,6 +63,7 @@ class UpscalerSpec:
     kind: str
     backend_command: str | None = None
     exchange_dir: str | None = None
+    timeout: float | None = None  # seconds one backend call may take
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -84,7 +91,11 @@ def apply_backend(lr: np.ndarray, up: UpscalerSpec) -> np.ndarray:
 
     argv = [tok.replace("{in}", in_path).replace("{out}", out_path)
             for tok in shlex.split(up.backend_command)]
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=up.timeout)
+    except subprocess.TimeoutExpired:
+        raise BackendTimeoutError(" ".join(argv), up.timeout) from None
     if proc.returncode != 0:
         raise BackendProcessError(" ".join(argv), proc.returncode,
                                   proc.stderr[-2000:])

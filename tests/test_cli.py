@@ -4,6 +4,7 @@ import os
 import pkgutil
 import shutil
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -239,7 +240,10 @@ def test_bad_config_exit_code(tmp_path):
                  '{"method": 5}', '{"factors": {"1/4": "ab"}}', '{"factors": [57, 57]}',
                  '{"factors": {"1/4": [57.0, 57]}}', '{"comparators": "lg"}',
                  '{"backends": []}', '{"backends": {"nn2x": {"command": 5}}}',
-                 '{"backends": {"nn2x": null}}'):
+                 '{"backends": {"nn2x": null}}',
+                 # a backend timeout is a positive number of seconds
+                 *('{"backends": {"nn2x": {"command": "x", "timeout": %s}}}' % limit
+                   for limit in ("true", '"5"', "0", "-1", "NaN", "Infinity"))):
         bad.write_text(text)
         assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG, text
     for flag in ("--seeds", "--sessions"):
@@ -249,6 +253,9 @@ def test_bad_config_exit_code(tmp_path):
     assert not os.path.exists(out)
     for sigma in (None, 0):
         cli.validate_config({**cli.DEFAULT_CONFIG, "blur_sigma": sigma})
+    for limit in (None, 1, 0.5):
+        cli.validate_config({**cli.DEFAULT_CONFIG,
+                             "backends": {"b": {"command": "x", "timeout": limit}}})
 
 
 def test_degrade_rerun_makes_sr_outputs_stale(own_pipeline, tmp_path):
@@ -371,12 +378,54 @@ def test_failing_backend_exit_code(tmp_path):
                 "--method", "backend:boom"]) == cli.EXIT_BACKEND
 
 
+def test_backend_timeout_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    exchange = tmp_path / "exchange"
+    sleeper = f"{sys.executable} -c \"import time; time.sleep(60)\" {{in}} {{out}}"
+    cfg = write_config(
+        tmp_path / "c.json", seeds=2, sessions=1, train_subjects=0,
+        backends={"slow": {"command": sleeper, "timeout": 0.5,
+                           "exchange_dir": str(exchange)}})
+    base = ["--config", cfg, "--out", out]
+    assert run(["synth", *base]) == 0
+    assert run(["prep", *base]) == 0
+    assert run(["degrade", *base, "--factor", "1/4"]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run(["sr", *base, "--factor", "1/4",
+                "--method", "backend:slow"]) == cli.EXIT_BACKEND
+    assert time.perf_counter() - t0 < 30
+    err = capsys.readouterr().err
+    assert "within 0.5 s" in err and "time.sleep(60)" in err
+    # each call gets its own exchange directory: the first expiry ended the stage
+    assert len(os.listdir(exchange)) == 1
+
+
 def test_eval_gathers_quality_table(pipeline):
     out, _ = pipeline
     gathered = os.path.join(out, "eval", "quality.csv")
     assert os.path.exists(gathered)
     assert open(gathered, "rb").read() == \
         open(os.path.join(out, "quality", "quality.csv"), "rb").read()
+
+
+def test_eval_quality_table_only_from_checked_metas(own_pipeline):
+    out, cfg = own_pipeline
+    with open(os.path.join(out, "quality", "quality.csv"), "a") as fh:
+        fh.write("bilinear,1/4,full,99.000000,1.000000,1.000000\n")
+    assert run(["eval", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "eval", "quality.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "method,factor,region,psnr,ssim,fsim"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["bicubic", "1/4", "full"], ["bicubic", "1/4", "iris"]]
+    # a quality meta that records no summary rows cannot back the table
+    meta_path = os.path.join(out, "quality", "stage_quality_bicubic_1_4.json")
+    meta = json.load(open(meta_path))
+    del meta["extra"]
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    assert run(["eval", "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
 
 
 def test_quality_metas_keep_lineage_across_methods(own_pipeline):

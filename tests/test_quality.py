@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import correlate
 
 from irissr import dataset, iriscode, quality
 
@@ -319,6 +320,18 @@ def test_phase_congruency_matches_reference(name, ref, test):
 @pytest.mark.parametrize("name,ref,test", REFERENCE_PAIRS, ids=REFERENCE_IDS)
 def test_fsim_matches_reference(name, ref, test):
     assert abs(quality.fsim(ref, test) - fsim_reference(ref, test)) <= 1e-12
+
+
+def test_gradient_magnitude_equals_scipy_correlate():
+    # scipy is the reference the slice sums replaced: equal, not close
+    images = [img for _, ref, test in REFERENCE_PAIRS for img in (ref, test)]
+    images += [np.random.default_rng(14).uniform(size=shape)
+               for shape in ((1, 5), (3, 3), (2, 7))]
+    for img in images:
+        gx = correlate(img, quality.SCHARR_X, mode="nearest")
+        gy = correlate(img, quality.SCHARR_Y, mode="nearest")
+        assert np.array_equal(quality.gradient_magnitude(img), np.hypot(gx, gy)), \
+            img.shape
 
 
 def test_noise_median_matches_numpy():

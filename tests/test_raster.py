@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
 from irissr import raster
 
@@ -202,6 +203,28 @@ def test_axis_operator_matches_per_axis_code():
         assert np.abs(dh @ img @ dw.T
                       - raster.degrade_linear(img, 7, 9, sigma)).max() < 1e-12
     assert np.array_equal(raster.axis_operator(6, 6), np.eye(6))
+
+
+BLUR_SIGMAS = (0.3, 0.5, 0.8, 1.0, 1.24, 1.6, 2.0, 2.48, 3.3, 4.0, 5.0, 6.1, 7.7, 8.0)
+BLUR_SHAPES = ((3, 3), (15, 15), (1, 9), (57, 40), (20, 240), (231, 231))
+
+
+@pytest.mark.parametrize("sigma", BLUR_SIGMAS)
+def test_blur_equals_scipy_correlate1d(sigma):
+    # scipy is the reference the numpy form replaced: equal, not close
+    taps = raster.BlurKernel.make(sigma).taps
+    rng = np.random.default_rng(int(sigma * 100))
+    for shape in BLUR_SHAPES:
+        img = rng.normal(size=shape)
+        want = correlate1d(correlate1d(img, taps, axis=0, mode="nearest"),
+                           taps, axis=1, mode="nearest")
+        got = raster.gaussian_blur(img, sigma)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want), shape
+    for n in (3, 15, 57, 231):
+        want = raster._resample_axis(
+            correlate1d(np.eye(n), taps, axis=0, mode="nearest"), 15, 0, "cubic")
+        assert np.array_equal(raster.axis_operator(n, 15, sigma), want), n
 
 
 def test_resamplers_preserve_unit_range():

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
 
-from irissr import siftmatch
+from irissr import dataset, siftmatch
 
 
 def smooth_noise(seed, size=96, blur=1.2):
@@ -41,6 +41,48 @@ def test_gaussian_blob_single_dominant_keypoint(sigma_b):
     center = (96 - 1) / 2.0
     assert math.hypot(dominant.x - center, dominant.y - center) <= 1.5
     assert abs(dominant.scale - sigma_b) / sigma_b <= 0.25
+
+
+def candidate_extrema_reference(dog, cfg):
+    """The scipy form the slice folds replaced: 3x3x3 max/min filters with
+    replicated borders over the whole stack, then the inner-region mask."""
+    pre = 0.5 * cfg.contrast_threshold / cfg.intervals
+    is_max = (dog == maximum_filter(dog, size=3, mode="nearest")) & (dog > pre)
+    is_min = (dog == minimum_filter(dog, size=3, mode="nearest")) & (dog < -pre)
+    cand = is_max | is_min
+    b = cfg.border
+    keep = np.zeros_like(cand)
+    keep[1:cfg.intervals + 1, b:dog.shape[1] - b, b:dog.shape[2] - b] = \
+        cand[1:cfg.intervals + 1, b:dog.shape[1] - b, b:dog.shape[2] - b]
+    return np.argwhere(keep)
+
+
+def extrema_stacks():
+    cfg = siftmatch.DEFAULT_CONFIG
+    img, _ = dataset.synth_iris(0, 231)
+    stacks = list(siftmatch._build_pyramid(img, cfg)[1])
+    stacks.append(siftmatch._build_pyramid(smooth_noise(7), cfg)[1][0])
+    rng = np.random.default_rng(3)
+    # coarse quantisation: many equal neighbours, so ties decide
+    stacks.append(np.round(rng.normal(0.0, 0.02, size=(5, 40, 37)), 2))
+    # flat plateaus above and below the prefilter, and a lone peak on one
+    plateau = np.zeros((5, 30, 30))
+    plateau[1:4, 8:20, 8:20] = 0.05
+    plateau[2, 14, 14] = 0.06
+    plateau[1:4, 20:26, 6:12] = -0.05
+    stacks += [plateau, np.zeros((5, 16, 16))]
+    return stacks
+
+
+def test_candidate_extrema_equal_scipy_filters():
+    cfg = siftmatch.DEFAULT_CONFIG
+    counts = []
+    for dog in extrema_stacks():
+        want = candidate_extrema_reference(dog, cfg)
+        got = siftmatch._candidate_extrema(dog, cfg)
+        assert got.dtype == want.dtype and np.array_equal(got, want), dog.shape
+        counts.append(len(want))
+    assert min(counts) == 0 and max(counts) > 100
 
 
 def test_detect_describe_deterministic():

@@ -12,6 +12,9 @@ recorded. Every command checks the whole configuration before it does any
 work, including the method string and the `--factor` label, so a typo fails
 the same way in `sr`, `quality` and `match`.
 
+Each command imports the package modules it uses when it runs, so a command
+pays only for its own; they are still called through module attributes.
+
 Exit codes: 0 ok, 2 bad config/usage or input data the configuration cannot
 process, 3 missing or stale input artifact, 4 unwritable output, 5 external
 backend failure, 1 unexpected error.
@@ -30,10 +33,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, dataset, eigenpatch, fusion_eval, iriscode, quality, raster
-from . import reproject as reproject_mod
-from . import siftmatch, sr
-from .errors import InputError
+from . import __version__
+from . import reproject as reproject_mod  # the config defaults of re-projection
+from .errors import BackendError, InputError
 
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
@@ -71,7 +73,7 @@ class CliError(Exception):
 
 # Module errors for input the configuration cannot process: exit 2. Every
 # module's error class derives from InputError; the one other module error
-# `main` maps is sr.BackendError: exit 5.
+# `main` maps is BackendError: exit 5.
 INPUT_ERRORS = (InputError,)
 
 
@@ -278,6 +280,8 @@ def method_dir(cfg) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg, args) -> int:
+    from . import dataset, raster
+
     t0 = time.perf_counter()
     out = ensure_dir(os.path.join(args.out, "synth"))
     img_dir = ensure_dir(os.path.join(out, "images"))
@@ -308,6 +312,8 @@ def cmd_synth(cfg, args) -> int:
 
 
 def cmd_prep(cfg, args) -> int:
+    from . import dataset, raster
+
     t0 = time.perf_counter()
     inputs = {}
     if args.manifest:
@@ -376,6 +382,8 @@ def stage_records(meta, prep_records):
 
 
 def _load_prep(out_root, inputs):
+    from . import dataset
+
     prep_dir = os.path.join(out_root, "prep")
     meta = check_stage(out_root, prep_dir, "prep", inputs)
     records = dataset.load_manifest(os.path.join(prep_dir, "manifest.csv"))
@@ -383,6 +391,8 @@ def _load_prep(out_root, inputs):
 
 
 def cmd_degrade(cfg, args) -> int:
+    from . import dataset, raster
+
     t0 = time.perf_counter()
     inputs = {}
     prep_dir, prep, records = _load_prep(args.out, inputs)
@@ -421,6 +431,8 @@ def cmd_degrade(cfg, args) -> int:
 def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
     """Turn the validated method string into (UpscalerSpec, model); an
     eigen-patch model is retrained when its degrade stage's fingerprint changes."""
+    from . import eigenpatch, raster, sr
+
     method = cfg["method"]
     if method in ("bilinear", "bicubic"):
         return sr.UpscalerSpec(name=method, kind=method), None
@@ -452,6 +464,8 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
 
 
 def cmd_sr(cfg, args) -> int:
+    from . import raster, sr
+
     t0 = time.perf_counter()
     inputs = {}
     prep_dir, prep, prep_records = _load_prep(args.out, inputs)
@@ -529,6 +543,8 @@ def _rewrite_csv_rows(path, header, key_cols, new_rows):
 
 
 def cmd_quality(cfg, args) -> int:
+    from . import quality, raster
+
     t0 = time.perf_counter()
     inputs = {}
     prep_dir, _, prep_records = _load_prep(args.out, inputs)
@@ -585,6 +601,8 @@ def cmd_quality(cfg, args) -> int:
 
 
 def cmd_match(cfg, args) -> int:
+    from . import fusion_eval, iriscode, raster, siftmatch
+
     t0 = time.perf_counter()
     inputs = {}
     _, _, prep_records = _load_prep(args.out, inputs)
@@ -652,15 +670,24 @@ def cmd_match(cfg, args) -> int:
             writer.writerow([probe, gallery, lab])
     outputs.append(labels_path)
 
+    extra = {"factor": label, "method": method_name,
+             "genuine": len(genuine), "impostor": len(impostor)}
+    line = (f"match[{method_name}, {label}]: {len(genuine)} genuine / "
+            f"{len(impostor)} impostor pairs -> {out}")
+    # per image: SIFT keypoints (none quietly scores 0) and the valid share
+    # of LG bits
+    if "sift" in comparators:
+        extra["sift_keypoints"] = {name: len(feats["sift"])
+                                   for name, feats in features.items()}
+        empty = sum(n == 0 for n in extra["sift_keypoints"].values())
+        line += f" ({empty} of {len(features)} images without SIFT keypoints)"
+    if "lg" in comparators:
+        extra["lg_valid_fraction"] = {name: float(feats["lg"].mask.mean())
+                                      for name, feats in features.items()}
     write_stage_meta(out, "match", inputs, outputs, time.perf_counter() - t0,
-                     extra={"factor": label, "method": method_name,
-                            "genuine": len(genuine), "impostor": len(impostor)})
-    print(f"match[{method_name}, {label}]: {len(genuine)} genuine / "
-          f"{len(impostor)} impostor pairs -> {out}")
+                     extra=extra)
+    print(line)
     return 0
-
-
-POLARITY = {"lg": iriscode.SCORE_POLARITY, "sift": siftmatch.SCORE_POLARITY}
 
 
 def _read_scores(path):
@@ -674,6 +701,9 @@ def _read_scores(path):
 
 
 def cmd_eval(cfg, args) -> int:
+    from . import fusion_eval, iriscode, siftmatch
+
+    polarity = {"lg": iriscode.SCORE_POLARITY, "sift": siftmatch.SCORE_POLARITY}
     t0 = time.perf_counter()
     scores_root = os.path.join(args.out, "scores")
     if not os.path.isdir(scores_root):
@@ -722,7 +752,7 @@ def cmd_eval(cfg, args) -> int:
             for idx, comp in enumerate(comp_names):
                 gen = [t.scores[idx] for t in trials if t.label == fusion_eval.GENUINE]
                 imp = [t.scores[idx] for t in trials if t.label == fusion_eval.IMPOSTOR]
-                rate, roc = fusion_eval.eer(gen, imp, POLARITY[comp])
+                rate, roc = fusion_eval.eer(gen, imp, polarity[comp])
                 eer_rows.append([method_name, label, comp.upper(), f"{rate:.6f}"])
                 roc_outputs.append(_write_roc(out, method_name, slug, comp, roc))
 
@@ -733,7 +763,7 @@ def cmd_eval(cfg, args) -> int:
                 else:
                     train_set = eval_set = trials
                 model = fusion_eval.train_fusion(
-                    train_set, polarities=[POLARITY[c] for c in comp_names])
+                    train_set, polarities=[polarity[c] for c in comp_names])
                 fused = fusion_eval.fuse_scores(model, eval_set)
                 gen = [t.fused for t in fused if t.label == fusion_eval.GENUINE]
                 imp = [t.fused for t in fused if t.label == fusion_eval.IMPOSTOR]
@@ -885,11 +915,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg, args)
-    except (CliError, sr.BackendError, *INPUT_ERRORS) as exc:
+    except (CliError, BackendError, *INPUT_ERRORS) as exc:
         print(f"irissr {args.command}: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
             return exc.code
-        return EXIT_BACKEND if isinstance(exc, sr.BackendError) else EXIT_CONFIG
+        return EXIT_BACKEND if isinstance(exc, BackendError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

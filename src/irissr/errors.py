@@ -1,8 +1,14 @@
-"""The base class of every module error for input the configuration cannot
-process. It imports nothing, so any module can subclass it at no start-up
-cost; the command line maps all of them to exit code 2 through this one class.
+"""The base classes of the module errors the command line maps to exit
+codes: input the configuration cannot process (exit 2) and external backend
+failures (exit 5). The module imports nothing, so any module can subclass
+them at no start-up cost, and the command line can catch them without
+importing the modules that raise them.
 """
 
 
 class InputError(ValueError):
     """Input data or a request that the configuration cannot process."""
+
+
+class BackendError(RuntimeError):
+    """Base class for external backend failures."""

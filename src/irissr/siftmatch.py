@@ -5,10 +5,17 @@ in the gallery passes Lowe's ratio test; higher = more similar.
 
 Implementation notes: 3 intervals per octave, octaves until the smaller image
 dimension falls under 16 px, no input pre-doubling (iris crops are small),
-contrast threshold on [0,1] intensities. Extrema detection is vectorized;
-refinement, orientation assignment and descriptor pooling run per candidate.
-Everything is deterministic: candidates are visited in array order and the
-final list is sorted by (octave, y, x, orientation).
+contrast threshold on [0,1] intensities; scoring follows Lowe (2004).
+Extrema detection runs on whole DoG octaves, and the Newton refinement on all
+candidates of an octave at once. As in the IPOL reference ("Anatomy of the
+SIFT Method", Rey-Otero and Delbracio, 2014), gradient magnitude and angle
+are computed once per Gaussian level that holds a keypoint; each keypoint's
+orientation histogram and descriptor are then built from slices of them, one
+`np.bincount` per histogram. Each histogram bin sums its addends in a fixed
+order, and the per-keypoint scalars (window radii, Gaussian widths, the
+rotation) are Python floats, so results do not depend on how keypoints are
+grouped. Everything is deterministic: candidates are visited in array order
+and the final list is sorted by (octave, y, x, orientation).
 """
 
 import math
@@ -106,114 +113,151 @@ def _candidate_extrema(dog: np.ndarray, cfg: SiftConfig) -> np.ndarray:
     return np.argwhere(cand) + (1, b, b)
 
 
-def _refine(dog: np.ndarray, l: int, i: int, j: int, cfg: SiftConfig):
-    """Sub-pixel Newton refinement. Returns (l, i, j, offset, value) or None."""
-    s = cfg.intervals
-    b = cfg.border
+def _refine_octave(dog: np.ndarray, cands: np.ndarray, cfg: SiftConfig) -> list:
+    """Sub-pixel Newton refinement of all candidates of one octave together.
+
+    `cands` holds (layer, i, j) rows. Each step gathers the 27-neighbourhood
+    terms of the candidates still moving, solves their 3x3 Hessians in one
+    batch, accepts or rejects the converged ones and moves the others by the
+    rounded offset, dropping those that leave the inner region; after 5 steps
+    the rest are dropped. A singular Hessian drops its candidate. Returns the
+    accepted (l, i, j, offset, value) in candidate order.
+    """
+    s, b = cfg.intervals, cfg.border
+    r = cfg.edge_ratio
     _, h, w = dog.shape
+    flat = dog.reshape(-1)
+    pos = np.asarray(cands, dtype=np.int64).reshape(-1, 3)
+    order = np.arange(len(pos))
+    accepted = []
     for _ in range(5):
-        cube = dog[l - 1:l + 2, i - 1:i + 2, j - 1:j + 2]
-        grad = 0.5 * np.array([
-            cube[1, 1, 2] - cube[1, 1, 0],
-            cube[1, 2, 1] - cube[1, 0, 1],
-            cube[2, 1, 1] - cube[0, 1, 1],
-        ])
-        c = cube[1, 1, 1]
-        dxx = cube[1, 1, 2] - 2 * c + cube[1, 1, 0]
-        dyy = cube[1, 2, 1] - 2 * c + cube[1, 0, 1]
-        dss = cube[2, 1, 1] - 2 * c + cube[0, 1, 1]
-        dxy = 0.25 * (cube[1, 2, 2] - cube[1, 2, 0] - cube[1, 0, 2] + cube[1, 0, 0])
-        dxs = 0.25 * (cube[2, 1, 2] - cube[2, 1, 0] - cube[0, 1, 2] + cube[0, 1, 0])
-        dys = 0.25 * (cube[2, 2, 1] - cube[2, 0, 1] - cube[0, 2, 1] + cube[0, 0, 1])
-        hess = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
+        if not len(order):
+            break
+        base = (pos[:, 0] * h + pos[:, 1]) * w + pos[:, 2]
+
+        def at(dl, di, dj):
+            return flat[base + (dl * h + di) * w + dj]
+
+        c = at(0, 0, 0)
+        xp, xm, yp, ym = at(0, 0, 1), at(0, 0, -1), at(0, 1, 0), at(0, -1, 0)
+        sp, sm = at(1, 0, 0), at(-1, 0, 0)
+        grad = 0.5 * np.stack([xp - xm, yp - ym, sp - sm], axis=1)
+        dxx = xp - 2 * c + xm
+        dyy = yp - 2 * c + ym
+        dss = sp - 2 * c + sm
+        dxy = 0.25 * (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1))
+        dxs = 0.25 * (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1))
+        dys = 0.25 * (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0))
+        hess = np.stack([dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss],
+                        axis=1).reshape(-1, 3, 3)
+        solved = np.ones(len(order), dtype=bool)
         try:
-            offset = -np.linalg.solve(hess, grad)
+            offset = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            return None
-        if np.all(np.abs(offset) < 0.5):
-            value = c + 0.5 * float(grad @ offset)
+            # the batch raises if any Hessian is singular: solve one by one
+            offset = np.zeros_like(grad)
+            for k in range(len(order)):
+                try:
+                    offset[k] = -np.linalg.solve(hess[k], grad[k])
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+        converged = solved & np.all(np.abs(offset) < 0.5, axis=1)
+        for k in np.flatnonzero(converged):
+            value = c[k] + 0.5 * float(grad[k] @ offset[k])
             if abs(value) * s < cfg.contrast_threshold:
-                return None
+                continue
             # edge rejection on the spatial 2x2 Hessian
-            tr = dxx + dyy
-            det = dxx * dyy - dxy * dxy
-            r = cfg.edge_ratio
+            tr = dxx[k] + dyy[k]
+            det = dxx[k] * dyy[k] - dxy[k] * dxy[k]
             if det <= 0 or r * tr * tr >= (r + 1) ** 2 * det:
-                return None
-            return l, i, j, offset, value
-        j += int(round(offset[0]))
-        i += int(round(offset[1]))
-        l += int(round(offset[2]))
-        if not (1 <= l <= s and b <= i < h - b and b <= j < w - b):
-            return None
-    return None
+                continue
+            l, i, j = (int(v) for v in pos[k])
+            accepted.append((order[k], (l, i, j, offset[k], value)))
+        moving = solved & ~converged
+        # offsets are (x, y, scale); positions are (layer, i, j)
+        moved = pos[moving] + np.rint(offset[moving][:, ::-1])
+        keep = ((moved[:, 0] >= 1) & (moved[:, 0] <= s)
+                & (moved[:, 1] >= b) & (moved[:, 1] < h - b)
+                & (moved[:, 2] >= b) & (moved[:, 2] < w - b))
+        pos = moved[keep].astype(np.int64)
+        order = order[moving][keep]
+    accepted.sort(key=lambda a: a[0])
+    return [refined for _, refined in accepted]
 
 
-def _orientations(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
-                  cfg: SiftConfig):
-    """Smoothed 36-bin gradient histogram peaks around (i, j)."""
+def _gradients(level: np.ndarray):
+    """Gradient magnitude and angle (arctan2, in (-pi, pi]) from central
+    differences over the interior of one Gaussian level: entry [r - 1, c - 1]
+    belongs to pixel (r, c)."""
+    dx = 0.5 * (level[1:-1, 2:] - level[1:-1, :-2])
+    dy = 0.5 * (level[2:, 1:-1] - level[:-2, 1:-1])
+    return np.hypot(dx, dy), np.arctan2(dy, dx)
+
+
+def _window(ic: int, jc: int, radius: int, mag: np.ndarray):
+    """Pixel rows i0..i1 and columns j0..j1 of the box of `radius` around
+    (ic, jc), clipped to the level interior, and the slice of the gradient
+    arrays that covers it; None when the box is empty."""
+    h, w = mag.shape[0] + 2, mag.shape[1] + 2
+    i0, i1 = max(ic - radius, 1), min(ic + radius, h - 2)
+    j0, j1 = max(jc - radius, 1), min(jc + radius, w - 2)
+    if i0 > i1 or j0 > j1:
+        return None
+    return i0, i1, j0, j1, (slice(i0 - 1, i1), slice(j0 - 1, j1))
+
+
+def _orientations(mag: np.ndarray, ang: np.ndarray, i: float, j: float,
+                  sigma_oct: float, cfg: SiftConfig):
+    """Smoothed 36-bin gradient histogram peaks around (i, j), from the
+    level's `_gradients`."""
     nbins = cfg.orientation_bins
     sigma_w = 1.5 * sigma_oct
     radius = int(round(3.0 * sigma_w))
-    h, w = gauss.shape
     ic, jc = int(round(i)), int(round(j))
-    i0, i1 = max(ic - radius, 1), min(ic + radius, h - 2)
-    j0, j1 = max(jc - radius, 1), min(jc + radius, w - 2)
-    if i0 > i1 or j0 > j1:
+    box = _window(ic, jc, radius, mag)
+    if box is None:
         return []
-    block = gauss[i0 - 1:i1 + 2, j0 - 1:j1 + 2]
-    dx = 0.5 * (block[1:-1, 2:] - block[1:-1, :-2])
-    dy = 0.5 * (block[2:, 1:-1] - block[:-2, 1:-1])
-    mag = np.hypot(dx, dy)
-    ang = np.arctan2(dy, dx) % (2.0 * math.pi)
-    yy, xx = np.mgrid[i0:i1 + 1, j0:j1 + 1]
-    weight = np.exp(-((yy - ic) ** 2 + (xx - jc) ** 2) / (2.0 * sigma_w**2))
-    bins = np.rint(ang * nbins / (2.0 * math.pi)).astype(np.int64) % nbins
-    hist = np.zeros(nbins)
-    np.add.at(hist, bins.ravel(), (mag * weight).ravel())
+    i0, i1, j0, j1, win = box
+    d2 = (np.arange(i0, i1 + 1) - ic)[:, None] ** 2 \
+        + (np.arange(j0, j1 + 1) - jc)[None, :] ** 2
+    weight = np.exp(-d2 / (2.0 * sigma_w**2))
+    bins = np.rint(ang[win] % (2.0 * math.pi) * nbins / (2.0 * math.pi)) \
+        .astype(np.int64) % nbins
+    hist = np.bincount(bins.ravel(), (mag[win] * weight).ravel(), minlength=nbins)
 
-    smooth = np.empty(nbins)
-    for n in range(nbins):
-        smooth[n] = (6 * hist[n]
-                     + 4 * (hist[n - 1] + hist[(n + 1) % nbins])
-                     + hist[n - 2] + hist[(n + 2) % nbins]) / 16.0
-    peak_floor = cfg.peak_ratio * smooth.max()
+    n = np.arange(nbins)
+    prev, nxt = n - 1, (n + 1) % nbins
+    smooth = (6 * hist + 4 * (hist[prev] + hist[nxt])
+              + hist[n - 2] + hist[(n + 2) % nbins]) / 16.0
     if smooth.max() <= 0:
         return []
-    out = []
-    left = np.roll(smooth, 1)
-    right = np.roll(smooth, -1)
-    for n in np.nonzero((smooth > left) & (smooth > right)
-                        & (smooth >= peak_floor))[0]:
-        lv, pv, rv = smooth[n - 1], smooth[n], smooth[(n + 1) % nbins]
-        interp = (n + 0.5 * (lv - rv) / (lv - 2 * pv + rv)) % nbins
-        out.append(interp * 2.0 * math.pi / nbins)
-    return out
+    peak_floor = cfg.peak_ratio * smooth.max()
+    lv, rv = smooth[prev], smooth[nxt]
+    peaks = np.flatnonzero((smooth > lv) & (smooth > rv) & (smooth >= peak_floor))
+    lv, pv, rv = lv[peaks], smooth[peaks], rv[peaks]
+    interp = (peaks + 0.5 * (lv - rv) / (lv - 2 * pv + rv)) % nbins
+    return interp * 2.0 * math.pi / nbins
 
 
-def _descriptor(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
-                orientation: float, cfg: SiftConfig) -> np.ndarray:
+def _descriptor(mag: np.ndarray, ang: np.ndarray, i: float, j: float,
+                sigma_oct: float, orientation: float, cfg: SiftConfig) -> np.ndarray:
+    """128-d descriptor at (i, j), from the level's `_gradients`. The 8
+    trilinear corners go into one bincount, corner-major with pixels in
+    row-major order, so every bin sums its addends in a fixed order."""
     d = cfg.descriptor_width
     nbins = cfg.descriptor_bins
     hist_width = cfg.descriptor_scale_mult * sigma_oct
-    h, w = gauss.shape
+    h, w = mag.shape[0] + 2, mag.shape[1] + 2
     radius = int(round(hist_width * math.sqrt(2) * (d + 1) * 0.5))
     radius = min(radius, int(math.hypot(h, w)))
     ic, jc = int(round(i)), int(round(j))
-    i0, i1 = max(ic - radius, 1), min(ic + radius, h - 2)
-    j0, j1 = max(jc - radius, 1), min(jc + radius, w - 2)
-    if i0 > i1 or j0 > j1:
+    box = _window(ic, jc, radius, mag)
+    if box is None:
         return np.zeros(d * d * nbins)
+    i0, i1, j0, j1, win = box
 
-    block = gauss[i0 - 1:i1 + 2, j0 - 1:j1 + 2]
-    gx = 0.5 * (block[1:-1, 2:] - block[1:-1, :-2])
-    gy = 0.5 * (block[2:, 1:-1] - block[:-2, 1:-1])
-    mag = np.hypot(gx, gy)
-    ang = np.arctan2(gy, gx)
-
-    yy, xx = np.mgrid[i0:i1 + 1, j0:j1 + 1]
-    di = yy - i
-    dj = xx - j
+    di = (np.arange(i0, i1 + 1) - i)[:, None]
+    dj = (np.arange(j0, j1 + 1) - j)[None, :]
     cos_t = math.cos(orientation)
     sin_t = math.sin(orientation)
     rot_r = (-dj * sin_t + di * cos_t) / hist_width
@@ -228,8 +272,8 @@ def _descriptor(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
     col_bin = col_bin[inside]
     weight = np.exp(-(rot_r[inside] ** 2 + rot_c[inside] ** 2)
                     / (2.0 * (0.5 * d) ** 2))
-    value = mag[inside] * weight
-    obin = ((ang[inside] - orientation) % (2.0 * math.pi)) * nbins / (2.0 * math.pi)
+    value = mag[win][inside] * weight
+    obin = ((ang[win][inside] - orientation) % (2.0 * math.pi)) * nbins / (2.0 * math.pi)
 
     r0 = np.floor(row_bin).astype(np.int64)
     c0 = np.floor(col_bin).astype(np.int64)
@@ -238,16 +282,16 @@ def _descriptor(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
     cf = col_bin - c0
     of = obin - o0
 
-    hist = np.zeros((d + 2, d + 2, nbins))
-    for dr in (0, 1):
-        wr = value * (rf if dr else (1 - rf))
-        for dc in (0, 1):
-            wc = wr * (cf if dc else (1 - cf))
-            for do in (0, 1):
-                wo = wc * (of if do else (1 - of))
-                np.add.at(hist, (r0 + 1 + dr, c0 + 1 + dc, (o0 + do) % nbins), wo)
+    # corner (dr, dc, do) weights and flat bins of the (d+2, d+2, nbins) grid
+    wr = value * np.array([1 - rf, rf])
+    wc = wr[:, None] * np.array([1 - cf, cf])
+    wo = wc[:, :, None] * np.array([1 - of, of])
+    step = np.arange(2)[:, None]
+    rc = (r0 + 1 + step)[:, None] * (d + 2) + (c0 + 1 + step)
+    idx = (rc * nbins)[:, :, None] + (o0 + step) % nbins
+    hist = np.bincount(idx.ravel(), wo.ravel(), minlength=(d + 2) ** 2 * nbins)
 
-    vec = hist[1:-1, 1:-1, :].ravel()
+    vec = hist.reshape(d + 2, d + 2, nbins)[1:-1, 1:-1, :].ravel()
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec = np.minimum(vec / norm, cfg.descriptor_clamp)
@@ -275,19 +319,19 @@ def detect_describe(img: np.ndarray, cfg: SiftConfig = DEFAULT_CONFIG,
     for octave, dog in enumerate(dog_octaves):
         gauss = gauss_octaves[octave]
         scale_factor = 2.0 ** octave
-        for l0, i0, j0 in _candidate_extrema(dog, cfg):
-            refined = _refine(dog, int(l0), int(i0), int(j0), cfg)
-            if refined is None:
-                continue
-            l, i, j, offset, value = refined
+        gradients = {}  # level index -> (mag, ang), for levels holding keypoints
+        for l, i, j, offset, value in _refine_octave(
+                dog, _candidate_extrema(dog, cfg), cfg):
             layer_cont = l + float(offset[2])
             sigma_oct = cfg.initial_sigma * 2.0 ** (layer_cont / cfg.intervals)
             fi = i + float(offset[1])
             fj = j + float(offset[0])
             layer_idx = int(np.clip(round(layer_cont), 0, cfg.intervals + 2))
-            glevel = gauss[layer_idx]
-            for theta in _orientations(glevel, fi, fj, sigma_oct, cfg):
-                desc = _descriptor(glevel, fi, fj, sigma_oct, theta, cfg)
+            if layer_idx not in gradients:
+                gradients[layer_idx] = _gradients(gauss[layer_idx])
+            mag, ang = gradients[layer_idx]
+            for theta in _orientations(mag, ang, fi, fj, sigma_oct, cfg):
+                desc = _descriptor(mag, ang, fi, fj, sigma_oct, theta, cfg)
                 records.append((
                     octave, fi * scale_factor, fj * scale_factor, theta,
                     sigma_oct * scale_factor, abs(value), desc,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenpatch, raster
-from .errors import InputError
+from .errors import BackendError, InputError
 
 EXCHANGE_ENV = "IRIS_SR_TMP"
 
@@ -27,10 +27,6 @@ KINDS = ("bilinear", "bicubic", "eigenpatch", "external")
 
 class SrError(InputError):
     pass
-
-
-class BackendError(RuntimeError):
-    """Base class for external backend failures."""
 
 
 class BackendProcessError(BackendError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import irissr
-from irissr import cli, eigenpatch, raster, sr
+from irissr import cli, eigenpatch, iriscode, raster, sr
 
 
 def run(argv):
@@ -399,6 +399,27 @@ def test_backend_timeout_exit_code(tmp_path, capsys):
     assert "within 0.5 s" in err and "time.sleep(60)" in err
     # each call gets its own exchange directory: the first expiry ended the stage
     assert len(os.listdir(exchange)) == 1
+
+
+def test_match_records_keypoints_and_valid_bits(pipeline, capsys):
+    out, cfg = pipeline
+    base = ["--config", cfg, "--out", out]
+    capsys.readouterr()
+    assert run(["match", *base, "--factor", "1/4", "--method", "bicubic"]) == 0
+    score_dir = os.path.join(out, "scores", "bicubic", "1_4")
+    extra = json.load(open(os.path.join(score_dir, "stage_match.json")))["extra"]
+    counts = extra["sift_keypoints"]
+    assert counts and set(counts) == set(extra["lg_valid_fraction"])
+    for name, count in counts.items():
+        with np.load(os.path.join(score_dir, "features", name + ".npz")) as data:
+            assert count == data["keypoints"].shape[0] == data["descriptors"].shape[0]
+        template = iriscode.load_template(os.path.join(score_dir, "templates",
+                                                        name + ".irt"))
+        assert extra["lg_valid_fraction"][name] == template.mask.mean()
+        assert 0.0 < extra["lg_valid_fraction"][name] <= 1.0
+    empty = sum(n == 0 for n in counts.values())
+    assert f"({empty} of {len(counts)} images without SIFT keypoints)" in \
+        capsys.readouterr().out
 
 
 def test_eval_gathers_quality_table(pipeline):

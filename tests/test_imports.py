@@ -1,5 +1,6 @@
 """Start-up cost: the stage commands and the reference backend run without
-scipy, and a backend process loads only the modules it uses."""
+scipy, and importing the command line or running a backend loads only the
+modules it uses."""
 
 import os
 import subprocess
@@ -27,6 +28,13 @@ def test_cli_imports_no_scipy():
     names = loaded_modules("import irissr.cli")
     assert "irissr.cli" in names
     assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]
+
+
+def test_cli_imports_no_command_modules():
+    # each command imports the modules it uses when it runs
+    names = loaded_modules("import irissr.cli")
+    heavy = {"siftmatch", "quality", "eigenpatch", "iriscode", "fusion_eval", "sr"}
+    assert not {f"irissr.{m}" for m in heavy} & names
 
 
 def test_refbackend_loads_only_raster(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
 
-from irissr import dataset, siftmatch
+from irissr import dataset, raster, siftmatch
+from irissr.siftmatch import (DEFAULT_CONFIG, Keypoint, SiftConfig, SiftError,
+                              _build_pyramid, _candidate_extrema)
 
 
 def smooth_noise(seed, size=96, blur=1.2):
@@ -183,3 +185,277 @@ def test_feature_cache_roundtrip(tmp_path):
     kps2, desc2 = siftmatch.load_features(path)
     assert kps2 == kps
     assert np.array_equal(desc2, desc)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-candidate, per-window implementation that the batched
+# refinement, the per-level gradients and the one-bincount histograms
+# replaced, kept verbatim; keypoints and descriptors must stay equal to it
+# ---------------------------------------------------------------------------
+
+def _refine(dog: np.ndarray, l: int, i: int, j: int, cfg: SiftConfig):
+    """Sub-pixel Newton refinement. Returns (l, i, j, offset, value) or None."""
+    s = cfg.intervals
+    b = cfg.border
+    _, h, w = dog.shape
+    for _ in range(5):
+        cube = dog[l - 1:l + 2, i - 1:i + 2, j - 1:j + 2]
+        grad = 0.5 * np.array([
+            cube[1, 1, 2] - cube[1, 1, 0],
+            cube[1, 2, 1] - cube[1, 0, 1],
+            cube[2, 1, 1] - cube[0, 1, 1],
+        ])
+        c = cube[1, 1, 1]
+        dxx = cube[1, 1, 2] - 2 * c + cube[1, 1, 0]
+        dyy = cube[1, 2, 1] - 2 * c + cube[1, 0, 1]
+        dss = cube[2, 1, 1] - 2 * c + cube[0, 1, 1]
+        dxy = 0.25 * (cube[1, 2, 2] - cube[1, 2, 0] - cube[1, 0, 2] + cube[1, 0, 0])
+        dxs = 0.25 * (cube[2, 1, 2] - cube[2, 1, 0] - cube[0, 1, 2] + cube[0, 1, 0])
+        dys = 0.25 * (cube[2, 2, 1] - cube[2, 0, 1] - cube[0, 2, 1] + cube[0, 0, 1])
+        hess = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
+        try:
+            offset = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return None
+        if np.all(np.abs(offset) < 0.5):
+            value = c + 0.5 * float(grad @ offset)
+            if abs(value) * s < cfg.contrast_threshold:
+                return None
+            # edge rejection on the spatial 2x2 Hessian
+            tr = dxx + dyy
+            det = dxx * dyy - dxy * dxy
+            r = cfg.edge_ratio
+            if det <= 0 or r * tr * tr >= (r + 1) ** 2 * det:
+                return None
+            return l, i, j, offset, value
+        j += int(round(offset[0]))
+        i += int(round(offset[1]))
+        l += int(round(offset[2]))
+        if not (1 <= l <= s and b <= i < h - b and b <= j < w - b):
+            return None
+    return None
+
+
+def _orientations(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
+                  cfg: SiftConfig):
+    """Smoothed 36-bin gradient histogram peaks around (i, j)."""
+    nbins = cfg.orientation_bins
+    sigma_w = 1.5 * sigma_oct
+    radius = int(round(3.0 * sigma_w))
+    h, w = gauss.shape
+    ic, jc = int(round(i)), int(round(j))
+    i0, i1 = max(ic - radius, 1), min(ic + radius, h - 2)
+    j0, j1 = max(jc - radius, 1), min(jc + radius, w - 2)
+    if i0 > i1 or j0 > j1:
+        return []
+    block = gauss[i0 - 1:i1 + 2, j0 - 1:j1 + 2]
+    dx = 0.5 * (block[1:-1, 2:] - block[1:-1, :-2])
+    dy = 0.5 * (block[2:, 1:-1] - block[:-2, 1:-1])
+    mag = np.hypot(dx, dy)
+    ang = np.arctan2(dy, dx) % (2.0 * math.pi)
+    yy, xx = np.mgrid[i0:i1 + 1, j0:j1 + 1]
+    weight = np.exp(-((yy - ic) ** 2 + (xx - jc) ** 2) / (2.0 * sigma_w**2))
+    bins = np.rint(ang * nbins / (2.0 * math.pi)).astype(np.int64) % nbins
+    hist = np.zeros(nbins)
+    np.add.at(hist, bins.ravel(), (mag * weight).ravel())
+
+    smooth = np.empty(nbins)
+    for n in range(nbins):
+        smooth[n] = (6 * hist[n]
+                     + 4 * (hist[n - 1] + hist[(n + 1) % nbins])
+                     + hist[n - 2] + hist[(n + 2) % nbins]) / 16.0
+    peak_floor = cfg.peak_ratio * smooth.max()
+    if smooth.max() <= 0:
+        return []
+    out = []
+    left = np.roll(smooth, 1)
+    right = np.roll(smooth, -1)
+    for n in np.nonzero((smooth > left) & (smooth > right)
+                        & (smooth >= peak_floor))[0]:
+        lv, pv, rv = smooth[n - 1], smooth[n], smooth[(n + 1) % nbins]
+        interp = (n + 0.5 * (lv - rv) / (lv - 2 * pv + rv)) % nbins
+        out.append(interp * 2.0 * math.pi / nbins)
+    return out
+
+
+def _descriptor(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
+                orientation: float, cfg: SiftConfig) -> np.ndarray:
+    d = cfg.descriptor_width
+    nbins = cfg.descriptor_bins
+    hist_width = cfg.descriptor_scale_mult * sigma_oct
+    h, w = gauss.shape
+    radius = int(round(hist_width * math.sqrt(2) * (d + 1) * 0.5))
+    radius = min(radius, int(math.hypot(h, w)))
+    ic, jc = int(round(i)), int(round(j))
+    i0, i1 = max(ic - radius, 1), min(ic + radius, h - 2)
+    j0, j1 = max(jc - radius, 1), min(jc + radius, w - 2)
+    if i0 > i1 or j0 > j1:
+        return np.zeros(d * d * nbins)
+
+    block = gauss[i0 - 1:i1 + 2, j0 - 1:j1 + 2]
+    gx = 0.5 * (block[1:-1, 2:] - block[1:-1, :-2])
+    gy = 0.5 * (block[2:, 1:-1] - block[:-2, 1:-1])
+    mag = np.hypot(gx, gy)
+    ang = np.arctan2(gy, gx)
+
+    yy, xx = np.mgrid[i0:i1 + 1, j0:j1 + 1]
+    di = yy - i
+    dj = xx - j
+    cos_t = math.cos(orientation)
+    sin_t = math.sin(orientation)
+    rot_r = (-dj * sin_t + di * cos_t) / hist_width
+    rot_c = (dj * cos_t + di * sin_t) / hist_width
+    row_bin = rot_r + 0.5 * d - 0.5
+    col_bin = rot_c + 0.5 * d - 0.5
+    inside = (row_bin > -1) & (row_bin < d) & (col_bin > -1) & (col_bin < d)
+    if not np.any(inside):
+        return np.zeros(d * d * nbins)
+
+    row_bin = row_bin[inside]
+    col_bin = col_bin[inside]
+    weight = np.exp(-(rot_r[inside] ** 2 + rot_c[inside] ** 2)
+                    / (2.0 * (0.5 * d) ** 2))
+    value = mag[inside] * weight
+    obin = ((ang[inside] - orientation) % (2.0 * math.pi)) * nbins / (2.0 * math.pi)
+
+    r0 = np.floor(row_bin).astype(np.int64)
+    c0 = np.floor(col_bin).astype(np.int64)
+    o0 = np.floor(obin).astype(np.int64)
+    rf = row_bin - r0
+    cf = col_bin - c0
+    of = obin - o0
+
+    hist = np.zeros((d + 2, d + 2, nbins))
+    for dr in (0, 1):
+        wr = value * (rf if dr else (1 - rf))
+        for dc in (0, 1):
+            wc = wr * (cf if dc else (1 - cf))
+            for do in (0, 1):
+                wo = wc * (of if do else (1 - of))
+                np.add.at(hist, (r0 + 1 + dr, c0 + 1 + dc, (o0 + do) % nbins), wo)
+
+    vec = hist[1:-1, 1:-1, :].ravel()
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec = np.minimum(vec / norm, cfg.descriptor_clamp)
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec = vec / norm
+    return vec
+
+
+def detect_describe(img: np.ndarray, cfg: SiftConfig = DEFAULT_CONFIG,
+                    annulus: tuple | None = None):
+    """Keypoints and descriptors for one image.
+
+    `annulus` = (cx, cy, r_inner, r_outer) restricts output to the iris ring
+    (keypoints are detected on the whole frame, then filtered by position).
+    Returns (keypoints, descriptors) with descriptors as an (N, 128) array.
+    """
+    img = raster.as_image(img)
+    if img.shape[0] < 32 or img.shape[1] < 32:
+        raise SiftError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
+
+    gauss_octaves, dog_octaves = _build_pyramid(img, cfg)
+    records = []  # (octave, y, x, orientation, scale, response, descriptor)
+
+    for octave, dog in enumerate(dog_octaves):
+        gauss = gauss_octaves[octave]
+        scale_factor = 2.0 ** octave
+        for l0, i0, j0 in _candidate_extrema(dog, cfg):
+            refined = _refine(dog, int(l0), int(i0), int(j0), cfg)
+            if refined is None:
+                continue
+            l, i, j, offset, value = refined
+            layer_cont = l + float(offset[2])
+            sigma_oct = cfg.initial_sigma * 2.0 ** (layer_cont / cfg.intervals)
+            fi = i + float(offset[1])
+            fj = j + float(offset[0])
+            layer_idx = int(np.clip(round(layer_cont), 0, cfg.intervals + 2))
+            glevel = gauss[layer_idx]
+            for theta in _orientations(glevel, fi, fj, sigma_oct, cfg):
+                desc = _descriptor(glevel, fi, fj, sigma_oct, theta, cfg)
+                records.append((
+                    octave, fi * scale_factor, fj * scale_factor, theta,
+                    sigma_oct * scale_factor, abs(value), desc,
+                ))
+
+    records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    # drop exact duplicates (same extremum reached from adjacent start cells)
+    unique = []
+    last_key = None
+    for rec in records:
+        key = rec[:4]
+        if key != last_key:
+            unique.append(rec)
+            last_key = key
+
+    if annulus is not None:
+        cx, cy, r_in, r_out = annulus
+        unique = [r for r in unique
+                  if r_in <= math.hypot(r[2] - cx, r[1] - cy) <= r_out]
+
+    keypoints = [Keypoint(x=r[2], y=r[1], scale=r[4], orientation=r[3],
+                          response=r[5]) for r in unique]
+    if unique:
+        descriptors = np.stack([r[6] for r in unique])
+    else:
+        descriptors = np.zeros((0, cfg.descriptor_width ** 2 * cfg.descriptor_bins))
+    return keypoints, descriptors
+
+
+def equality_images():
+    """Synthetic eyes at full size and bicubic 1/4 and 1/16 (quantised to 8
+    bits, as the pipeline's PGM files are), with and without jitter, plus
+    smoothed noise, square and not, and a flat image."""
+    images = {}
+    for seed, jitter in ((0, 0), (1, 1)):
+        eye, _ = dataset.synth_iris(seed, 231, jitter=jitter)
+        images[f"eye{seed}-j{jitter}"] = eye
+        for lr in (57, 15):
+            sigma = raster.antialias_sigma(231, 231, lr, lr)
+            baseline = dataset.simulate_lr(eye, lr, lr, sigma)[1]
+            images[f"eye{seed}-j{jitter}-{lr}"] = np.round(baseline * 255) / 255
+    images["smooth-noise"] = smooth_noise(6)
+    images["smooth-noise-160"] = smooth_noise(8, size=160, blur=1.5)
+    noise = gaussian_filter(np.random.default_rng(5).uniform(size=(97, 64)), 1.5)
+    images["smooth-noise-97x64"] = noise
+    images["flat"] = np.full((64, 64), 0.5)
+    return images
+
+
+EQUALITY_IMAGES = equality_images()
+
+
+@pytest.mark.parametrize("name", sorted(EQUALITY_IMAGES))
+def test_detect_describe_equals_reference(name):
+    img = EQUALITY_IMAGES[name]
+    want_kps, want_desc = detect_describe(img)
+    got_kps, got_desc = siftmatch.detect_describe(img)
+    assert got_kps == want_kps
+    assert np.array_equal(got_desc, want_desc)
+    assert bool(got_kps) == (name != "flat")
+
+
+def test_refine_octave_equals_per_candidate_refine():
+    cfg = DEFAULT_CONFIG
+    dog = _build_pyramid(dataset.synth_iris(2, 231)[0], cfg)[1][0].copy()
+    # a flat 3x3x3 cube: its centre's Hessian is zero, so the batched solve
+    # of the first step raises and the step is solved one candidate at a time
+    dog[1:4, 39:42, 59:62] = dog[2, 40, 60]
+    singular = (2, 40, 60)
+    assert _refine(dog, *singular, cfg) is None
+    rng = np.random.default_rng(0)
+    _, h, w = dog.shape
+    b = cfg.border
+    scattered = np.column_stack([rng.integers(1, cfg.intervals + 1, 200),
+                                 rng.integers(b, h - b, 200),
+                                 rng.integers(b, w - b, 200)])
+    cands = np.vstack([_candidate_extrema(dog, cfg), [singular], scattered])
+    want = [r for r in (_refine(dog, int(l), int(i), int(j), cfg)
+                        for l, i, j in cands) if r is not None]
+    got = siftmatch._refine_octave(dog, cands, cfg)
+    assert len(want) > 20 and len(got) == len(want)
+    for (gl, gi, gj, goff, gval), (wl, wi, wj, woff, wval) in zip(got, want):
+        assert (gl, gi, gj) == (wl, wi, wj)
+        assert np.array_equal(goff, woff) and gval == wval

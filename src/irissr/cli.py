@@ -259,6 +259,20 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
     return meta
 
 
+def _write_csv(path, header, rows) -> str:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _read_csv(path) -> list:
+    """Every row of a CSV file, the header first."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def _pmap(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(item) for item in items]
@@ -357,13 +371,10 @@ def cmd_prep(cfg, args) -> int:
 
     manifest = os.path.join(out, "manifest.csv")
     dataset.save_manifest(manifest, kept)
-    sidecar = os.path.join(out, "discarded.csv")
-    with open(sidecar, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "subject", "session", "reason"])
-        for rec in discarded:
-            writer.writerow([rec.image_path, rec.subject_id, rec.session,
-                             "crop-out-of-bounds"])
+    sidecar = _write_csv(
+        os.path.join(out, "discarded.csv"), ["path", "subject", "session", "reason"],
+        ([rec.image_path, rec.subject_id, rec.session, "crop-out-of-bounds"]
+         for rec in discarded))
 
     outputs = [manifest, sidecar] + [
         os.path.join(img_dir, os.path.basename(r.image_path)) for r in kept]
@@ -518,28 +529,13 @@ def cmd_sr(cfg, args) -> int:
 QUALITY_HEADER = ["method", "factor", "region", "psnr", "ssim", "fsim"]
 
 
-def _write_keyed_rows(path, header, rows) -> None:
-    """Write `rows` (key tuple -> row) under `header`, sorted by key."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for key in sorted(rows):
-            writer.writerow(rows[key])
-
-
-def _rewrite_csv_rows(path, header, key_cols, new_rows):
-    """Replace rows matching the new keys, keep others, rewrite sorted."""
-    rows = {}
-    if os.path.exists(path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            old_header = next(reader, None)
-            if old_header == header:
-                for row in reader:
-                    rows[tuple(row[i] for i in key_cols)] = row
-    for row in new_rows:
-        rows[tuple(row[i] for i in key_cols)] = row
-    _write_keyed_rows(path, header, rows)
+def _rewrite_csv_rows(path, header, new_rows):
+    """Replace the rows whose first three columns match a new row's, keep the
+    others, rewrite sorted."""
+    old = _read_csv(path) if os.path.exists(path) else []
+    rows = {tuple(row[:3]): row for row in old[1:]} if old[:1] == [header] else {}
+    rows.update((tuple(row[:3]), row) for row in new_rows)
+    _write_csv(path, header, sorted(rows.values()))
 
 
 def cmd_quality(cfg, args) -> int:
@@ -563,16 +559,12 @@ def cmd_quality(cfg, args) -> int:
     results = _pmap(process, records, cfg["jobs"])
     out = ensure_dir(os.path.join(args.out, "quality"))
 
-    detail_path = os.path.join(
-        out, f"detail_{spec_method}_{factor_slug(label)}.csv")
-    with open(detail_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image", "region", "psnr", "ssim", "fsim"])
-        for name, full, iris in results:
-            for rep in (full, iris):
-                writer.writerow([name, rep.region,
-                                 f"{quality.psnr_for_table(rep.psnr):.6f}",
-                                 f"{rep.ssim:.6f}", f"{rep.fsim:.6f}"])
+    detail_path = _write_csv(
+        os.path.join(out, f"detail_{spec_method}_{factor_slug(label)}.csv"),
+        ["image", "region", "psnr", "ssim", "fsim"],
+        ([name, rep.region, f"{quality.psnr_for_table(rep.psnr):.6f}",
+          f"{rep.ssim:.6f}", f"{rep.fsim:.6f}"]
+         for name, full, iris in results for rep in (full, iris)))
 
     summary_rows = []
     for region_idx, region in ((1, "full"), (2, "iris")):
@@ -590,7 +582,7 @@ def cmd_quality(cfg, args) -> int:
         print(line)
 
     table_path = os.path.join(out, "quality.csv")
-    _rewrite_csv_rows(table_path, QUALITY_HEADER, (0, 1, 2), summary_rows)
+    _rewrite_csv_rows(table_path, QUALITY_HEADER, summary_rows)
     # quality.csv gathers every method and factor, so it is no stage's own
     # output; each meta records its own rows, and eval gathers its table
     # from the metas it has checked
@@ -614,36 +606,31 @@ def cmd_match(cfg, args) -> int:
 
     out = ensure_dir(os.path.join(args.out, "scores", method_name,
                                   factor_slug(label)))
-    tpl_dir = ensure_dir(os.path.join(out, "templates"))
     feat_dir = ensure_dir(os.path.join(out, "features"))
 
     def extract(rec):
         name = os.path.basename(rec.image_path)
         img = raster.read_pgm(os.path.join(sr_dir, "images", name))
-        feats, written = {}, []
+        feats = {}
         if "lg" in comparators:
             feats["lg"] = iriscode.encode(iriscode.unwrap(img, rec.annotation))
-            path = os.path.join(tpl_dir, name + ".irt")
-            iriscode.save_template(path, feats["lg"])
-            written.append(path)
         if "sift" in comparators:
             kps, feats["sift"] = siftmatch.detect_describe(
                 img, annulus=siftmatch.iris_annulus(rec.annotation))
-            path = os.path.join(feat_dir, name + ".npz")
-            siftmatch.save_features(path, kps, feats["sift"])
-            written.append(path)
-        return name, feats, written
+            siftmatch.save_features(os.path.join(feat_dir, name + ".npz"),
+                                    kps, feats["sift"])
+        return name, feats
 
-    # scores come from the extracted features; the written artifacts
-    # round-trip them exactly
-    extracted = _pmap(extract, records, cfg["jobs"])
-    features = {name: feats for name, feats, _ in extracted}
+    # scores come from the features in memory; the pipeline never reads the
+    # .npz files back (perfbench counts their keypoints)
+    features = dict(_pmap(extract, records, cfg["jobs"]))
     ids = [(rec.subject_id, os.path.basename(rec.image_path)) for rec in records]
     genuine, impostor = fusion_eval.make_trials(ids)
     pairs = [(p, g, fusion_eval.GENUINE) for p, g in genuine]
     pairs += [(p, g, fusion_eval.IMPOSTOR) for p, g in impostor]
 
-    outputs = [p for _, _, written in extracted for p in written]
+    outputs = [os.path.join(feat_dir, name + ".npz")
+               for name in features if "sift" in comparators]
     for comp in comparators:
         def score(pair):
             probe, gallery, _ = pair
@@ -654,21 +641,12 @@ def cmd_match(cfg, args) -> int:
                                          features[gallery]["sift"])
 
         values = _pmap(score, pairs, cfg["jobs"])
-        path = os.path.join(out, f"{comp}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["probe", "gallery", "score", "comparator"])
-            for (probe, gallery, _), value in zip(pairs, values):
-                writer.writerow([probe, gallery, repr(value), comp.upper()])
-        outputs.append(path)
-
-    labels_path = os.path.join(out, "labels.csv")
-    with open(labels_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe", "gallery", "label"])
-        for probe, gallery, lab in pairs:
-            writer.writerow([probe, gallery, lab])
-    outputs.append(labels_path)
+        outputs.append(_write_csv(
+            os.path.join(out, f"{comp}.csv"), ["probe", "gallery", "score", "comparator"],
+            ([probe, gallery, repr(value), comp.upper()]
+             for (probe, gallery, _), value in zip(pairs, values))))
+    outputs.append(_write_csv(os.path.join(out, "labels.csv"),
+                              ["probe", "gallery", "label"], pairs))
 
     extra = {"factor": label, "method": method_name,
              "genuine": len(genuine), "impostor": len(impostor)}
@@ -688,16 +666,6 @@ def cmd_match(cfg, args) -> int:
                      extra=extra)
     print(line)
     return 0
-
-
-def _read_scores(path):
-    scores = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for probe, gallery, value, _comp in reader:
-            scores[(probe, gallery)] = float(value)
-    return scores
 
 
 def cmd_eval(cfg, args) -> int:
@@ -730,10 +698,7 @@ def cmd_eval(cfg, args) -> int:
             if not os.path.isdir(score_dir):
                 continue
             label = check_stage(args.out, score_dir, "match", inputs)["extra"]["factor"]
-            with open(os.path.join(score_dir, "labels.csv"), newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                pair_labels = [(p, g, lab) for p, g, lab in reader]
+            pair_labels = _read_csv(os.path.join(score_dir, "labels.csv"))[1:]
 
             comp_names = [c for c in cfg["comparators"] if c != "fused"]
             comp_scores = {}
@@ -742,7 +707,8 @@ def cmd_eval(cfg, args) -> int:
                 if not os.path.exists(path):
                     raise CliError(EXIT_MISSING_INPUT,
                                    f"missing score file {path} (rerun match)")
-                comp_scores[comp] = _read_scores(path)
+                comp_scores[comp] = {(probe, gallery): float(value) for
+                                     probe, gallery, value, _ in _read_csv(path)[1:]}
 
             trials = []
             for probe, gallery, lab in pair_labels:
@@ -779,17 +745,15 @@ def cmd_eval(cfg, args) -> int:
     if not eer_rows:
         raise CliError(EXIT_MISSING_INPUT, "no score sets found to evaluate")
 
-    eer_path = os.path.join(out, "eer.csv")
-    _rewrite_csv_rows(eer_path, ["method", "factor", "comparator", "eer"],
-                      (0, 1, 2), eer_rows)
+    eer_path = _write_csv(os.path.join(out, "eer.csv"),
+                          ["method", "factor", "comparator", "eer"], sorted(eer_rows))
 
     # the quality table next to the EER table, from the rows of the quality
     # metas checked above
     extra_outputs = []
     if quality_rows:
-        eval_quality = os.path.join(out, "quality.csv")
-        _write_keyed_rows(eval_quality, QUALITY_HEADER, quality_rows)
-        extra_outputs.append(eval_quality)
+        extra_outputs.append(_write_csv(os.path.join(out, "quality.csv"),
+                                        QUALITY_HEADER, sorted(quality_rows.values())))
 
     summary = {
         "config_hash": fingerprint(cfg)[:16],
@@ -815,13 +779,10 @@ def cmd_eval(cfg, args) -> int:
 
 
 def _write_roc(out_dir, method, slug, comp, roc) -> str:
-    path = os.path.join(out_dir, f"roc_{method}_{slug}_{comp}.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "far", "frr"])
-        for t, fa, fr in zip(roc.thresholds, roc.far, roc.frr):
-            writer.writerow([repr(float(t)), f"{fa:.6f}", f"{fr:.6f}"])
-    return path
+    return _write_csv(os.path.join(out_dir, f"roc_{method}_{slug}_{comp}.csv"),
+                      ["threshold", "far", "frr"],
+                      ([repr(float(t)), f"{fa:.6f}", f"{fr:.6f}"]
+                       for t, fa, fr in zip(roc.thresholds, roc.far, roc.frr)))
 
 
 def _collect_timings(out_root) -> dict:

@@ -269,20 +269,12 @@ def save_model(path, model: EigenPatchModel) -> None:
              **arrays)
 
 
-def load_model(path, expect_patch_size: int | None = None,
-               expect_stride: int | None = None) -> EigenPatchModel:
+def load_model(path) -> EigenPatchModel:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("version") != _FORMAT_VERSION:
             raise EigenPatchError(
                 f"{path}: unsupported model version {meta.get('version')!r}")
-        if expect_patch_size is not None and meta["patch_size"] != expect_patch_size:
-            raise EigenPatchError(
-                f"{path}: model patch_size {meta['patch_size']} != requested "
-                f"{expect_patch_size}")
-        if expect_stride is not None and meta["stride"] != expect_stride:
-            raise EigenPatchError(
-                f"{path}: model stride {meta['stride']} != requested {expect_stride}")
         arrays = {name: data[name] for name in _ARRAY_FIELDS}
     return EigenPatchModel(
         lr_w=meta["lr_w"], lr_h=meta["lr_h"], hr_w=meta["hr_w"], hr_h=meta["hr_h"],

@@ -8,7 +8,6 @@ valid bits, minimized over a small range of angular shifts to absorb head
 tilt. Lower score = more similar (distance polarity).
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,38 +153,3 @@ def compare(img1, ann1, img2, ann2, radial_res: int = RADIAL_RES,
     t1 = encode(unwrap(img1, ann1, radial_res, angular_res))
     t2 = encode(unwrap(img2, ann2, radial_res, angular_res))
     return hamming(t1, t2, max_shift)
-
-
-# ---------------------------------------------------------------------------
-# template serialization (packed bitsets with a small versioned header)
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"IRT1"
-
-
-def save_template(path, template: IrisTemplate) -> None:
-    r, c = template.code.shape
-    code_bytes = np.packbits(template.code.reshape(-1)).tobytes()
-    mask_bytes = np.packbits(template.mask.reshape(-1)).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", r, c))
-        fh.write(code_bytes)
-        fh.write(mask_bytes)
-
-
-def load_template(path) -> IrisTemplate:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise IrisCodeError(f"{path}: not an iris template file")
-        r, c = struct.unpack("<II", fh.read(8))
-        nbits = r * c
-        nbytes = (nbits + 7) // 8
-        code = np.unpackbits(
-            np.frombuffer(fh.read(nbytes), dtype=np.uint8), count=nbits
-        ).astype(bool).reshape(r, c)
-        mask = np.unpackbits(
-            np.frombuffer(fh.read(nbytes), dtype=np.uint8), count=nbits
-        ).astype(bool).reshape(r, c)
-    return IrisTemplate(code=code, mask=mask)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import irissr
-from irissr import cli, eigenpatch, iriscode, raster, sr
+from irissr import cli, dataset, eigenpatch, iriscode, raster, sr
 
 
 def run(argv):
@@ -410,11 +410,14 @@ def test_match_records_keypoints_and_valid_bits(pipeline, capsys):
     extra = json.load(open(os.path.join(score_dir, "stage_match.json")))["extra"]
     counts = extra["sift_keypoints"]
     assert counts and set(counts) == set(extra["lg_valid_fraction"])
+    annotations = {os.path.basename(rec.image_path): rec.annotation
+                   for rec in dataset.load_manifest(
+                       os.path.join(out, "prep", "manifest.csv"))}
     for name, count in counts.items():
         with np.load(os.path.join(score_dir, "features", name + ".npz")) as data:
             assert count == data["keypoints"].shape[0] == data["descriptors"].shape[0]
-        template = iriscode.load_template(os.path.join(score_dir, "templates",
-                                                        name + ".irt"))
+        img = raster.read_pgm(os.path.join(out, "sr", "bicubic", "1_4", "images", name))
+        template = iriscode.encode(iriscode.unwrap(img, annotations[name]))
         assert extra["lg_valid_fraction"][name] == template.mask.mean()
         assert 0.0 < extra["lg_valid_fraction"][name] <= 1.0
     empty = sum(n == 0 for n in counts.values())
@@ -447,6 +450,15 @@ def test_eval_quality_table_only_from_checked_metas(own_pipeline):
     with open(meta_path, "w") as fh:
         json.dump(meta, fh)
     assert run(["eval", "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
+
+
+def test_eer_table_holds_only_this_evals_rows(own_pipeline):
+    out, cfg = own_pipeline
+    assert run(["eval", "--config", cfg, "--out", out, "--comparators", "lg"]) == 0
+    with open(os.path.join(out, "eval", "eer.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "method,factor,comparator,eer"
+    assert [line.split(",")[:3] for line in lines[1:]] == [["bicubic", "1/4", "LG"]]
 
 
 def test_quality_metas_keep_lineage_across_methods(own_pipeline):

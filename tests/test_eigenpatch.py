@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -157,12 +159,15 @@ def test_model_roundtrip(tmp_path):
                           eigenpatch.reconstruct(lr, model))
 
 
-def test_model_cfg_mismatch_rejected(tmp_path):
+def test_model_version_mismatch_rejected(tmp_path):
     model = eigenpatch.train(small_corpus(3), 16, 16, 1.0)
     path = tmp_path / "model.npz"
     eigenpatch.save_model(path, model)
-    with pytest.raises(eigenpatch.EigenPatchError):
-        eigenpatch.load_model(path, expect_patch_size=5)
-    with pytest.raises(eigenpatch.EigenPatchError):
-        eigenpatch.load_model(path, expect_stride=3)
-    assert eigenpatch.load_model(path, expect_patch_size=4, expect_stride=2)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["version"] = "epm-0"
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(eigenpatch.EigenPatchError, match="unsupported model version"):
+        eigenpatch.load_model(path)

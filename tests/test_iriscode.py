@@ -190,22 +190,3 @@ def test_rotation_robustness_same_identity(corpus20_sessions, templates20_sessio
                 for s1 in range(20) for s2 in range(20) if s1 != s2]
     assert max(genuine) < 0.15
     assert min(impostor) > 0.35
-
-
-# --- serialization --------------------------------------------------------------
-
-def test_template_roundtrip(tmp_path, corpus20):
-    img, ann = corpus20[3]
-    tpl = iriscode.encode(iriscode.unwrap(img, ann))
-    path = tmp_path / "t.irt"
-    iriscode.save_template(path, tpl)
-    back = iriscode.load_template(path)
-    assert np.array_equal(back.code, tpl.code)
-    assert np.array_equal(back.mask, tpl.mask)
-
-
-def test_template_bad_magic(tmp_path):
-    p = tmp_path / "x.irt"
-    p.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(iriscode.IrisCodeError):
-        iriscode.load_template(p)

@@ -5,7 +5,11 @@ and score files, JSON stage metadata), so external SR backends can be plugged
 in and intermediates inspected. Each stage meta records the hashes of its
 outputs and the fingerprints of the upstream metas it read; a stage verifies
 both across all its ancestors, so a rerun that changes a stage makes what was
-built from it stale, and an identical rerun does not.
+built from it stale, and an identical rerun does not. The tables are built
+from stage records only: each `quality` run rebuilds `quality/quality.csv`
+from the summary rows of the quality metas, and `eval` reads only the score
+files a checked match meta hashes and writes every table in `eval/` from
+this run's checked records.
 
 Each config key is read by one stage; later stages read what upstream stages
 recorded. Every command checks the whole configuration before it does any
@@ -85,8 +89,7 @@ def load_config(args) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
-                user = json.load(fh)
+            user = _read_json(args.config)
         except FileNotFoundError:
             raise CliError(EXIT_MISSING_INPUT, f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
@@ -197,6 +200,11 @@ def file_sha(path) -> str:
     return h.hexdigest()
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def ensure_dir(path) -> str:
     try:
         os.makedirs(path, exist_ok=True)
@@ -232,8 +240,7 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
     if not os.path.exists(meta_path):
         raise CliError(EXIT_MISSING_INPUT,
                        f"missing upstream artifact: {meta_path} (run `{stage}` first)")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = _read_json(meta_path)
     if "inputs" not in meta:  # written before stages recorded their lineage
         raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: no lineage recorded")
     for rel, sha in meta.get("outputs", {}).items():
@@ -247,10 +254,7 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
     while pending:
         rel, recorded = pending.pop()
         path = os.path.join(out_root, rel)
-        ancestor = {}
-        if os.path.exists(path):
-            with open(path) as fh:
-                ancestor = json.load(fh)
+        ancestor = _read_json(path) if os.path.exists(path) else {}
         if fingerprint(ancestor) != recorded:
             raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: {rel}, which it "
                            f"was built from, is missing or has changed")
@@ -526,16 +530,28 @@ def cmd_sr(cfg, args) -> int:
     return 0
 
 
+def _load_sr(cfg, args, inputs):
+    """The checked SR stage of the configured method at `--factor`: the prep
+    directory, the SR directory and the prep records of its images."""
+    prep_dir, _, prep_records = _load_prep(args.out, inputs)
+    sr_dir = os.path.join(args.out, "sr", method_dir(cfg), factor_slug(args.factor))
+    records = stage_records(check_stage(args.out, sr_dir, "sr", inputs), prep_records)
+    return prep_dir, sr_dir, records
+
+
 QUALITY_HEADER = ["method", "factor", "region", "psnr", "ssim", "fsim"]
 
 
-def _rewrite_csv_rows(path, header, new_rows):
-    """Replace the rows whose first three columns match a new row's, keep the
-    others, rewrite sorted."""
-    old = _read_csv(path) if os.path.exists(path) else []
-    rows = {tuple(row[:3]): row for row in old[1:]} if old[:1] == [header] else {}
-    rows.update((tuple(row[:3]), row) for row in new_rows)
-    _write_csv(path, header, sorted(rows.values()))
+def _quality_stages(quality_dir) -> list:
+    """The stage name of every quality meta in `quality_dir`, sorted."""
+    return [os.path.basename(path)[len("stage_"):-len(".json")] for path in
+            sorted(glob.glob(os.path.join(quality_dir, "stage_quality_*.json")))]
+
+
+def _write_quality_table(path, metas) -> str:
+    """The quality table: the summary rows the quality metas record, sorted."""
+    return _write_csv(path, QUALITY_HEADER, sorted(
+        row for meta in metas for row in meta.get("extra", {}).get("summary_rows", [])))
 
 
 def cmd_quality(cfg, args) -> int:
@@ -543,11 +559,9 @@ def cmd_quality(cfg, args) -> int:
 
     t0 = time.perf_counter()
     inputs = {}
-    prep_dir, _, prep_records = _load_prep(args.out, inputs)
+    prep_dir, sr_dir, records = _load_sr(cfg, args, inputs)
     label = args.factor
     spec_method = method_dir(cfg)
-    sr_dir = os.path.join(args.out, "sr", spec_method, factor_slug(label))
-    records = stage_records(check_stage(args.out, sr_dir, "sr", inputs), prep_records)
 
     def process(rec):
         name = os.path.basename(rec.image_path)
@@ -581,14 +595,15 @@ def cmd_quality(cfg, args) -> int:
             line += f" fsim {mean_fsim:.4f}"
         print(line)
 
-    table_path = os.path.join(out, "quality.csv")
-    _rewrite_csv_rows(table_path, QUALITY_HEADER, summary_rows)
     # quality.csv gathers every method and factor, so it is no stage's own
-    # output; each meta records its own rows, and eval gathers its table
-    # from the metas it has checked
+    # output: each meta records its own rows, and the table is rebuilt from
+    # the metas (unchecked here; eval checks the ones it gathers)
     write_stage_meta(out, f"quality_{spec_method}_{factor_slug(label)}", inputs,
                      [detail_path], time.perf_counter() - t0,
                      extra={"summary_rows": summary_rows})
+    _write_quality_table(os.path.join(out, "quality.csv"), [
+        _read_json(os.path.join(out, f"stage_{stage}.json"))
+        for stage in _quality_stages(out)])
     return 0
 
 
@@ -597,11 +612,9 @@ def cmd_match(cfg, args) -> int:
 
     t0 = time.perf_counter()
     inputs = {}
-    _, _, prep_records = _load_prep(args.out, inputs)
+    _, sr_dir, records = _load_sr(cfg, args, inputs)
     label = args.factor
     method_name = method_dir(cfg)
-    sr_dir = os.path.join(args.out, "sr", method_name, factor_slug(label))
-    records = stage_records(check_stage(args.out, sr_dir, "sr", inputs), prep_records)
     comparators = [c for c in cfg["comparators"] if c != "fused"]
 
     out = ensure_dir(os.path.join(args.out, "scores", method_name,
@@ -671,89 +684,84 @@ def cmd_match(cfg, args) -> int:
 def cmd_eval(cfg, args) -> int:
     from . import fusion_eval, iriscode, siftmatch
 
-    polarity = {"lg": iriscode.SCORE_POLARITY, "sift": siftmatch.SCORE_POLARITY}
+    polarity = {"lg": iriscode.SCORE_POLARITY, "sift": siftmatch.SCORE_POLARITY,
+                "fused": "genuine_high"}
     t0 = time.perf_counter()
     scores_root = os.path.join(args.out, "scores")
     if not os.path.isdir(scores_root):
         raise CliError(EXIT_MISSING_INPUT, f"no scores directory at {scores_root}")
-    eer_rows = []
-    roc_outputs = []
     out = ensure_dir(os.path.join(args.out, "eval"))
-    stage_meta = {}
     inputs = {}
     quality_dir = os.path.join(args.out, "quality")
-    quality_rows = {}
-    for meta_path in sorted(glob.glob(os.path.join(quality_dir, "stage_quality_*.json"))):
-        stage = os.path.basename(meta_path)[len("stage_"):-len(".json")]
+    quality_metas = []
+    for stage in _quality_stages(quality_dir):
         meta = check_stage(args.out, quality_dir, stage, inputs)
         if "summary_rows" not in meta.get("extra", {}):
             raise CliError(EXIT_MISSING_INPUT,
                            f"stale {stage} stage: no summary rows recorded")
-        for row in meta["extra"]["summary_rows"]:
-            quality_rows[tuple(row[:3])] = row
+        quality_metas.append(meta)
 
+    # every file read below is one the checked match meta hashes; match
+    # writes the labels and each score file from one pair list, so their
+    # rows line up by position
+    comp_names = [c for c in cfg["comparators"] if c != "fused"]
+    eer_rows, roc_rows, trial_counts = [], [], {}
     for method_name in sorted(os.listdir(scores_root)):
         for slug in sorted(os.listdir(os.path.join(scores_root, method_name))):
             score_dir = os.path.join(scores_root, method_name, slug)
             if not os.path.isdir(score_dir):
                 continue
-            label = check_stage(args.out, score_dir, "match", inputs)["extra"]["factor"]
-            pair_labels = _read_csv(os.path.join(score_dir, "labels.csv"))[1:]
-
-            comp_names = [c for c in cfg["comparators"] if c != "fused"]
-            comp_scores = {}
+            match = check_stage(args.out, score_dir, "match", inputs)
+            method, label = match["extra"]["method"], match["extra"]["factor"]
             for comp in comp_names:
-                path = os.path.join(score_dir, f"{comp}.csv")
-                if not os.path.exists(path):
+                if f"{comp}.csv" not in match["outputs"]:
                     raise CliError(EXIT_MISSING_INPUT,
-                                   f"missing score file {path} (rerun match)")
-                comp_scores[comp] = {(probe, gallery): float(value) for
-                                     probe, gallery, value, _ in _read_csv(path)[1:]}
+                                   f"no {comp} scores recorded by the match stage "
+                                   f"in {score_dir} (rerun match with {comp})")
+            columns = [[float(row[2]) for row in
+                        _read_csv(os.path.join(score_dir, f"{comp}.csv"))[1:]]
+                       for comp in comp_names]
+            trials = [fusion_eval.Trial(probe, gallery, scores, lab)
+                      for (probe, gallery, lab), scores in zip(
+                          _read_csv(os.path.join(score_dir, "labels.csv"))[1:],
+                          zip(*columns))]
 
-            trials = []
-            for probe, gallery, lab in pair_labels:
-                vec = tuple(comp_scores[c][(probe, gallery)] for c in comp_names)
-                trials.append(fusion_eval.Trial(probe, gallery, vec, lab))
-
-            for idx, comp in enumerate(comp_names):
-                gen = [t.scores[idx] for t in trials if t.label == fusion_eval.GENUINE]
-                imp = [t.scores[idx] for t in trials if t.label == fusion_eval.IMPOSTOR]
-                rate, roc = fusion_eval.eer(gen, imp, polarity[comp])
-                eer_rows.append([method_name, label, comp.upper(), f"{rate:.6f}"])
-                roc_outputs.append(_write_roc(out, method_name, slug, comp, roc))
-
+            scored = [(comp, [(t.scores[idx], t.label) for t in trials])
+                      for idx, comp in enumerate(comp_names)]
             if "fused" in cfg["comparators"]:
                 if cfg["fusion_split"]:
-                    train_set = trials[0::2]
-                    eval_set = trials[1::2]
+                    train_set, eval_set = trials[0::2], trials[1::2]
                 else:
                     train_set = eval_set = trials
-                model = fusion_eval.train_fusion(
-                    train_set, polarities=[polarity[c] for c in comp_names])
-                fused = fusion_eval.fuse_scores(model, eval_set)
-                gen = [t.fused for t in fused if t.label == fusion_eval.GENUINE]
-                imp = [t.fused for t in fused if t.label == fusion_eval.IMPOSTOR]
-                rate, roc = fusion_eval.eer(gen, imp, "genuine_high")
-                eer_rows.append([method_name, label, "FUSED", f"{rate:.6f}"])
-                roc_outputs.append(_write_roc(out, method_name, slug, "fused", roc))
-            stage_meta[f"{method_name}/{slug}"] = {
-                "trials": len(trials),
-                "genuine": sum(t.label == fusion_eval.GENUINE for t in trials),
-                "impostor": sum(t.label == fusion_eval.IMPOSTOR for t in trials),
-            }
+                model = fusion_eval.train_fusion(train_set)
+                scored.append(("fused", [(t.fused, t.label) for t in
+                                         fusion_eval.fuse_scores(model, eval_set)]))
+            for comp, pairs in scored:
+                rate, roc = fusion_eval.eer(
+                    [v for v, lab in pairs if lab == fusion_eval.GENUINE],
+                    [v for v, lab in pairs if lab == fusion_eval.IMPOSTOR],
+                    polarity[comp])
+                eer_rows.append([method, label, comp.upper(), f"{rate:.6f}"])
+                roc_rows += ([method, label, comp.upper(), repr(float(t)),
+                              f"{fa:.6f}", f"{fr:.6f}"]
+                             for t, fa, fr in zip(roc.thresholds, roc.far, roc.frr))
+            labels = [t.label for t in trials]
+            trial_counts[f"{method}/{factor_slug(label)}"] = {
+                "trials": len(labels), "genuine": labels.count(fusion_eval.GENUINE),
+                "impostor": labels.count(fusion_eval.IMPOSTOR)}
 
     if not eer_rows:
         raise CliError(EXIT_MISSING_INPUT, "no score sets found to evaluate")
 
-    eer_path = _write_csv(os.path.join(out, "eer.csv"),
-                          ["method", "factor", "comparator", "eer"], sorted(eer_rows))
-
-    # the quality table next to the EER table, from the rows of the quality
-    # metas checked above
-    extra_outputs = []
-    if quality_rows:
-        extra_outputs.append(_write_csv(os.path.join(out, "quality.csv"),
-                                        QUALITY_HEADER, sorted(quality_rows.values())))
+    # the EER, ROC and quality tables hold only what this run checked
+    outputs = [
+        _write_csv(os.path.join(out, "eer.csv"),
+                   ["method", "factor", "comparator", "eer"], sorted(eer_rows)),
+        _write_csv(os.path.join(out, "roc.csv"),
+                   ["method", "factor", "comparator", "threshold", "far", "frr"],
+                   roc_rows),
+        _write_quality_table(os.path.join(out, "quality.csv"), quality_metas),
+    ]
 
     summary = {
         "config_hash": fingerprint(cfg)[:16],
@@ -763,26 +771,17 @@ def cmd_eval(cfg, args) -> int:
             "numpy": np.__version__,
         },
         "stage_timings": _collect_timings(args.out),
-        "trial_counts": stage_meta,
+        "trial_counts": trial_counts,
     }
-    summary_path = os.path.join(out, "run_summary.json")
-    with open(summary_path, "w") as fh:
+    outputs.append(os.path.join(out, "run_summary.json"))
+    with open(outputs[-1], "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    write_stage_meta(out, "eval", inputs,
-                     [eer_path, summary_path] + extra_outputs + roc_outputs,
-                     time.perf_counter() - t0)
+    write_stage_meta(out, "eval", inputs, outputs, time.perf_counter() - t0)
     for row in eer_rows:
         print(f"eer[{row[0]}, {row[1]}, {row[2]}]: {row[3]}")
     return 0
-
-
-def _write_roc(out_dir, method, slug, comp, roc) -> str:
-    return _write_csv(os.path.join(out_dir, f"roc_{method}_{slug}_{comp}.csv"),
-                      ["threshold", "far", "frr"],
-                      ([repr(float(t)), f"{fa:.6f}", f"{fr:.6f}"]
-                       for t, fa, fr in zip(roc.thresholds, roc.far, roc.frr)))
 
 
 def _collect_timings(out_root) -> dict:
@@ -790,10 +789,9 @@ def _collect_timings(out_root) -> dict:
     for dirpath, _dirnames, filenames in os.walk(out_root):
         for name in sorted(filenames):
             if name.startswith("stage_") and name.endswith(".json"):
-                with open(os.path.join(dirpath, name)) as fh:
-                    meta = json.load(fh)
-                rel = os.path.relpath(os.path.join(dirpath, name), out_root)
-                timings[rel] = meta.get("elapsed_seconds")
+                path = os.path.join(dirpath, name)
+                timings[os.path.relpath(path, out_root)] = \
+                    _read_json(path).get("elapsed_seconds")
     return timings
 
 

@@ -40,8 +40,7 @@ class Trial:
 
 @dataclass(frozen=True)
 class FusionModel:
-    weights: tuple          # (a0, a1, ..., aN)
-    polarities: tuple = ()  # per-comparator metadata, informational
+    weights: tuple  # (a0, a1, ..., aN)
 
     @property
     def arity(self) -> int:
@@ -104,7 +103,7 @@ def _design_matrix(trials):
     return x, y
 
 
-def train_fusion(trials, polarities=()) -> FusionModel:
+def train_fusion(trials) -> FusionModel:
     """Fit the fusion weights by penalized logistic regression.
 
     Newton iterations with step halving; the intercept is unpenalized. Stops
@@ -150,8 +149,7 @@ def train_fusion(trials, polarities=()) -> FusionModel:
         else:
             break
         w, obj = w_try, obj_try
-    return FusionModel(weights=tuple(float(v) for v in w),
-                       polarities=tuple(polarities))
+    return FusionModel(weights=tuple(float(v) for v in w))
 
 
 def fuse_scores(model: FusionModel, trials):

@@ -145,11 +145,3 @@ def hamming(t1: IrisTemplate, t2: IrisTemplate, max_shift: int = MAX_SHIFT) -> f
     if best is None:
         raise NoComparableBitsError("no jointly valid bits at any shift")
     return best
-
-
-def compare(img1, ann1, img2, ann2, radial_res: int = RADIAL_RES,
-            angular_res: int = ANGULAR_RES, max_shift: int = MAX_SHIFT) -> float:
-    """Convenience: unwrap + encode both images, then shifted Hamming distance."""
-    t1 = encode(unwrap(img1, ann1, radial_res, angular_res))
-    t2 = encode(unwrap(img2, ann2, radial_res, angular_res))
-    return hamming(t1, t2, max_shift)

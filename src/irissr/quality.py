@@ -247,16 +247,13 @@ class QualityReport:
     region: str  # 'full' or 'iris'
 
 
-def region_report(ref: np.ndarray, test: np.ndarray, ann,
-                  radial_res: int | None = None, angular_res: int | None = None):
+def region_report(ref: np.ndarray, test: np.ndarray, ann):
     """Metrics on the raw pair plus on the rubber-sheet unwrapped iris region."""
     from . import iriscode
 
-    radial_res = iriscode.RADIAL_RES if radial_res is None else radial_res
-    angular_res = iriscode.ANGULAR_RES if angular_res is None else angular_res
     full = QualityReport(psnr(ref, test), ssim(ref, test), fsim(ref, test), "full")
-    nref = iriscode.unwrap(ref, ann, radial_res, angular_res)
-    ntest = iriscode.unwrap(test, ann, radial_res, angular_res)
+    nref = iriscode.unwrap(ref, ann)
+    ntest = iriscode.unwrap(test, ann)
     iris = QualityReport(
         psnr(nref.values, ntest.values),
         ssim(nref.values, ntest.values),

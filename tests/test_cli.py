@@ -461,6 +461,45 @@ def test_eer_table_holds_only_this_evals_rows(own_pipeline):
     assert [line.split(",")[:3] for line in lines[1:]] == [["bicubic", "1/4", "LG"]]
 
 
+def test_eval_reads_only_score_files_the_match_meta_hashes(own_pipeline):
+    out, cfg = own_pipeline
+    base = ["--config", cfg, "--out", out]
+    assert run(["match", *base, "--factor", "1/4", "--method", "bicubic",
+                "--comparators", "lg"]) == 0
+    # sift.csv from the first match run is still on disk, but no meta backs it
+    score_dir = os.path.join(out, "scores", "bicubic", "1_4")
+    assert os.path.exists(os.path.join(score_dir, "sift.csv"))
+    assert run(["eval", *base]) == cli.EXIT_MISSING_INPUT
+    assert run(["eval", *base, "--comparators", "lg"]) == 0
+
+
+def test_eval_outputs_hold_only_this_evals_rows(own_pipeline):
+    out, cfg = own_pipeline
+    base = ["--config", cfg, "--out", out]
+    eval_dir = os.path.join(out, "eval")
+    with open(os.path.join(eval_dir, "roc.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[0] == "method,factor,comparator,threshold,far,frr"
+    assert {row.split(",")[2] for row in rows[1:]} == {"LG", "SIFT", "FUSED"}
+    assert run(["eval", *base, "--comparators", "lg"]) == 0
+    with open(os.path.join(eval_dir, "roc.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[1:] and all(row.startswith("bicubic,1/4,LG,") for row in rows[1:])
+    outputs = json.load(open(os.path.join(eval_dir, "stage_eval.json")))["outputs"]
+    assert sorted(os.listdir(eval_dir)) == sorted([*outputs, "stage_eval.json"])
+
+
+def test_quality_table_rebuilt_from_metas(own_pipeline):
+    out, cfg = own_pipeline
+    table = os.path.join(out, "quality", "quality.csv")
+    before = open(table, "rb").read()
+    with open(table, "a") as fh:
+        fh.write("bilinear,1/4,full,99.000000,1.000000,1.000000\n")
+    assert run(["quality", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "bicubic"]) == 0
+    assert open(table, "rb").read() == before
+
+
 def test_quality_metas_keep_lineage_across_methods(own_pipeline):
     out, cfg = own_pipeline
     base = ["--config", cfg, "--out", out, "--factor", "1/4"]

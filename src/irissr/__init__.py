@@ -7,15 +7,16 @@ quality (PSNR/SSIM/FSIM, full frame and iris region) and recognition accuracy
 (log-Gabor and SIFT comparators, logistic-regression fusion, EER).
 
 Submodules load on first use (`irissr.quality`, `from irissr import quality`),
-so a process that needs few of them, such as an external-backend call that
-needs only `raster`, does not pay for the others.
+so a process that needs few of them does not pay for the others: the
+reference x2 backend loads only `errors` and the standard-library PGM codec
+`pgm`, and no numpy.
 """
 
 __version__ = "0.1.0"
 
 _SUBMODULES = ("cli", "dataset", "eigenpatch", "errors", "fusion_eval",
-               "iriscode", "quality", "raster", "refbackend", "reproject",
-               "siftmatch", "sr")
+               "iriscode", "pgm", "quality", "raster", "refbackend",
+               "reproject", "siftmatch", "sr")
 
 
 def __getattr__(name):

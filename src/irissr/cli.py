@@ -620,6 +620,16 @@ def cmd_match(cfg, args) -> int:
     out = ensure_dir(os.path.join(args.out, "scores", method_name,
                                   factor_slug(label)))
     feat_dir = ensure_dir(os.path.join(out, "features"))
+    # remove what an earlier, wider match left here and this run does not write
+    written = {os.path.basename(rec.image_path) + ".npz"
+               for rec in records} if "sift" in comparators else set()
+    stale = [os.path.join(out, f"{comp}.csv") for comp in ("lg", "sift")
+             if comp not in comparators]
+    stale += [os.path.join(feat_dir, name) for name in os.listdir(feat_dir)
+              if name.endswith(".npz") and name not in written]
+    for path in stale:
+        if os.path.exists(path):
+            os.remove(path)
 
     def extract(rec):
         name = os.path.basename(rec.image_path)

@@ -2,6 +2,8 @@
 
 Images are 2-D float64 arrays with intensities in [0, 1], shape (height, width).
 All operators here are pure functions; nothing mutates its input.
+`read_pgm` and `write_pgm` convert between these arrays and the samples of
+the standard-library PGM codec in `pgm`, which does all the file parsing.
 
 Conventions fixed for the whole package:
   * resampling uses half-pixel centers (output pixel i samples source
@@ -15,11 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-
-
-class RasterError(InputError):
-    """Bad image data or an invalid geometry request."""
+from . import pgm
+from .errors import RasterError
 
 
 def as_image(arr) -> np.ndarray:
@@ -217,55 +216,18 @@ def axis_operator(in_n: int, out_n: int, sigma: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# image I/O: 8-bit PGM (P5) mandatory, PNG optional via Pillow
+# image I/O: PGM (P5) through `pgm`, PNG optional via Pillow
 # ---------------------------------------------------------------------------
 
 # ITU-R BT.601 luma weights for color conversion
 _LUMA = (0.299, 0.587, 0.114)
 
 
-def _read_pgm_tokens(data: bytes, count: int):
-    """Yield header tokens, skipping '#' comments; return (tokens, offset)."""
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise RasterError("truncated PGM header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    return tokens, i
-
-
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5) into a [0,1] float image."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise RasterError(f"{path}: not a binary PGM (P5) file")
-    tokens, offset = _read_pgm_tokens(data, 4)
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise RasterError(f"{path}: malformed PGM header") from exc
-    if width < 1 or height < 1 or not (0 < maxval < 65536):
-        raise RasterError(f"{path}: invalid PGM dimensions or maxval")
-    offset += 1  # single whitespace after maxval
-    nbytes = width * height * (2 if maxval > 255 else 1)
-    raw = data[offset : offset + nbytes]
-    if len(raw) != nbytes:
-        raise RasterError(f"{path}: truncated PGM pixel data")
+    width, height, maxval, samples = pgm.read(path)
     dtype = ">u2" if maxval > 255 else np.uint8
-    pixels = np.frombuffer(raw, dtype=dtype).reshape(height, width)
+    pixels = np.frombuffer(samples, dtype=dtype).reshape(height, width)
     return pixels.astype(np.float64) / float(maxval)
 
 
@@ -274,9 +236,7 @@ def write_pgm(path, img: np.ndarray) -> None:
     img = as_image(img)
     quant = np.rint(clamp01(img) * 255.0).astype(np.uint8)
     h, w = quant.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quant.tobytes())
+    pgm.write(path, w, h, quant.tobytes())
 
 
 def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:

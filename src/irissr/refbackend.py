@@ -2,13 +2,17 @@
 protocol. Useful as a wiring check for the external-upscaler path:
 
     python -m irissr.refbackend <in.pgm> <out.pgm>
+
+It uses the standard library only (the `pgm` codec), so one call costs
+about an interpreter start-up. The input must be a P5 file with maxval 255,
+which is what the driver sends; anything else exits 2 with one line that
+names the file.
 """
 
 import sys
 
-import numpy as np
-
-from . import raster
+from . import pgm
+from .errors import RasterError
 
 
 def main(argv=None) -> int:
@@ -17,9 +21,19 @@ def main(argv=None) -> int:
         print("usage: python -m irissr.refbackend <in.pgm> <out.pgm>",
               file=sys.stderr)
         return 2
-    img = raster.read_pgm(argv[0])
-    doubled = np.repeat(np.repeat(img, 2, axis=0), 2, axis=1)
-    raster.write_pgm(argv[1], doubled)
+    try:
+        width, height, maxval, raw = pgm.read(argv[0])
+        if maxval != 255:
+            raise RasterError(f"{argv[0]}: maxval {maxval}, expected 255")
+    except (OSError, RasterError) as exc:
+        print(f"refbackend: {exc}", file=sys.stderr)
+        return 2
+    # double every sample along its row, then write each doubled row twice
+    wide = bytearray(2 * len(raw))
+    wide[0::2] = wide[1::2] = raw
+    stride = 2 * width
+    pgm.write(argv[1], stride, 2 * height,
+              b"".join(wide[i : i + stride] * 2 for i in range(0, len(wide), stride)))
     return 0
 
 

@@ -42,6 +42,11 @@ class BackendOutputMissingError(BackendError):
         super().__init__(f"backend produced no output file: {path}")
 
 
+class BackendOutputError(BackendError):
+    def __init__(self, reason):
+        super().__init__(f"backend wrote an unreadable output file: {reason}")
+
+
 class BackendTimeoutError(BackendError):
     def __init__(self, command, limit):
         super().__init__(f"backend did not finish within {limit:g} s: {command}")
@@ -97,7 +102,10 @@ def apply_backend(lr: np.ndarray, up: UpscalerSpec) -> np.ndarray:
                                   proc.stderr[-2000:])
     if not os.path.exists(out_path):
         raise BackendOutputMissingError(out_path)
-    out = raster.read_pgm(out_path)
+    try:
+        out = raster.read_pgm(out_path)
+    except raster.RasterError as exc:
+        raise BackendOutputError(exc) from None
     if out.shape != (2 * h, 2 * w):
         raise BackendDimensionError((out.shape[1], out.shape[0]), (2 * w, 2 * h))
     return out

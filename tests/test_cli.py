@@ -378,6 +378,28 @@ def test_failing_backend_exit_code(tmp_path):
                 "--method", "backend:boom"]) == cli.EXIT_BACKEND
 
 
+def test_truncated_backend_output_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    exchange = tmp_path / "exchange"
+    # a 30x30 header over a 10-byte body
+    writer = (f"{sys.executable} -c \"import sys; open(sys.argv[2], 'wb')"
+              f".write(b'P5 30 30 255 ' + bytes(10))\" {{in}} {{out}}")
+    cfg = write_config(
+        tmp_path / "c.json", seeds=2, sessions=1, train_subjects=0,
+        backends={"short": {"command": writer, "exchange_dir": str(exchange)}})
+    base = ["--config", cfg, "--out", out]
+    assert run(["synth", *base]) == 0
+    assert run(["prep", *base]) == 0
+    assert run(["degrade", *base, "--factor", "1/4"]) == 0
+    capsys.readouterr()
+    assert run(["sr", *base, "--factor", "1/4",
+                "--method", "backend:short"]) == cli.EXIT_BACKEND
+    err = capsys.readouterr().err
+    assert "out.pgm" in err and "truncated PGM pixel data" in err
+    # the first pass failed, so one backend process ran
+    assert len(os.listdir(exchange)) == 1
+
+
 def test_backend_timeout_exit_code(tmp_path, capsys):
     out = str(tmp_path / "out")
     exchange = tmp_path / "exchange"
@@ -466,9 +488,10 @@ def test_eval_reads_only_score_files_the_match_meta_hashes(own_pipeline):
     base = ["--config", cfg, "--out", out]
     assert run(["match", *base, "--factor", "1/4", "--method", "bicubic",
                 "--comparators", "lg"]) == 0
-    # sift.csv from the first match run is still on disk, but no meta backs it
+    # the lg-only run removed the SIFT files of the first match run
     score_dir = os.path.join(out, "scores", "bicubic", "1_4")
-    assert os.path.exists(os.path.join(score_dir, "sift.csv"))
+    assert not os.path.exists(os.path.join(score_dir, "sift.csv"))
+    assert os.listdir(os.path.join(score_dir, "features")) == []
     assert run(["eval", *base]) == cli.EXIT_MISSING_INPUT
     assert run(["eval", *base, "--comparators", "lg"]) == 0
 

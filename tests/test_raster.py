@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from irissr import raster
+from irissr import pgm, raster
 
 
 # --- independent scalar oracles -------------------------------------------
@@ -267,6 +268,25 @@ def test_pgm_rejects_bad_files(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n\x00")
     with pytest.raises(raster.RasterError):
         raster.read_pgm(p)
+
+
+def test_pgm_codec_under_raster(tmp_path):
+    # raster's PGM functions wrap the standard-library codec in numpy
+    pixels = np.random.default_rng(12).integers(0, 256, size=(5, 7)).astype(np.uint8)
+    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    raster.write_pgm(a, pixels / 255.0)
+    assert pgm.read(a) == (7, 5, 255, pixels.tobytes())
+    pgm.write(b, 7, 5, pixels.tobytes())
+    assert b.read_bytes() == a.read_bytes() == b"P5\n7 5\n255\n" + pixels.tobytes()
+    # 16-bit samples are big-endian
+    a.write_bytes(b"P5 2 1 65535\n" + bytes([1, 0, 255, 255]))
+    assert pgm.read(a) == (2, 1, 65535, bytes([1, 0, 255, 255]))
+    assert np.array_equal(raster.read_pgm(a), [[256 / 65535, 1.0]])
+    # the codec raises the class raster's callers catch, naming the file
+    for body in (b"P5\n2", b"P5 2 x 255\n", b"P5 0 2 255\n", b"P5 2 2 65536\n"):
+        a.write_bytes(body)
+        with pytest.raises(raster.RasterError, match=re.escape(str(a))):
+            pgm.read(a)
 
 
 def test_png_roundtrip_and_luma(tmp_path):

@@ -3,10 +3,11 @@
 the four x2 passes of a 1/16 image sends), and `raster.read_pgm` and
 `raster.write_pgm` on a 231x231 image, the size of every stage's images.
 
-    PYTHONPATH=src python -m pytest bench/test_backend_layers.py --benchmark-only
+    PYTHONPATH=src python -m pytest bench/test_backend_layers.py --benchmark-enable --benchmark-only
 
-Outside `testpaths`, so the default test run does not collect it. The
-backend process inherits PYTHONPATH, so it runs the same source tree.
+The default test run collects it with `--benchmark-disable`: each
+benchmarked call runs once, untimed. The backend process inherits
+PYTHONPATH, so it runs the same source tree.
 """
 
 import os

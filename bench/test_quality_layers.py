@@ -1,9 +1,10 @@
 """Layer benchmarks of the quality metrics: SSIM, phase congruency and FSIM on
 a full 231x231 eye and on its 20x240 unwrapped iris strip.
 
-    PYTHONPATH=src python -m pytest bench/test_quality_layers.py --benchmark-only
+    PYTHONPATH=src python -m pytest bench/test_quality_layers.py --benchmark-enable --benchmark-only
 
-Outside `testpaths`, so the default test run does not collect it.
+The default test run collects it with `--benchmark-disable`: each
+benchmarked call runs once, untimed.
 """
 
 import numpy as np

@@ -2,11 +2,11 @@
 Gaussian blur and the blur axis operator, SIFT's 3x3x3 extrema on one DoG
 octave, and the batched inverse FFT of phase congruency.
 
-    PYTHONPATH=src python -m pytest bench/test_raster_layers.py --benchmark-only
+    PYTHONPATH=src python -m pytest bench/test_raster_layers.py --benchmark-enable --benchmark-only
 
-Outside `testpaths`, so the default test run does not collect it. The FFT
-step is timed in three forms side by side; `quality.phase_congruency` uses
-the two in-place 1-D passes.
+The default test run collects it with `--benchmark-disable`: each
+benchmarked call runs once, untimed. The FFT step is timed in three forms
+side by side; `quality.phase_congruency` uses the two in-place 1-D passes.
 """
 
 import numpy as np
@@ -29,9 +29,8 @@ def test_axis_operator(benchmark):
 
 
 def test_candidate_extrema(benchmark):
-    cfg = siftmatch.DEFAULT_CONFIG
-    dog = siftmatch._build_pyramid(EYE, cfg)[1][0]
-    idx = benchmark(siftmatch._candidate_extrema, dog, cfg)
+    dog = siftmatch._build_pyramid(EYE)[1][0]
+    idx = benchmark(siftmatch._candidate_extrema, dog)
     assert len(idx) > 0
 
 
@@ -53,7 +52,7 @@ FFT_FORMS = {"scipy.fft.ifft2": _ifft2_scipy, "np.fft.ifft2": np.fft.ifft2,
 @pytest.mark.parametrize("form", sorted(FFT_FORMS))
 def test_phase_congruency_fft(benchmark, form):
     # one orientation's batch: the spectrum times the bank's four scales
-    bank = quality._filter_bank(231, 231, 4, 4, 6.0, 2.0, 0.55, 1.2)
+    bank = quality._filter_bank(231, 231)
     spectrum = np.fft.fft2(EYE)
     eo = np.empty((4, 231, 231), dtype=np.complex128)
 

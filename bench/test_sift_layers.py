@@ -3,10 +3,11 @@ bicubically from 1/4 and from 1/16 (the two SR factors the perfbench
 workloads match at), and the batched Newton refinement of one octave's
 candidates.
 
-    PYTHONPATH=src python -m pytest bench/test_sift_layers.py --benchmark-only
+    PYTHONPATH=src python -m pytest bench/test_sift_layers.py --benchmark-enable --benchmark-only
 
-Outside `testpaths`, so the default test run does not collect it. The eyes
-are quantised to 8 bits, as the pipeline's PGM files are.
+The default test run collects it with `--benchmark-disable`: each
+benchmarked call runs once, untimed. The eyes are quantised to 8 bits, as
+the pipeline's PGM files are.
 """
 
 import numpy as np
@@ -30,8 +31,7 @@ def test_detect_describe(benchmark, lr):
 
 
 def test_refine_octave(benchmark):
-    cfg = siftmatch.DEFAULT_CONFIG
-    dog = siftmatch._build_pyramid(upscaled_eye(57), cfg)[1][0]
-    cands = siftmatch._candidate_extrema(dog, cfg)
-    refined = benchmark(siftmatch._refine_octave, dog, cands, cfg)
+    dog = siftmatch._build_pyramid(upscaled_eye(57))[1][0]
+    cands = siftmatch._candidate_extrema(dog)
+    refined = benchmark(siftmatch._refine_octave, dog, cands)
     assert 0 < len(refined) <= len(cands)

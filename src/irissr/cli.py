@@ -141,7 +141,7 @@ def validate_config(cfg: dict) -> None:
             raise CliError(EXIT_CONFIG, f"{key} must be {kind.__name__} {op} {bound}")
     if not isinstance(cfg["factors"], dict):
         raise CliError(EXIT_CONFIG, "factors must map each label to a [w, h] size")
-    seen_sizes = set()
+    seen_sizes, seen_slugs = set(), set()
     for label, size in cfg["factors"].items():
         if not isinstance(size, (list, tuple)) or len(size) != 2 or not all(
                 isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in size):
@@ -151,6 +151,12 @@ def validate_config(cfg: dict) -> None:
         if key in seen_sizes:
             raise CliError(EXIT_CONFIG, f"factor {label!r} duplicates an LR size")
         seen_sizes.add(key)
+        # each factor's files live under a directory named by its slug
+        slug = factor_slug(label)
+        if not _is_path_component(slug) or slug in seen_slugs:
+            raise CliError(EXIT_CONFIG, f"factor {label!r} gives the directory name "
+                           f"{slug!r}, which is not one new path component")
+        seen_slugs.add(slug)
     comparators = cfg["comparators"]
     if not isinstance(comparators, list) or \
             not all(isinstance(comp, str) for comp in comparators):
@@ -158,6 +164,8 @@ def validate_config(cfg: dict) -> None:
     for comp in comparators:
         if comp not in ("lg", "sift", "fused"):
             raise CliError(EXIT_CONFIG, f"unknown comparator {comp!r}")
+    if len(set(comparators)) != len(comparators):
+        raise CliError(EXIT_CONFIG, f"comparators listed twice: {comparators}")
     if not {"lg", "sift"} & set(comparators):
         raise CliError(EXIT_CONFIG, "comparators must include lg or sift")
     backends = cfg["backends"]
@@ -167,6 +175,9 @@ def validate_config(cfg: dict) -> None:
         raise CliError(EXIT_CONFIG,
                        'backends must map each name to {"command": "<string>", ...}')
     for name, entry in backends.items():
+        if not _is_path_component(name):
+            raise CliError(EXIT_CONFIG, f"backend name {name!r} must be one path "
+                           f"component: it names the SR directory")
         limit = entry.get("timeout")
         if limit is not None and (isinstance(limit, bool)
                                   or not isinstance(limit, (int, float))
@@ -183,6 +194,11 @@ def validate_config(cfg: dict) -> None:
                            f"backend {name!r} not configured under config['backends']")
     elif method not in ("bilinear", "bicubic", "eigenpatch"):
         raise CliError(EXIT_CONFIG, f"unknown method {method!r}")
+
+
+def _is_path_component(name: str) -> bool:
+    """True when `name` is one directory entry: no separator, not `.` or `..`."""
+    return name not in ("", ".", "..") and os.path.basename(name) == name
 
 
 def fingerprint(obj: dict) -> str:

@@ -46,18 +46,10 @@ def grid_positions(extent: int, patch: int, stride: int) -> list[int]:
     return xs
 
 
-@dataclass(frozen=True)
-class PatchGrid:
-    patch_size: int
-    stride: int
-    positions: tuple  # ((x, y), ...) row-major over the plane
-
-    @classmethod
-    def cover(cls, width: int, height: int, patch_size: int, stride: int) -> "PatchGrid":
-        xs = grid_positions(width, patch_size, stride)
-        ys = grid_positions(height, patch_size, stride)
-        return cls(patch_size=patch_size, stride=stride,
-                   positions=tuple((x, y) for y in ys for x in xs))
+def patch_positions(width: int, height: int, patch: int, stride: int) -> list:
+    """Top-left (x, y) of every patch covering a width x height plane, row-major."""
+    xs = grid_positions(width, patch, stride)
+    return [(x, y) for y in grid_positions(height, patch, stride) for x in xs]
 
 
 def _check_axis_coverage(offsets, patch, extent, axis_name):
@@ -133,14 +125,14 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
         raise EigenPatchError("LR plane must not exceed the HR plane")
 
     lr_images = [raster.degrade(im, lr_w, lr_h, sigma) for im in hr_images]
-    grid = PatchGrid.cover(lr_w, lr_h, patch_size, stride)
+    positions_lr = np.array(patch_positions(lr_w, lr_h, patch_size, stride),
+                            dtype=np.int64)
 
     fx = hr_w / lr_w
     fy = hr_h / lr_h
     hp_w = int(math.ceil(patch_size * fx))
     hp_h = int(math.ceil(patch_size * fy))
 
-    positions_lr = np.array(grid.positions, dtype=np.int64)
     positions_hr = np.empty_like(positions_lr)
     for i, (x, y) in enumerate(positions_lr):
         positions_hr[i, 0] = min(max(int(round(x * fx)), 0), hr_w - hp_w)
@@ -149,7 +141,7 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
     _check_axis_coverage(positions_hr[:, 1], hp_h, hr_h, "HR y")
 
     m = len(hr_images)
-    p = len(grid.positions)
+    p = len(positions_lr)
     d = patch_size * patch_size
     hd = hp_w * hp_h
 

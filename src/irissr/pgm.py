@@ -3,7 +3,8 @@
 `raster.read_pgm` and `raster.write_pgm` wrap this codec in numpy, and the
 reference backend uses it directly, so an x2 call does not import numpy.
 Samples are raw bytes: one byte per pixel when maxval is at most 255, two
-big-endian bytes otherwise, rows top to bottom.
+big-endian bytes otherwise, rows top to bottom. A file holds one image: it
+ends with its pixel data.
 """
 
 from .errors import RasterError
@@ -34,9 +35,9 @@ def read(path):
     """Read a P5 file; return (width, height, maxval, samples)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(b"P5"):
-        raise RasterError(f"{path}: not a binary PGM (P5) file")
     tokens, offset = _header_tokens(data, 4)
+    if not data.startswith(b"P5") or tokens[0] != b"P5":
+        raise RasterError(f"{path}: not a binary PGM (P5) file")
     if len(tokens) < 4:
         raise RasterError(f"{path}: truncated PGM header")
     try:
@@ -50,6 +51,9 @@ def read(path):
     samples = data[offset : offset + nbytes]
     if len(samples) != nbytes:
         raise RasterError(f"{path}: truncated PGM pixel data")
+    if len(data) > offset + nbytes:
+        raise RasterError(f"{path}: {len(data) - offset - nbytes} bytes after "
+                          f"the PGM pixel data (a PGM holds one image)")
     return width, height, maxval, samples
 
 

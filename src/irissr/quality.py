@@ -10,11 +10,12 @@ no per-window copy of the image is made.
 FSIM (Zhang et al. 2011) needs phase congruency maps; those are computed with
 a log-Gabor filter bank (4 scales x 4 orientations) following the standard
 construction used by the index's reference implementation, with the gradient
-step on a Scharr 3x3 operator and constants rescaled for unit peak. The bank
-is built once per image shape and parameter set and cached read-only; the
-scales of one orientation go through one batched inverse FFT, in place in a
-buffer reused across orientations, and the local energy is taken in complex
-form.
+step on a Scharr 3x3 operator and constants rescaled for unit peak. The
+parameters are fixed as module constants: SSIM_* for SSIM, PC_* for the bank
+and the noise model, FSIM_* for the pooling. The bank is built once per image
+shape and cached read-only; the scales of one orientation go through one
+batched inverse FFT, in place in a buffer reused across orientations, and the
+local energy is taken in complex form.
 """
 
 import functools
@@ -38,6 +39,17 @@ SSIM_K2 = 0.03
 
 FSIM_T1 = 0.85
 FSIM_T2 = 160.0 / 255.0**2  # reference value 160 rescaled from 8-bit to unit peak
+
+PC_NSCALE = 4
+PC_NORIENT = 4
+PC_MIN_WAVELENGTH = 6.0
+PC_MULT = 2.0
+PC_SIGMA_ONF = 0.55
+PC_DTHETA_ON_SIGMA = 1.2
+PC_K_NOISE = 2.0
+PC_CUTOFF = 0.5
+PC_G = 10.0
+PC_EPSILON = 1e-4
 
 SCHARR_X = np.array([[3.0, 0.0, -3.0],
                      [10.0, 0.0, -10.0],
@@ -75,15 +87,15 @@ def _window_sums(img: np.ndarray, window: int) -> np.ndarray:
     return sum(down[:, j:j + cols] for j in range(window))
 
 
-def ssim(ref: np.ndarray, test: np.ndarray,
-         window: int = SSIM_WINDOW, k1: float = SSIM_K1, k2: float = SSIM_K2) -> float:
+def ssim(ref: np.ndarray, test: np.ndarray) -> float:
     """Mean SSIM over all dense uniform windows (population moments)."""
     ref, test = _check_pair(ref, test)
     h, w = ref.shape
+    window = SSIM_WINDOW
     if h < window or w < window:
         raise QualityError(f"image {w}x{h} smaller than SSIM window {window}")
-    c1 = (k1 * 1.0) ** 2
-    c2 = (k2 * 1.0) ** 2
+    c1 = (SSIM_K1 * 1.0) ** 2
+    c2 = (SSIM_K2 * 1.0) ** 2
     n = window * window
     mu1 = _window_sums(ref, window) / n
     mu2 = _window_sums(test, window) / n
@@ -100,10 +112,8 @@ def ssim(ref: np.ndarray, test: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
-def _filter_bank(rows: int, cols: int, nscale: int, norient: int,
-                 min_wavelength: float, mult: float, sigma_onf: float,
-                 dtheta_on_sigma: float) -> np.ndarray:
-    """Read-only (norient, nscale, rows, cols) bank of log-Gabor radial
+def _filter_bank(rows: int, cols: int) -> np.ndarray:
+    """Read-only (PC_NORIENT, PC_NSCALE, rows, cols) bank of log-Gabor radial
     filters times angular spreads, in FFT frequency layout."""
     fx = np.fft.fftfreq(cols)
     fy = np.fft.fftfreq(rows)
@@ -117,16 +127,16 @@ def _filter_bank(rows: int, cols: int, nscale: int, norient: int,
     # sharp low-pass keeps the bank away from the FFT corners
     lowpass = 1.0 / (1.0 + (radius / 0.45) ** 30)
 
-    theta_sigma = math.pi / norient / dtheta_on_sigma
-    bank = np.empty((norient, nscale, rows, cols))
-    for s in range(nscale):
-        f0 = 1.0 / (min_wavelength * mult**s)
-        lg = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * math.log(sigma_onf) ** 2))
+    theta_sigma = math.pi / PC_NORIENT / PC_DTHETA_ON_SIGMA
+    bank = np.empty((PC_NORIENT, PC_NSCALE, rows, cols))
+    for s in range(PC_NSCALE):
+        f0 = 1.0 / (PC_MIN_WAVELENGTH * PC_MULT**s)
+        lg = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * math.log(PC_SIGMA_ONF) ** 2))
         lg *= lowpass
         lg[0, 0] = 0.0
         bank[:, s] = lg
-    for o in range(norient):
-        angl = o * math.pi / norient
+    for o in range(PC_NORIENT):
+        angl = o * math.pi / PC_NORIENT
         ds = sintheta * math.cos(angl) - costheta * math.sin(angl)
         dc = costheta * math.cos(angl) + sintheta * math.sin(angl)
         dtheta = np.abs(np.arctan2(ds, dc))
@@ -145,14 +155,10 @@ def _median(values: np.ndarray) -> float:
     return float((part[k - 1] + part[k]) / 2.0)
 
 
-def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
-                     min_wavelength: float = 6.0, mult: float = 2.0,
-                     sigma_onf: float = 0.55, dtheta_on_sigma: float = 1.2,
-                     k_noise: float = 2.0, cutoff: float = 0.5, g: float = 10.0,
-                     epsilon: float = 1e-4) -> np.ndarray:
+def phase_congruency(img: np.ndarray) -> np.ndarray:
     """Phase congruency map summed over orientations.
 
-    Log-Gabor bank over `nscale` scales and `norient` orientations with
+    Log-Gabor bank over PC_NSCALE scales and PC_NORIENT orientations with
     median-based noise compensation and a sigmoidal frequency-spread weight.
     The scales of one orientation go through one inverse FFT, in a buffer
     reused from orientation to orientation.
@@ -160,13 +166,13 @@ def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
     img = np.asarray(img, dtype=np.float64)
     rows, cols = img.shape
     im_fft = np.fft.fft2(img)
-    bank = _filter_bank(rows, cols, nscale, norient, min_wavelength, mult,
-                        sigma_onf, dtheta_on_sigma)
+    bank = _filter_bank(rows, cols)
+    nscale, mult, epsilon = PC_NSCALE, PC_MULT, PC_EPSILON
 
     eo = np.empty((nscale, rows, cols), dtype=np.complex128)
     an = np.empty((nscale, rows, cols))
     pc_sum = np.zeros((rows, cols))
-    for o in range(norient):
+    for o in range(PC_NORIENT):
         np.multiply(im_fft, bank[o], out=eo)
         # the 2-D inverse FFT as two 1-D passes in place: np.fft.ifft2 would
         # allocate a new batch and take twice as long
@@ -190,10 +196,10 @@ def phase_congruency(img: np.ndarray, nscale: int = 4, norient: int = 4,
         total_tau = tau * (1.0 - (1.0 / mult) ** nscale) / (1.0 - 1.0 / mult)
         noise_mean = total_tau * math.sqrt(math.pi / 2.0)
         noise_sigma = total_tau * math.sqrt((4.0 - math.pi) / 2.0)
-        energy = np.maximum(energy - (noise_mean + k_noise * noise_sigma), 0.0)
+        energy = np.maximum(energy - (noise_mean + PC_K_NOISE * noise_sigma), 0.0)
 
         width = (sum_an / (max_an + epsilon) - 1.0) / (nscale - 1)
-        weight = 1.0 / (1.0 + np.exp(g * (cutoff - width)))
+        weight = 1.0 / (1.0 + np.exp(PC_G * (PC_CUTOFF - width)))
         pc_sum += weight * energy / (sum_an + epsilon)
 
     return pc_sum
@@ -217,8 +223,7 @@ def gradient_magnitude(img: np.ndarray) -> np.ndarray:
     return np.hypot(_correlate3x3(padded, SCHARR_X), _correlate3x3(padded, SCHARR_Y))
 
 
-def fsim(ref: np.ndarray, test: np.ndarray,
-         t1: float = FSIM_T1, t2: float = FSIM_T2) -> float:
+def fsim(ref: np.ndarray, test: np.ndarray) -> float:
     """Feature similarity: phase-congruency/gradient similarity weighted by PC."""
     ref, test = _check_pair(ref, test)
     pc1 = phase_congruency(ref)
@@ -230,6 +235,7 @@ def fsim(ref: np.ndarray, test: np.ndarray,
         return 1.0 if float(np.max(np.abs(ref - test))) <= 1e-9 else 0.0
     g1 = gradient_magnitude(ref)
     g2 = gradient_magnitude(test)
+    t1, t2 = FSIM_T1, FSIM_T2
     s_pc = (2.0 * pc1 * pc2 + t1) / (pc1**2 + pc2**2 + t1)
     s_g = (2.0 * g1 * g2 + t2) / (g1**2 + g2**2 + t2)
     return float((s_pc * s_g * pcm).sum() / total)

@@ -13,7 +13,6 @@ Conventions fixed for the whole package:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,23 +108,16 @@ def resize_bicubic_unclamped(img: np.ndarray, out_w: int, out_h: int) -> np.ndar
 # Gaussian blur
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlurKernel:
-    """1-D separable Gaussian: radius = ceil(3*sigma), taps normalized to 1."""
-
-    sigma: float
-    radius: int
-    taps: np.ndarray
-
-    @classmethod
-    def make(cls, sigma: float) -> "BlurKernel":
-        if sigma <= 0:
-            raise RasterError(f"sigma must be positive, got {sigma}")
-        radius = int(math.ceil(3.0 * sigma))
-        k = np.arange(-radius, radius + 1, dtype=np.float64)
-        taps = np.exp(-(k**2) / (2.0 * sigma**2))
-        taps /= taps.sum()
-        return cls(sigma=sigma, radius=radius, taps=taps)
+def gaussian_taps(sigma: float) -> np.ndarray:
+    """1-D separable Gaussian taps, normalized to 1, over radius ceil(3*sigma);
+    the radius is len(taps) // 2."""
+    if sigma <= 0:
+        raise RasterError(f"sigma must be positive, got {sigma}")
+    radius = int(math.ceil(3.0 * sigma))
+    k = np.arange(-radius, radius + 1, dtype=np.float64)
+    taps = np.exp(-(k**2) / (2.0 * sigma**2))
+    taps /= taps.sum()
+    return taps
 
 
 def _correlate_rows(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -156,7 +148,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     The pass along axis 1 runs on the transpose, so both passes step through
     contiguous rows.
     """
-    taps = BlurKernel.make(sigma).taps
+    taps = gaussian_taps(sigma)
     out = _correlate_rows(np.asarray(img, dtype=np.float64), taps)
     return np.ascontiguousarray(_correlate_rows(out.T, taps).T)
 
@@ -211,7 +203,7 @@ def axis_operator(in_n: int, out_n: int, sigma: float = 0.0) -> np.ndarray:
     """
     m = np.eye(in_n)
     if sigma > 0:
-        m = _correlate_rows(m, BlurKernel.make(sigma).taps)
+        m = _correlate_rows(m, gaussian_taps(sigma))
     return _resample_axis(m, out_n, 0, "cubic")
 
 

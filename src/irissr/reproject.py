@@ -46,7 +46,6 @@ class ReprojectConfig:
     tau: float = DEFAULT_TAU
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    lr_sigma: float | None = None  # None: sigma rescaled to LR pixel units
 
     def validate(self) -> None:
         if self.tau < 0:
@@ -55,18 +54,6 @@ class ReprojectConfig:
             raise ReprojectError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ReprojectError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    def resolve_lr_sigma(self, hr_w: int) -> float:
-        """Inner-blur strength on the LR plane.
-
-        The degradation blur `sigma` is expressed in HR pixels; one HR pixel
-        is lr_w/hr_w LR pixels, so the matching residual blur is scaled by
-        that ratio. Using the HR value directly would smear the whole LR
-        residual to its mean and stall the correction.
-        """
-        if self.lr_sigma is not None:
-            return self.lr_sigma
-        return self.sigma * (self.lr_w / hr_w)
 
 
 def reproject(y0: np.ndarray, x: np.ndarray, cfg: ReprojectConfig,
@@ -87,11 +74,15 @@ def reproject(y0: np.ndarray, x: np.ndarray, cfg: ReprojectConfig,
     if hr_w < cfg.lr_w or hr_h < cfg.lr_h:
         raise ReprojectError("HR estimate smaller than the LR observation")
 
-    lr_sigma = cfg.resolve_lr_sigma(hr_w)
+    # The degradation blur `sigma` is in HR pixels and one HR pixel is
+    # lr_w/hr_w LR pixels, so the inner blur is scaled by that ratio. The HR
+    # value itself would smear the LR residual to its mean and stall the
+    # correction.
+    inner_sigma = cfg.sigma * (cfg.lr_w / hr_w)
 
     def axis_matrices(hr_n, lr_n):
         up = raster.axis_operator(lr_n, hr_n)
-        blur = raster.axis_operator(lr_n, lr_n, lr_sigma)
+        blur = raster.axis_operator(lr_n, lr_n, inner_sigma)
         return blur, up, raster.axis_operator(hr_n, lr_n, cfg.sigma) @ up
 
     blur_h, up_h, down_up_h = axis_matrices(hr_h, cfg.lr_h)

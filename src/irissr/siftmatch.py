@@ -3,9 +3,14 @@ computed directly on the iris crop (no unwrapping). The match score between
 two images is the number of descriptors of the probe whose nearest neighbor
 in the gallery passes Lowe's ratio test; higher = more similar.
 
-Implementation notes: 3 intervals per octave, octaves until the smaller image
-dimension falls under 16 px, no input pre-doubling (iris crops are small),
-contrast threshold on [0,1] intensities; scoring follows Lowe (2004).
+The parameters are Lowe's (2004), fixed as the module constants below:
+INTERVALS per octave from INITIAL_SIGMA over an ASSUMED_BLUR; octaves until
+the smaller image dimension falls under MIN_OCTAVE_DIM, with no input
+pre-doubling (iris crops are small); CONTRAST_THRESHOLD on [0,1] intensities,
+EDGE_RATIO and BORDER for keypoints; ORIENTATION_BINS and PEAK_RATIO for
+orientations; DESCRIPTOR_WIDTH, DESCRIPTOR_BINS, DESCRIPTOR_SCALE_MULT and
+DESCRIPTOR_CLAMP for the 128-d descriptor; MATCH_RATIO for scoring.
+
 Extrema detection runs on whole DoG octaves, and the Newton refinement on all
 candidates of an octave at once. As in the IPOL reference ("Anatomy of the
 SIFT Method", Rey-Otero and Delbracio, 2014), gradient magnitude and angle
@@ -31,25 +36,19 @@ class SiftError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class SiftConfig:
-    intervals: int = 3
-    initial_sigma: float = 1.6
-    assumed_blur: float = 0.5
-    contrast_threshold: float = 0.03
-    edge_ratio: float = 10.0
-    min_octave_dim: int = 16
-    border: int = 5
-    orientation_bins: int = 36
-    peak_ratio: float = 0.8
-    descriptor_width: int = 4
-    descriptor_bins: int = 8
-    descriptor_scale_mult: float = 3.0
-    descriptor_clamp: float = 0.2
-
-
-DEFAULT_CONFIG = SiftConfig()
-
+INTERVALS = 3
+INITIAL_SIGMA = 1.6
+ASSUMED_BLUR = 0.5
+CONTRAST_THRESHOLD = 0.03
+EDGE_RATIO = 10.0
+MIN_OCTAVE_DIM = 16
+BORDER = 5
+ORIENTATION_BINS = 36
+PEAK_RATIO = 0.8
+DESCRIPTOR_WIDTH = 4
+DESCRIPTOR_BINS = 8
+DESCRIPTOR_SCALE_MULT = 3.0
+DESCRIPTOR_CLAMP = 0.2
 MATCH_RATIO = 0.8
 SCORE_POLARITY = "genuine_high"
 
@@ -67,21 +66,21 @@ class Keypoint:
 # scale space
 # ---------------------------------------------------------------------------
 
-def _build_pyramid(img: np.ndarray, cfg: SiftConfig):
+def _build_pyramid(img: np.ndarray):
     """Gaussian and DoG pyramids. Returns (gauss_octaves, dog_octaves)."""
-    s = cfg.intervals
+    s = INTERVALS
     k = 2.0 ** (1.0 / s)
-    base_sigma = math.sqrt(max(cfg.initial_sigma**2 - cfg.assumed_blur**2, 0.01))
+    base_sigma = math.sqrt(max(INITIAL_SIGMA**2 - ASSUMED_BLUR**2, 0.01))
     level = raster.gaussian_blur(img, base_sigma)
 
     increments = []
     for l in range(1, s + 3):
-        prev = cfg.initial_sigma * k ** (l - 1)
+        prev = INITIAL_SIGMA * k ** (l - 1)
         increments.append(math.sqrt((prev * k) ** 2 - prev**2))
 
     gauss_octaves = []
     dog_octaves = []
-    while min(level.shape) >= cfg.min_octave_dim:
+    while min(level.shape) >= MIN_OCTAVE_DIM:
         levels = [level]
         for inc in increments:
             levels.append(raster.gaussian_blur(levels[-1], inc))
@@ -99,12 +98,12 @@ def _fold3(a: np.ndarray, op) -> np.ndarray:
     return op(op(a[:, :, :-2], a[:, :, 1:-1]), a[:, :, 2:])
 
 
-def _candidate_extrema(dog: np.ndarray, cfg: SiftConfig) -> np.ndarray:
+def _candidate_extrema(dog: np.ndarray) -> np.ndarray:
     """Indices (layer, i, j) of 26-neighborhood extrema above the prefilter,
-    in the inner layers and at least `border` pixels from the edge. Every
+    in the inner layers and at least BORDER pixels from the edge. Every
     neighborhood there lies inside the stack, so no border rule is needed."""
-    pre = 0.5 * cfg.contrast_threshold / cfg.intervals
-    s, b = cfg.intervals, cfg.border
+    pre = 0.5 * CONTRAST_THRESHOLD / INTERVALS
+    s, b = INTERVALS, BORDER
     _, h, w = dog.shape
     ring = dog[:, b - 1:h - b + 1, b - 1:w - b + 1]
     core = dog[1:s + 1, b:h - b, b:w - b]
@@ -113,7 +112,7 @@ def _candidate_extrema(dog: np.ndarray, cfg: SiftConfig) -> np.ndarray:
     return np.argwhere(cand) + (1, b, b)
 
 
-def _refine_octave(dog: np.ndarray, cands: np.ndarray, cfg: SiftConfig) -> list:
+def _refine_octave(dog: np.ndarray, cands: np.ndarray) -> list:
     """Sub-pixel Newton refinement of all candidates of one octave together.
 
     `cands` holds (layer, i, j) rows. Each step gathers the 27-neighbourhood
@@ -123,8 +122,8 @@ def _refine_octave(dog: np.ndarray, cands: np.ndarray, cfg: SiftConfig) -> list:
     the rest are dropped. A singular Hessian drops its candidate. Returns the
     accepted (l, i, j, offset, value) in candidate order.
     """
-    s, b = cfg.intervals, cfg.border
-    r = cfg.edge_ratio
+    s, b = INTERVALS, BORDER
+    r = EDGE_RATIO
     _, h, w = dog.shape
     flat = dog.reshape(-1)
     pos = np.asarray(cands, dtype=np.int64).reshape(-1, 3)
@@ -164,7 +163,7 @@ def _refine_octave(dog: np.ndarray, cands: np.ndarray, cfg: SiftConfig) -> list:
         converged = solved & np.all(np.abs(offset) < 0.5, axis=1)
         for k in np.flatnonzero(converged):
             value = c[k] + 0.5 * float(grad[k] @ offset[k])
-            if abs(value) * s < cfg.contrast_threshold:
+            if abs(value) * s < CONTRAST_THRESHOLD:
                 continue
             # edge rejection on the spatial 2x2 Hessian
             tr = dxx[k] + dyy[k]
@@ -207,10 +206,10 @@ def _window(ic: int, jc: int, radius: int, mag: np.ndarray):
 
 
 def _orientations(mag: np.ndarray, ang: np.ndarray, i: float, j: float,
-                  sigma_oct: float, cfg: SiftConfig):
+                  sigma_oct: float):
     """Smoothed 36-bin gradient histogram peaks around (i, j), from the
     level's `_gradients`."""
-    nbins = cfg.orientation_bins
+    nbins = ORIENTATION_BINS
     sigma_w = 1.5 * sigma_oct
     radius = int(round(3.0 * sigma_w))
     ic, jc = int(round(i)), int(round(j))
@@ -231,7 +230,7 @@ def _orientations(mag: np.ndarray, ang: np.ndarray, i: float, j: float,
               + hist[n - 2] + hist[(n + 2) % nbins]) / 16.0
     if smooth.max() <= 0:
         return []
-    peak_floor = cfg.peak_ratio * smooth.max()
+    peak_floor = PEAK_RATIO * smooth.max()
     lv, rv = smooth[prev], smooth[nxt]
     peaks = np.flatnonzero((smooth > lv) & (smooth > rv) & (smooth >= peak_floor))
     lv, pv, rv = lv[peaks], smooth[peaks], rv[peaks]
@@ -240,13 +239,13 @@ def _orientations(mag: np.ndarray, ang: np.ndarray, i: float, j: float,
 
 
 def _descriptor(mag: np.ndarray, ang: np.ndarray, i: float, j: float,
-                sigma_oct: float, orientation: float, cfg: SiftConfig) -> np.ndarray:
+                sigma_oct: float, orientation: float) -> np.ndarray:
     """128-d descriptor at (i, j), from the level's `_gradients`. The 8
     trilinear corners go into one bincount, corner-major with pixels in
     row-major order, so every bin sums its addends in a fixed order."""
-    d = cfg.descriptor_width
-    nbins = cfg.descriptor_bins
-    hist_width = cfg.descriptor_scale_mult * sigma_oct
+    d = DESCRIPTOR_WIDTH
+    nbins = DESCRIPTOR_BINS
+    hist_width = DESCRIPTOR_SCALE_MULT * sigma_oct
     h, w = mag.shape[0] + 2, mag.shape[1] + 2
     radius = int(round(hist_width * math.sqrt(2) * (d + 1) * 0.5))
     radius = min(radius, int(math.hypot(h, w)))
@@ -294,15 +293,14 @@ def _descriptor(mag: np.ndarray, ang: np.ndarray, i: float, j: float,
     vec = hist.reshape(d + 2, d + 2, nbins)[1:-1, 1:-1, :].ravel()
     norm = np.linalg.norm(vec)
     if norm > 0:
-        vec = np.minimum(vec / norm, cfg.descriptor_clamp)
+        vec = np.minimum(vec / norm, DESCRIPTOR_CLAMP)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec = vec / norm
     return vec
 
 
-def detect_describe(img: np.ndarray, cfg: SiftConfig = DEFAULT_CONFIG,
-                    annulus: tuple | None = None):
+def detect_describe(img: np.ndarray, annulus: tuple | None = None):
     """Keypoints and descriptors for one image.
 
     `annulus` = (cx, cy, r_inner, r_outer) restricts output to the iris ring
@@ -313,25 +311,24 @@ def detect_describe(img: np.ndarray, cfg: SiftConfig = DEFAULT_CONFIG,
     if img.shape[0] < 32 or img.shape[1] < 32:
         raise SiftError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
 
-    gauss_octaves, dog_octaves = _build_pyramid(img, cfg)
+    gauss_octaves, dog_octaves = _build_pyramid(img)
     records = []  # (octave, y, x, orientation, scale, response, descriptor)
 
     for octave, dog in enumerate(dog_octaves):
         gauss = gauss_octaves[octave]
         scale_factor = 2.0 ** octave
         gradients = {}  # level index -> (mag, ang), for levels holding keypoints
-        for l, i, j, offset, value in _refine_octave(
-                dog, _candidate_extrema(dog, cfg), cfg):
+        for l, i, j, offset, value in _refine_octave(dog, _candidate_extrema(dog)):
             layer_cont = l + float(offset[2])
-            sigma_oct = cfg.initial_sigma * 2.0 ** (layer_cont / cfg.intervals)
+            sigma_oct = INITIAL_SIGMA * 2.0 ** (layer_cont / INTERVALS)
             fi = i + float(offset[1])
             fj = j + float(offset[0])
-            layer_idx = int(np.clip(round(layer_cont), 0, cfg.intervals + 2))
+            layer_idx = int(np.clip(round(layer_cont), 0, INTERVALS + 2))
             if layer_idx not in gradients:
                 gradients[layer_idx] = _gradients(gauss[layer_idx])
             mag, ang = gradients[layer_idx]
-            for theta in _orientations(mag, ang, fi, fj, sigma_oct, cfg):
-                desc = _descriptor(mag, ang, fi, fj, sigma_oct, theta, cfg)
+            for theta in _orientations(mag, ang, fi, fj, sigma_oct):
+                desc = _descriptor(mag, ang, fi, fj, sigma_oct, theta)
                 records.append((
                     octave, fi * scale_factor, fj * scale_factor, theta,
                     sigma_oct * scale_factor, abs(value), desc,
@@ -357,18 +354,17 @@ def detect_describe(img: np.ndarray, cfg: SiftConfig = DEFAULT_CONFIG,
     if unique:
         descriptors = np.stack([r[6] for r in unique])
     else:
-        descriptors = np.zeros((0, cfg.descriptor_width ** 2 * cfg.descriptor_bins))
+        descriptors = np.zeros((0, DESCRIPTOR_WIDTH ** 2 * DESCRIPTOR_BINS))
     return keypoints, descriptors
 
 
-def match_score(a: np.ndarray, b: np.ndarray, ratio: float = MATCH_RATIO) -> int:
-    """Count of a-descriptors accepted by the nearest/second-nearest ratio test.
+def match_score(a: np.ndarray, b: np.ndarray) -> int:
+    """Count of a-descriptors accepted by the MATCH_RATIO nearest/second-nearest
+    ratio test.
 
     One-directional (a -> b); each probe descriptor counts at most once. Empty
     sets, or a gallery without a second neighbor, give 0.
     """
-    if not (0 < ratio <= 1):
-        raise SiftError(f"ratio must be in (0, 1], got {ratio}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.shape[0] < 2:
@@ -381,7 +377,7 @@ def match_score(a: np.ndarray, b: np.ndarray, ratio: float = MATCH_RATIO) -> int
     two = np.partition(d2, 1, axis=1)[:, :2]
     nearest = np.minimum(two[:, 0], two[:, 1])
     second = np.maximum(two[:, 0], two[:, 1])
-    accepted = nearest < (ratio * ratio) * second
+    accepted = nearest < (MATCH_RATIO * MATCH_RATIO) * second
     return int(accepted.sum())
 
 

@@ -241,6 +241,15 @@ def test_bad_config_exit_code(tmp_path):
                  '{"factors": {"1/4": [57.0, 57]}}', '{"comparators": "lg"}',
                  '{"backends": []}', '{"backends": {"nn2x": {"command": 5}}}',
                  '{"backends": {"nn2x": null}}',
+                 # factor and backend names become directory names: each must
+                 # be one path component, and no two factors may share one
+                 '{"factors": {"1/4": [57, 57], "1_4": [40, 40]}}',
+                 *('{"factors": {"%s": [57, 57]}}' % label for label in ("", ".", "..")),
+                 *('{"backends": {"%s": {"command": "x"}}}' % name
+                   for name in ("a/b", "", "..")),
+                 '{"backends": {"a/b": {"command": "x"}}, "method": "backend:a/b"}',
+                 # a repeated comparator would write its EER rows twice
+                 '{"comparators": ["lg", "lg"]}',
                  # a backend timeout is a positive number of seconds
                  *('{"backends": {"nn2x": {"command": "x", "timeout": %s}}}' % limit
                    for limit in ("true", '"5"', "0", "-1", "NaN", "Infinity"))):
@@ -378,26 +387,42 @@ def test_failing_backend_exit_code(tmp_path):
                 "--method", "backend:boom"]) == cli.EXIT_BACKEND
 
 
-def test_truncated_backend_output_exit_code(tmp_path, capsys):
+def run_malformed_backend(tmp_path, capsys, script):
+    """`sr` at 1/4 through a backend that runs `script` with the input and
+    output paths in sys.argv; asserts exit 5 after one backend process and
+    returns stderr."""
     out = str(tmp_path / "out")
     exchange = tmp_path / "exchange"
-    # a 30x30 header over a 10-byte body
-    writer = (f"{sys.executable} -c \"import sys; open(sys.argv[2], 'wb')"
-              f".write(b'P5 30 30 255 ' + bytes(10))\" {{in}} {{out}}")
+    writer = f"{sys.executable} -c \"import sys; {script}\" {{in}} {{out}}"
     cfg = write_config(
         tmp_path / "c.json", seeds=2, sessions=1, train_subjects=0,
-        backends={"short": {"command": writer, "exchange_dir": str(exchange)}})
+        backends={"bad": {"command": writer, "exchange_dir": str(exchange)}})
     base = ["--config", cfg, "--out", out]
     assert run(["synth", *base]) == 0
     assert run(["prep", *base]) == 0
     assert run(["degrade", *base, "--factor", "1/4"]) == 0
     capsys.readouterr()
     assert run(["sr", *base, "--factor", "1/4",
-                "--method", "backend:short"]) == cli.EXIT_BACKEND
-    err = capsys.readouterr().err
-    assert "out.pgm" in err and "truncated PGM pixel data" in err
+                "--method", "backend:bad"]) == cli.EXIT_BACKEND
     # the first pass failed, so one backend process ran
     assert len(os.listdir(exchange)) == 1
+    return capsys.readouterr().err
+
+
+def test_truncated_backend_output_exit_code(tmp_path, capsys):
+    # a 30x30 header over a 10-byte body
+    err = run_malformed_backend(
+        tmp_path, capsys, "open(sys.argv[2], 'wb').write(b'P5 30 30 255 ' + bytes(10))")
+    assert "out.pgm" in err and "truncated PGM pixel data" in err
+
+
+def test_wide_backend_output_exit_code(tmp_path, capsys):
+    # 16-bit samples of the right size under a maxval-255 header
+    err = run_malformed_backend(
+        tmp_path, capsys,
+        "d = open(sys.argv[1], 'rb').read().split(); w, h = 2 * int(d[1]), 2 * int(d[2]); "
+        "open(sys.argv[2], 'wb').write(b'P5 %d %d 255 ' % (w, h) + bytes(2 * w * h))")
+    assert "out.pgm" in err and "bytes after the PGM pixel data" in err
 
 
 def test_backend_timeout_exit_code(tmp_path, capsys):

@@ -28,11 +28,9 @@ def test_grid_rejects_bad_stride():
         eigenpatch.grid_positions(8, 4, 0)
 
 
-def test_patchgrid_cover_positions_row_major():
-    grid = eigenpatch.PatchGrid.cover(8, 6, 4, 2)
-    assert grid.positions[0] == (0, 0)
-    assert grid.positions[-1] == (4, 2)
-    assert len(grid.positions) == 6  # 3 x-offsets, 2 y-offsets
+def test_patch_positions_row_major():
+    positions = eigenpatch.patch_positions(8, 6, 4, 2)
+    assert positions == [(0, 0), (2, 0), (4, 0), (0, 2), (2, 2), (4, 2)]
 
 
 # --- training -----------------------------------------------------------------

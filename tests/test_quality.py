@@ -39,15 +39,14 @@ def ssim_oracle(ref, test, window=8, k1=0.01, k2=0.03):
     return math.fsum(values) / len(values)
 
 
-def fsim_oracle(ref, test):
+def fsim_oracle(ref, test, t1=0.85, t2=160.0 / 255.0**2):
     """Per-pixel re-evaluation of the FSIM formula on precomputed PC and
     gradient maps (the maps themselves are shared with the implementation;
-    the pooling arithmetic is independent)."""
+    the pooling arithmetic and the constants are independent)."""
     pc1 = quality.phase_congruency(ref)
     pc2 = quality.phase_congruency(test)
     g1 = quality.gradient_magnitude(ref)
     g2 = quality.gradient_magnitude(test)
-    t1, t2 = quality.FSIM_T1, quality.FSIM_T2
     num_terms, den_terms = [], []
     h, w = ref.shape
     for y in range(h):
@@ -162,7 +161,7 @@ def phase_congruency_reference(img, nscale=4, norient=4, min_wavelength=6.0,
     return pc_sum
 
 
-def fsim_reference(ref, test, t1=quality.FSIM_T1, t2=quality.FSIM_T2):
+def fsim_reference(ref, test, t1=0.85, t2=160.0 / 255.0**2):
     """FSIM pooled from the reference phase-congruency maps."""
     pc1 = phase_congruency_reference(ref)
     pc2 = phase_congruency_reference(test)
@@ -346,7 +345,7 @@ def test_filter_bank_cached_read_only():
     img = dataset.synth_iris(2, 231)[0]
     strip = np.random.default_rng(13).uniform(size=(20, 240))
     first = quality.phase_congruency(img)
-    bank = quality._filter_bank(231, 231, 4, 4, 6.0, 2.0, 0.55, 1.2)
+    bank = quality._filter_bank(231, 231)
     assert bank.shape == (4, 4, 231, 231)
     assert not bank.flags.writeable
     with pytest.raises(ValueError):
@@ -355,7 +354,7 @@ def test_filter_bank_cached_read_only():
     quality.phase_congruency(strip)
     assert quality._filter_bank.cache_info().currsize == 2
     assert np.array_equal(quality.phase_congruency(img), first)
-    assert quality._filter_bank(231, 231, 4, 4, 6.0, 2.0, 0.55, 1.2) is bank
+    assert quality._filter_bank(231, 231) is bank
 
 
 # --- region reports -----------------------------------------------------------

@@ -101,19 +101,19 @@ def test_gaussian_blur_constant():
 
 def test_gaussian_blur_impulse_is_tap_product():
     sigma = 1.2
-    kern = raster.BlurKernel.make(sigma)
-    assert kern.radius == math.ceil(3 * sigma)
-    assert abs(kern.taps.sum() - 1.0) < 1e-9
-    assert np.allclose(kern.taps, kern.taps[::-1])
+    taps = raster.gaussian_taps(sigma)
+    r = len(taps) // 2
+    assert len(taps) % 2 == 1 and r == math.ceil(3 * sigma)
+    assert abs(taps.sum() - 1.0) < 1e-9
+    assert np.allclose(taps, taps[::-1])
     img = np.zeros((21, 21))
     img[10, 10] = 1.0
     out = raster.gaussian_blur(img, sigma)
-    r = kern.radius
     # independent evaluation of the separable kernel product
     expected = np.empty((2 * r + 1, 2 * r + 1))
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
-            expected[dy + r, dx + r] = kern.taps[dy + r] * kern.taps[dx + r]
+            expected[dy + r, dx + r] = taps[dy + r] * taps[dx + r]
     assert np.allclose(out[10 - r:10 + r + 1, 10 - r:10 + r + 1], expected,
                        atol=1e-12)
 
@@ -131,7 +131,7 @@ def test_gaussian_blur_rejects_nonpositive_sigma():
     with pytest.raises(raster.RasterError):
         raster.gaussian_blur(np.zeros((4, 4)), 0.0)
     with pytest.raises(raster.RasterError):
-        raster.BlurKernel.make(-1.0)
+        raster.gaussian_taps(-1.0)
 
 
 def test_blur_linearity():
@@ -213,7 +213,7 @@ BLUR_SHAPES = ((3, 3), (15, 15), (1, 9), (57, 40), (20, 240), (231, 231))
 @pytest.mark.parametrize("sigma", BLUR_SIGMAS)
 def test_blur_equals_scipy_correlate1d(sigma):
     # scipy is the reference the numpy form replaced: equal, not close
-    taps = raster.BlurKernel.make(sigma).taps
+    taps = raster.gaussian_taps(sigma)
     rng = np.random.default_rng(int(sigma * 100))
     for shape in BLUR_SHAPES:
         img = rng.normal(size=shape)
@@ -268,6 +268,25 @@ def test_pgm_rejects_bad_files(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n\x00")
     with pytest.raises(raster.RasterError):
         raster.read_pgm(p)
+
+
+def test_pgm_rejects_wrong_magic_and_trailing_bytes(tmp_path):
+    p = tmp_path / "bad.pgm"
+    body = bytes([0, 128, 255, 64])
+    # the magic number is the whole first token
+    for header in (b"P55 2 2 255\n", b"P5# c\n2 2 255\n", b" P5 2 2 255\n"):
+        p.write_bytes(header + body)
+        with pytest.raises(raster.RasterError, match="not a binary PGM"):
+            raster.read_pgm(p)
+    # one image per file: 16-bit samples under a maxval-255 header leave
+    # half of them after the pixel data
+    for tail in (b"\n", bytes(4), body):
+        p.write_bytes(b"P5 2 2 255\n" + body + tail)
+        with pytest.raises(raster.RasterError,
+                           match=re.escape(f"{p}: {len(tail)} bytes after")):
+            raster.read_pgm(p)
+    p.write_bytes(b"P5 2 2 255\n" + body)
+    assert raster.read_pgm(p).shape == (2, 2)
 
 
 def test_pgm_codec_under_raster(tmp_path):

@@ -99,14 +99,15 @@ def _reference_reproject(y0, x, cfg):
     """The recurrence as first written, one HR degrade per iteration."""
     y = np.asarray(y0, dtype=np.float64).copy()
     hr_h, hr_w = y.shape
-    lr_sigma = cfg.resolve_lr_sigma(hr_w)
+    # the degradation blur rescaled from HR to LR pixels
+    inner_sigma = cfg.sigma * (cfg.lr_w / hr_w)
     trace = []
     iterations, converged = 0, False
     for _ in range(cfg.max_iter):
         iterations += 1
         residual = raster.degrade_linear(y, cfg.lr_w, cfg.lr_h, cfg.sigma) - x
-        if lr_sigma > 0:
-            residual = raster.gaussian_blur(residual, lr_sigma)
+        if inner_sigma > 0:
+            residual = raster.gaussian_blur(residual, inner_sigma)
         step = raster.upsample_linear(residual, hr_w, hr_h)
         y_next = y - cfg.tau * step
         delta = float(np.mean(np.abs(y_next - y)))
@@ -123,7 +124,8 @@ def _reference_reproject(y0, x, cfg):
     (1, (231, 231), (57, 57), None, {}),
     (2, (96, 80), (12, 16), None, {"max_iter": 400}),
     (3, (64, 64), (16, 16), 0.0, {}),
-    (4, (64, 64), (16, 16), None, {"lr_sigma": 0.0, "max_iter": 200}),
+    # a loose tolerance converges after 17 iterations
+    (4, (64, 64), (16, 16), None, {"tol": 3e-4}),
     (5, (64, 64), (16, 16), None, {"tau": 0.0}),
 ])
 def test_operator_form_matches_reference(seed, hr, lr, sigma, extra):

@@ -1,12 +1,21 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
 
 from irissr import dataset, raster, siftmatch
-from irissr.siftmatch import (DEFAULT_CONFIG, Keypoint, SiftConfig, SiftError,
-                              _build_pyramid, _candidate_extrema)
+from irissr.siftmatch import Keypoint, SiftError
+
+# The references' own parameter values (Lowe 2004), written out rather than
+# read from siftmatch's constants, so that a mistyped constant fails the
+# equality tests instead of entering both sides of them.
+REFERENCE_CONFIG = SimpleNamespace(
+    intervals=3, initial_sigma=1.6, assumed_blur=0.5, contrast_threshold=0.03,
+    edge_ratio=10.0, min_octave_dim=16, border=5, orientation_bins=36,
+    peak_ratio=0.8, descriptor_width=4, descriptor_bins=8,
+    descriptor_scale_mult=3.0, descriptor_clamp=0.2)
 
 
 def smooth_noise(seed, size=96, blur=1.2):
@@ -45,7 +54,7 @@ def test_gaussian_blob_single_dominant_keypoint(sigma_b):
     assert abs(dominant.scale - sigma_b) / sigma_b <= 0.25
 
 
-def candidate_extrema_reference(dog, cfg):
+def candidate_extrema_reference(dog, cfg=REFERENCE_CONFIG):
     """The scipy form the slice folds replaced: 3x3x3 max/min filters with
     replicated borders over the whole stack, then the inner-region mask."""
     pre = 0.5 * cfg.contrast_threshold / cfg.intervals
@@ -60,10 +69,9 @@ def candidate_extrema_reference(dog, cfg):
 
 
 def extrema_stacks():
-    cfg = siftmatch.DEFAULT_CONFIG
     img, _ = dataset.synth_iris(0, 231)
-    stacks = list(siftmatch._build_pyramid(img, cfg)[1])
-    stacks.append(siftmatch._build_pyramid(smooth_noise(7), cfg)[1][0])
+    stacks = list(siftmatch._build_pyramid(img)[1])
+    stacks.append(siftmatch._build_pyramid(smooth_noise(7))[1][0])
     rng = np.random.default_rng(3)
     # coarse quantisation: many equal neighbours, so ties decide
     stacks.append(np.round(rng.normal(0.0, 0.02, size=(5, 40, 37)), 2))
@@ -77,11 +85,10 @@ def extrema_stacks():
 
 
 def test_candidate_extrema_equal_scipy_filters():
-    cfg = siftmatch.DEFAULT_CONFIG
     counts = []
     for dog in extrema_stacks():
-        want = candidate_extrema_reference(dog, cfg)
-        got = siftmatch._candidate_extrema(dog, cfg)
+        want = candidate_extrema_reference(dog)
+        got = siftmatch._candidate_extrema(dog)
         assert got.dtype == want.dtype and np.array_equal(got, want), dog.shape
         counts.append(len(want))
     assert min(counts) == 0 and max(counts) > 100
@@ -190,10 +197,36 @@ def test_feature_cache_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 # reference: the per-candidate, per-window implementation that the batched
 # refinement, the per-level gradients and the one-bincount histograms
-# replaced, kept verbatim; keypoints and descriptors must stay equal to it
+# replaced, kept verbatim but for its parameters, which it takes from
+# REFERENCE_CONFIG, and for its pyramid and extrema, which come from the
+# copies here; keypoints and descriptors must stay equal to it
 # ---------------------------------------------------------------------------
 
-def _refine(dog: np.ndarray, l: int, i: int, j: int, cfg: SiftConfig):
+def build_pyramid_reference(img: np.ndarray, cfg=REFERENCE_CONFIG):
+    """Gaussian and DoG pyramids. Returns (gauss_octaves, dog_octaves)."""
+    s = cfg.intervals
+    k = 2.0 ** (1.0 / s)
+    base_sigma = math.sqrt(max(cfg.initial_sigma**2 - cfg.assumed_blur**2, 0.01))
+    level = raster.gaussian_blur(img, base_sigma)
+
+    increments = []
+    for l in range(1, s + 3):
+        prev = cfg.initial_sigma * k ** (l - 1)
+        increments.append(math.sqrt((prev * k) ** 2 - prev**2))
+
+    gauss_octaves = []
+    dog_octaves = []
+    while min(level.shape) >= cfg.min_octave_dim:
+        levels = [level]
+        for inc in increments:
+            levels.append(raster.gaussian_blur(levels[-1], inc))
+        gauss_octaves.append(levels)
+        dog_octaves.append(np.stack([b - a for a, b in zip(levels, levels[1:])]))
+        level = levels[s][::2, ::2]
+    return gauss_octaves, dog_octaves
+
+
+def _refine(dog: np.ndarray, l: int, i: int, j: int, cfg=REFERENCE_CONFIG):
     """Sub-pixel Newton refinement. Returns (l, i, j, offset, value) or None."""
     s = cfg.intervals
     b = cfg.border
@@ -237,7 +270,7 @@ def _refine(dog: np.ndarray, l: int, i: int, j: int, cfg: SiftConfig):
 
 
 def _orientations(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
-                  cfg: SiftConfig):
+                  cfg=REFERENCE_CONFIG):
     """Smoothed 36-bin gradient histogram peaks around (i, j)."""
     nbins = cfg.orientation_bins
     sigma_w = 1.5 * sigma_oct
@@ -279,7 +312,7 @@ def _orientations(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
 
 
 def _descriptor(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
-                orientation: float, cfg: SiftConfig) -> np.ndarray:
+                orientation: float, cfg=REFERENCE_CONFIG) -> np.ndarray:
     d = cfg.descriptor_width
     nbins = cfg.descriptor_bins
     hist_width = cfg.descriptor_scale_mult * sigma_oct
@@ -344,7 +377,7 @@ def _descriptor(gauss: np.ndarray, i: float, j: float, sigma_oct: float,
     return vec
 
 
-def detect_describe(img: np.ndarray, cfg: SiftConfig = DEFAULT_CONFIG,
+def detect_describe(img: np.ndarray, cfg=REFERENCE_CONFIG,
                     annulus: tuple | None = None):
     """Keypoints and descriptors for one image.
 
@@ -356,13 +389,13 @@ def detect_describe(img: np.ndarray, cfg: SiftConfig = DEFAULT_CONFIG,
     if img.shape[0] < 32 or img.shape[1] < 32:
         raise SiftError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
 
-    gauss_octaves, dog_octaves = _build_pyramid(img, cfg)
+    gauss_octaves, dog_octaves = build_pyramid_reference(img, cfg)
     records = []  # (octave, y, x, orientation, scale, response, descriptor)
 
     for octave, dog in enumerate(dog_octaves):
         gauss = gauss_octaves[octave]
         scale_factor = 2.0 ** octave
-        for l0, i0, j0 in _candidate_extrema(dog, cfg):
+        for l0, i0, j0 in candidate_extrema_reference(dog, cfg):
             refined = _refine(dog, int(l0), int(i0), int(j0), cfg)
             if refined is None:
                 continue
@@ -438,8 +471,8 @@ def test_detect_describe_equals_reference(name):
 
 
 def test_refine_octave_equals_per_candidate_refine():
-    cfg = DEFAULT_CONFIG
-    dog = _build_pyramid(dataset.synth_iris(2, 231)[0], cfg)[1][0].copy()
+    cfg = REFERENCE_CONFIG
+    dog = siftmatch._build_pyramid(dataset.synth_iris(2, 231)[0])[1][0].copy()
     # a flat 3x3x3 cube: its centre's Hessian is zero, so the batched solve
     # of the first step raises and the step is solved one candidate at a time
     dog[1:4, 39:42, 59:62] = dog[2, 40, 60]
@@ -451,10 +484,10 @@ def test_refine_octave_equals_per_candidate_refine():
     scattered = np.column_stack([rng.integers(1, cfg.intervals + 1, 200),
                                  rng.integers(b, h - b, 200),
                                  rng.integers(b, w - b, 200)])
-    cands = np.vstack([_candidate_extrema(dog, cfg), [singular], scattered])
+    cands = np.vstack([siftmatch._candidate_extrema(dog), [singular], scattered])
     want = [r for r in (_refine(dog, int(l), int(i), int(j), cfg)
                         for l, i, j in cands) if r is not None]
-    got = siftmatch._refine_octave(dog, cands, cfg)
+    got = siftmatch._refine_octave(dog, cands)
     assert len(want) > 20 and len(got) == len(want)
     for (gl, gi, gj, goff, gval), (wl, wi, wj, woff, wval) in zip(got, want):
         assert (gl, gi, gj) == (wl, wi, wj)

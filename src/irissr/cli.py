@@ -92,7 +92,7 @@ def load_config(args) -> dict:
             user = _read_json(args.config)
         except FileNotFoundError:
             raise CliError(EXIT_MISSING_INPUT, f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int too long to convert
             raise CliError(EXIT_CONFIG, f"bad config JSON: {exc}")
         unknown = set(user) - set(cfg)
         if unknown:
@@ -115,7 +115,7 @@ def load_config(args) -> dict:
 
 
 # Numeric config key -> (type, comparison, bound). A float key also takes an
-# int; a bool is neither. blur_sigma may also be null.
+# int; a bool is neither. Every value must be finite. blur_sigma may also be null.
 NUMERIC_KEYS = {
     "crop_side": (int, ">=", 1),
     "target_sclera_radius": (float, ">", 0),
@@ -139,6 +139,9 @@ def validate_config(cfg: dict) -> None:
         if isinstance(val, bool) or not isinstance(val, (kind, int)) \
                 or not (val > bound if op == ">" else val >= bound):
             raise CliError(EXIT_CONFIG, f"{key} must be {kind.__name__} {op} {bound}")
+        # an int above the float range turns into inf as a float
+        if not val <= sys.float_info.max:
+            raise CliError(EXIT_CONFIG, f"{key} must be finite")
     if not isinstance(cfg["factors"], dict):
         raise CliError(EXIT_CONFIG, "factors must map each label to a [w, h] size")
     seen_sizes, seen_slugs = set(), set()

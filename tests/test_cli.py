@@ -235,6 +235,12 @@ def test_bad_config_exit_code(tmp_path):
                  '{"jobs": "2"}', '{"jobs": true}', '{"blur_sigma": -0.5}',
                  '{"target_sclera_radius": 0}', '{"seeds": 0}', '{"sessions": 0}',
                  '{"crop_side": 0}', '{"synth_size": 63}', '{"tau": NaN}',
+                 # a float setting must be finite, also as a float
+                 *('{"%s": Infinity}' % key for key in (
+                     "blur_sigma", "tau", "reproject_tol", "target_sclera_radius")),
+                 '{"tau": 1%s}' % ("0" * 400),
+                 # an int too long for the parser
+                 '{"seeds": 1%s}' % ("0" * 5000),
                  '{"comparators": []}', '{"comparators": ["fused"]}',
                  # structured keys of the wrong type end in exit 2, not a traceback
                  '{"method": 5}', '{"factors": {"1/4": "ab"}}', '{"factors": [57, 57]}',
@@ -257,6 +263,9 @@ def test_bad_config_exit_code(tmp_path):
         assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG, text
     for flag in ("--seeds", "--sessions"):
         assert run(["synth", "--out", out, flag, "-2"]) == cli.EXIT_CONFIG, flag
+    for flag in ("--tau", "--reproject-tol"):
+        assert run(["sr", "--out", out, "--factor", "1/16", "--method", "bicubic",
+                    "--reproject", flag, "inf"]) == cli.EXIT_CONFIG, flag
     for argv in (["match", "--factor", "1/4", "--method", "bicubic"], ["eval"]):
         assert run([*argv, "--out", out, "--comparators", "fused"]) == cli.EXIT_CONFIG
     assert not os.path.exists(out)

@@ -4,6 +4,11 @@ import pytest
 from irissr import dataset, raster, reproject
 
 
+def _eight_bit(img):
+    """Quantise to the 8-bit levels a PGM round trip keeps."""
+    return np.rint(img * 255) / 255
+
+
 def test_default_constants():
     cfg = reproject.ReprojectConfig(lr_w=8, lr_h=8, sigma=1.0)
     assert cfg.tau == 0.02
@@ -39,12 +44,11 @@ def test_dims_mismatch_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(reproject.ReprojectError):
-        reproject.ReprojectConfig(8, 8, 1.0, tau=-0.1).validate()
-    with pytest.raises(reproject.ReprojectError):
-        reproject.ReprojectConfig(8, 8, 1.0, tol=0.0).validate()
-    with pytest.raises(reproject.ReprojectError):
-        reproject.ReprojectConfig(8, 8, 1.0, max_iter=0).validate()
+    for bad in ({"tau": -0.1}, {"tau": float("nan")}, {"tau": float("inf")},
+                {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
+                {"max_iter": 0}):
+        with pytest.raises(reproject.ReprojectError):
+            reproject.ReprojectConfig(8, 8, 1.0, **bad).validate()
 
 
 def test_termination_within_max_iter():
@@ -95,19 +99,36 @@ def test_trace_records_every_iteration():
     assert all(d >= 0 for d in trace)
 
 
+def test_non_square_factor_reaches_fidelity():
+    # rows shrink 231 -> 15 and columns 231 -> 57: each axis's inner blur
+    # needs its own scale, or the rows' residual is smeared and stays large
+    img, _ = dataset.synth_iris(0, 231)
+    sigma = raster.antialias_sigma(231, 231, 57, 15)
+    lr, _ = dataset.simulate_lr(img, 57, 15, sigma)
+    lr = _eight_bit(lr)
+    y0 = raster.resize_bicubic(lr, 231, 231)
+    y, _, converged = reproject.reproject(
+        y0, lr, reproject.ReprojectConfig(57, 15, sigma))
+    assert converged
+    residual = raster.degrade(y, 57, 15, sigma) - lr
+    assert np.sqrt(np.mean(residual ** 2)) < 0.01
+
+
 def _reference_reproject(y0, x, cfg):
     """The recurrence as first written, one HR degrade per iteration."""
     y = np.asarray(y0, dtype=np.float64).copy()
     hr_h, hr_w = y.shape
-    # the degradation blur rescaled from HR to LR pixels
-    inner_sigma = cfg.sigma * (cfg.lr_w / hr_w)
     trace = []
     iterations, converged = 0, False
     for _ in range(cfg.max_iter):
         iterations += 1
         residual = raster.degrade_linear(y, cfg.lr_w, cfg.lr_h, cfg.sigma) - x
-        if inner_sigma > 0:
-            residual = raster.gaussian_blur(residual, inner_sigma)
+        if cfg.sigma > 0:
+            # the degradation blur rescaled from HR to LR pixels along each
+            # axis: rows first, then columns, each pass ending transposed
+            for lr_n, hr_n in ((cfg.lr_h, hr_h), (cfg.lr_w, hr_w)):
+                taps = raster.gaussian_taps(cfg.sigma * (lr_n / hr_n))
+                residual = raster._correlate_rows(residual, taps).T
         step = raster.upsample_linear(residual, hr_w, hr_h)
         y_next = y - cfg.tau * step
         delta = float(np.mean(np.abs(y_next - y)))
@@ -127,16 +148,22 @@ def _reference_reproject(y0, x, cfg):
     # a loose tolerance converges after 17 iterations
     (4, (64, 64), (16, 16), None, {"tol": 3e-4}),
     (5, (64, 64), (16, 16), None, {"tau": 0.0}),
+    # 1/8 and 1/2 from 8-bit inputs, as `sr` reads them from PGMs
+    (6, (231, 231), (29, 29), None, {"max_iter": 150, "eight_bit": True}),
+    (7, (231, 231), (115, 115), None, {"max_iter": 200, "eight_bit": True}),
 ])
 def test_operator_form_matches_reference(seed, hr, lr, sigma, extra):
     hr_h, hr_w = hr
     lr_h, lr_w = lr
+    extra = dict(extra)
+    quantise = _eight_bit if extra.pop("eight_bit", False) else np.asarray
     img, _ = dataset.synth_iris(seed, max(hr))
     img = img[:hr_h, :hr_w]
     observed_sigma = raster.antialias_sigma(hr_w, hr_h, lr_w, lr_h)
     lr_img, _ = dataset.simulate_lr(img, lr_w, lr_h, observed_sigma)
+    lr_img = quantise(lr_img)
     # a bilinear start is further from a fixed point than the bicubic baseline
-    y0 = raster.resize_bilinear(lr_img, hr_w, hr_h)
+    y0 = quantise(raster.resize_bilinear(lr_img, hr_w, hr_h))
     cfg = reproject.ReprojectConfig(
         lr_w, lr_h, observed_sigma if sigma is None else sigma, **extra)
     trace = []

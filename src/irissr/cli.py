@@ -608,11 +608,8 @@ def cmd_quality(cfg, args) -> int:
         summary_rows.append([spec_method, label, region,
                              f"{mean_psnr:.6f}", f"{mean_ssim:.6f}",
                              f"{mean_fsim:.6f}"])
-        line = (f"quality[{spec_method}, {label}, {region}]: "
-                f"psnr {mean_psnr:.2f} ssim {mean_ssim:.4f}")
-        if args.show_fsim:
-            line += f" fsim {mean_fsim:.4f}"
-        print(line)
+        print(f"quality[{spec_method}, {label}, {region}]: "
+              f"psnr {mean_psnr:.2f} ssim {mean_ssim:.4f} fsim {mean_fsim:.4f}")
 
     # quality.csv gathers every method and factor, so it is no stage's own
     # output: each meta records its own rows, and the table is rebuilt from
@@ -747,37 +744,36 @@ def cmd_eval(cfg, args) -> int:
                     raise CliError(EXIT_MISSING_INPUT,
                                    f"no {comp} scores recorded by the match stage "
                                    f"in {score_dir} (rerun match with {comp})")
-            columns = [[float(row[2]) for row in
-                        _read_csv(os.path.join(score_dir, f"{comp}.csv"))[1:]]
-                       for comp in comp_names]
-            trials = [fusion_eval.Trial(probe, gallery, scores, lab)
-                      for (probe, gallery, lab), scores in zip(
-                          _read_csv(os.path.join(score_dir, "labels.csv"))[1:],
-                          zip(*columns))]
+            # one row per trial, one column per comparator
+            scores = np.array([[float(row[2]) for row in
+                                _read_csv(os.path.join(score_dir, f"{comp}.csv"))[1:]]
+                               for comp in comp_names], dtype=np.float64).T
+            # dtype=bool keeps an empty label file a usable mask
+            genuine = np.array(
+                [row[2] == fusion_eval.GENUINE for row in
+                 _read_csv(os.path.join(score_dir, "labels.csv"))[1:]], dtype=bool)
 
-            scored = [(comp, [(t.scores[idx], t.label) for t in trials])
+            scored = [(comp, scores[:, idx], genuine)
                       for idx, comp in enumerate(comp_names)]
             if "fused" in cfg["comparators"]:
+                fit = test = slice(None)
                 if cfg["fusion_split"]:
-                    train_set, eval_set = trials[0::2], trials[1::2]
-                else:
-                    train_set = eval_set = trials
-                model = fusion_eval.train_fusion(train_set)
-                scored.append(("fused", [(t.fused, t.label) for t in
-                                         fusion_eval.fuse_scores(model, eval_set)]))
-            for comp, pairs in scored:
-                rate, roc = fusion_eval.eer(
-                    [v for v, lab in pairs if lab == fusion_eval.GENUINE],
-                    [v for v, lab in pairs if lab == fusion_eval.IMPOSTOR],
-                    polarity[comp])
+                    fit, test = slice(0, None, 2), slice(1, None, 2)
+                weights = fusion_eval.train_fusion(scores[fit][genuine[fit]],
+                                                   scores[fit][~genuine[fit]])
+                scored.append(("fused", fusion_eval.fuse(weights, scores[test]),
+                               genuine[test]))
+            for comp, values, is_genuine in scored:
+                rate, roc = fusion_eval.eer(values[is_genuine], values[~is_genuine],
+                                            polarity[comp])
                 eer_rows.append([method, label, comp.upper(), f"{rate:.6f}"])
                 roc_rows += ([method, label, comp.upper(), repr(float(t)),
                               f"{fa:.6f}", f"{fr:.6f}"]
                              for t, fa, fr in zip(roc.thresholds, roc.far, roc.frr))
-            labels = [t.label for t in trials]
+            n_genuine = int(genuine.sum())
             trial_counts[f"{method}/{factor_slug(label)}"] = {
-                "trials": len(labels), "genuine": labels.count(fusion_eval.GENUINE),
-                "impostor": labels.count(fusion_eval.IMPOSTOR)}
+                "trials": len(genuine), "genuine": n_genuine,
+                "impostor": len(genuine) - n_genuine}
 
     if not eer_rows:
         raise CliError(EXIT_MISSING_INPUT, "no score sets found to evaluate")
@@ -871,8 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quality", help="PSNR/SSIM/FSIM on full image and iris region")
     common(p, factor=True, method=True)
-    p.add_argument("--show-fsim", action="store_true",
-                   help="also print FSIM (always stored in the CSV)")
 
     p = sub.add_parser("match", help="comparator scores for all trial pairs")
     common(p, factor=True, method=True)

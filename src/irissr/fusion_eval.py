@@ -4,13 +4,20 @@ and the equal error rate.
 Trial pairing follows the evaluation protocol: genuine trials compare each
 image of a subject to that subject's remaining images (unordered, each pair
 once); impostor trials compare the first image of every subject against the
-second image of every other subject. Fusion is a linear form
-f = a0 + a1*s1 + ... + aN*sN whose weights maximize a ridge-stabilized
-binomial log-likelihood (genuine = 1), so the fused score is genuine-high by
-construction regardless of per-comparator polarity.
+second image of every other subject.
+
+Scores travel as arrays: one row per trial, one column per comparator.
+`train_fusion(genuine, impostor)` fits the weights (a0, a1, ..., aN) of the
+linear form f = a0 + a1*s1 + ... + aN*sN to the genuine and impostor rows by
+maximizing a ridge-stabilized binomial log-likelihood (genuine = 1), so the
+fused score is genuine-high by construction regardless of per-comparator
+polarity. `fuse(weights, scores)` applies the form to each row, and
+`eer(genuine, impostor, polarity)` reads the equal error rate of one score
+column split by label.
 """
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,29 +37,10 @@ MAX_NEWTON_ITER = 500
 
 
 @dataclass(frozen=True)
-class Trial:
-    probe_id: str
-    gallery_id: str
-    scores: tuple
-    label: str
-    fused: float | None = None
-
-
-@dataclass(frozen=True)
-class FusionModel:
-    weights: tuple  # (a0, a1, ..., aN)
-
-    @property
-    def arity(self) -> int:
-        return len(self.weights) - 1
-
-
-@dataclass(frozen=True)
 class RocCurve:
     thresholds: np.ndarray
     far: np.ndarray
     frr: np.ndarray
-    eer: float
 
 
 def make_trials(records):
@@ -62,57 +50,41 @@ def make_trials(records):
     image-id tuples. Subjects with fewer than two images simply contribute
     fewer pairs.
     """
-    order = []
     per_subject = {}
     for subject_id, image_id in records:
-        if subject_id not in per_subject:
-            per_subject[subject_id] = []
-            order.append(subject_id)
-        per_subject[subject_id].append(image_id)
+        per_subject.setdefault(subject_id, []).append(image_id)
 
-    genuine = []
-    for subject in order:
-        imgs = per_subject[subject]
-        for i in range(len(imgs)):
-            for j in range(i + 1, len(imgs)):
-                genuine.append((imgs[i], imgs[j]))
-
-    impostor = []
-    for subject in order:
-        first = per_subject[subject][0]
-        for other in order:
-            if other == subject:
-                continue
-            imgs = per_subject[other]
-            if len(imgs) >= 2:
-                impostor.append((first, imgs[1]))
+    genuine = [pair for imgs in per_subject.values()
+               for pair in itertools.combinations(imgs, 2)]
+    impostor = [(imgs[0], other_imgs[1])
+                for subject, imgs in per_subject.items()
+                for other, other_imgs in per_subject.items()
+                if other != subject and len(other_imgs) >= 2]
     return genuine, impostor
 
 
-def _design_matrix(trials):
-    if not trials:
-        raise FusionEvalError("empty trial set")
-    arity = len(trials[0].scores)
-    if arity < 1:
-        raise FusionEvalError("trials carry no comparator scores")
-    for t in trials:
-        if len(t.scores) != arity:
-            raise FusionEvalError("trials have mixed score arity")
-    x = np.array([t.scores for t in trials], dtype=np.float64)
-    y = np.array([1.0 if t.label == GENUINE else 0.0 for t in trials])
-    return x, y
+def train_fusion(genuine, impostor) -> np.ndarray:
+    """Fit the fusion weights (a0, a1, ..., aN) by penalized logistic regression.
 
-
-def train_fusion(trials) -> FusionModel:
-    """Fit the fusion weights by penalized logistic regression.
-
+    `genuine` and `impostor` hold one row of N comparator scores per trial.
     Newton iterations with step halving; the intercept is unpenalized. Stops
     when the gradient infinity-norm drops below GRAD_TOL or after
     MAX_NEWTON_ITER rounds.
     """
-    x, y = _design_matrix(trials)
-    if y.min() == y.max():
+    gen = np.asarray(genuine, dtype=np.float64)
+    imp = np.asarray(impostor, dtype=np.float64)
+    if len(gen) == 0 and len(imp) == 0:
+        raise FusionEvalError("empty trial set")
+    if len(gen) == 0 or len(imp) == 0:
         raise FusionEvalError("trial set contains a single class")
+    if gen.ndim != 2 or imp.ndim != 2 or gen.shape[1] != imp.shape[1]:
+        raise FusionEvalError("genuine and impostor rows differ in score arity")
+    if gen.shape[1] < 1:
+        raise FusionEvalError("trials carry no comparator scores")
+    # genuine rows first, as match writes them: the row order of the design
+    # matrix decides the last bits of the weights
+    x = np.concatenate([gen, imp])
+    y = np.concatenate([np.ones(len(gen)), np.zeros(len(imp))])
     n, arity = x.shape
     xa = np.hstack([np.ones((n, 1)), x])
     penalty = np.full(arity + 1, RIDGE_LAMBDA)
@@ -149,20 +121,19 @@ def train_fusion(trials) -> FusionModel:
         else:
             break
         w, obj = w_try, obj_try
-    return FusionModel(weights=tuple(float(v) for v in w))
+    return w
 
 
-def fuse_scores(model: FusionModel, trials):
-    """Apply the linear form to every trial; fused polarity is genuine-high."""
-    out = []
-    w = np.asarray(model.weights)
-    for t in trials:
-        if len(t.scores) != model.arity:
-            raise FusionEvalError(
-                f"trial arity {len(t.scores)} != model arity {model.arity}")
-        fused = float(w[0] + w[1:] @ np.asarray(t.scores, dtype=np.float64))
-        out.append(replace(t, fused=fused))
-    return out
+def fuse(weights, scores) -> np.ndarray:
+    """Apply the linear form to every score row; fused polarity is genuine-high."""
+    w = np.asarray(weights, dtype=np.float64)
+    rows = np.asarray(scores, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != len(w) - 1:
+        raise FusionEvalError(
+            f"score rows of shape {rows.shape} do not fit {len(w) - 1} weights")
+    # one dot product per row: a matrix product may sum in another order,
+    # which changes the last bits of the fused scores and so the ROC export
+    return w[0] + np.array([w[1:] @ row for row in rows])
 
 
 def eer(genuine, impostor, polarity: str = "genuine_high"):
@@ -202,5 +173,4 @@ def eer(genuine, impostor, polarity: str = "genuine_high"):
         far_c = far[idx - 1] + a * (far[idx] - far[idx - 1])
         frr_c = frr[idx - 1] + a * (frr[idx] - frr[idx - 1])
         rate = 0.5 * (far_c + frr_c)
-    return float(rate), RocCurve(thresholds=thresholds, far=far, frr=frr,
-                                 eer=float(rate))
+    return float(rate), RocCurve(thresholds=thresholds, far=far, frr=frr)

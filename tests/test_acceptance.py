@@ -233,29 +233,16 @@ def test_criterion_9_fusion():
     imp = rng.normal(-m, 1.0, size=(n, 2))
     singles = [fusion_eval.eer(gen[:, k], imp[:, k])[0] for k in (0, 1)]
     assert all(0.15 < s < 0.25 for s in singles), singles
-    trials = [fusion_eval.Trial("p", "g", tuple(s), fusion_eval.GENUINE)
-              for s in gen]
-    trials += [fusion_eval.Trial("p", "g", tuple(s), fusion_eval.IMPOSTOR)
-               for s in imp]
-    model = fusion_eval.train_fusion(trials)
-    fused = fusion_eval.fuse_scores(model, trials)
-    fused_eer = fusion_eval.eer(
-        [t.fused for t in fused if t.label == fusion_eval.GENUINE],
-        [t.fused for t in fused if t.label == fusion_eval.IMPOSTOR])[0]
+    weights = fusion_eval.train_fusion(gen, imp)
+    fused_eer = fusion_eval.eer(fusion_eval.fuse(weights, gen),
+                                fusion_eval.fuse(weights, imp))[0]
     assert fused_eer < min(singles), (fused_eer, singles)
 
     shared = rng.normal(size=(400, 2))
-    degen = [fusion_eval.Trial("p", "g", tuple(s), fusion_eval.GENUINE)
-             for s in shared]
-    degen += [fusion_eval.Trial("p", "g", tuple(s), fusion_eval.IMPOSTOR)
-              for s in shared]
-    dmodel = fusion_eval.train_fusion(degen)
-    assert max(abs(w) for w in dmodel.weights[1:]) < 1e-3
-    dfused = fusion_eval.fuse_scores(dmodel, degen)
-    assert fusion_eval.eer(
-        [t.fused for t in dfused if t.label == fusion_eval.GENUINE],
-        [t.fused for t in dfused if t.label == fusion_eval.IMPOSTOR])[0] \
-        == pytest.approx(0.5, abs=1e-9)
+    dweights = fusion_eval.train_fusion(shared, shared)
+    assert max(abs(w) for w in dweights[1:]) < 1e-3
+    dfused = fusion_eval.fuse(dweights, shared)
+    assert fusion_eval.eer(dfused, dfused)[0] == pytest.approx(0.5, abs=1e-9)
     b.done(f"singles {['%.3f' % s for s in singles]}, fused {fused_eer:.3f}")
 
 

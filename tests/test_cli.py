@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import irissr
-from irissr import cli, dataset, eigenpatch, iriscode, raster, sr
+from irissr import cli, dataset, eigenpatch, fusion_eval, iriscode, raster, sr
 
 
 def run(argv):
@@ -356,16 +357,19 @@ def test_unsupported_cached_model_exit_code(pipeline, tmp_path):
 
 
 def test_eval_without_genuine_pairs_exit_code(tmp_path):
-    # one session per subject: every trial is an impostor, so no EER exists
-    cfg = write_config(tmp_path / "c.json", seeds=2, sessions=1,
-                       train_subjects=0, comparators=["lg"])
-    base = ["--config", cfg, "--out", str(tmp_path / "out")]
-    for argv in (["synth", *base], ["prep", *base],
-                 ["degrade", *base, "--factor", "1/4"],
-                 ["sr", *base, "--factor", "1/4", "--method", "bicubic"],
-                 ["match", *base, "--factor", "1/4", "--method", "bicubic"]):
-        assert run(argv) == 0, argv
-    assert run(["eval", *base]) == cli.EXIT_CONFIG
+    # one session per subject: every trial is an impostor, so no EER exists;
+    # one subject alone has no trials at all, so fusion has nothing to fit
+    for name, extra in (("impostors", {"seeds": 2, "comparators": ["lg"]}),
+                        ("no-trials", {"seeds": 1})):
+        cfg = write_config(tmp_path / f"{name}.json", sessions=1,
+                           train_subjects=0, **extra)
+        base = ["--config", cfg, "--out", str(tmp_path / name)]
+        for argv in (["synth", *base], ["prep", *base],
+                     ["degrade", *base, "--factor", "1/4"],
+                     ["sr", *base, "--factor", "1/4", "--method", "bicubic"],
+                     ["match", *base, "--factor", "1/4", "--method", "bicubic"]):
+            assert run(argv) == 0, (name, argv)
+        assert run(["eval", *base]) == cli.EXIT_CONFIG, name
 
 
 def test_error_table_covers_module_errors():
@@ -546,15 +550,17 @@ def test_eval_outputs_hold_only_this_evals_rows(own_pipeline):
     assert sorted(os.listdir(eval_dir)) == sorted([*outputs, "stage_eval.json"])
 
 
-def test_quality_table_rebuilt_from_metas(own_pipeline):
+def test_quality_table_rebuilt_from_metas(own_pipeline, capsys):
     out, cfg = own_pipeline
     table = os.path.join(out, "quality", "quality.csv")
     before = open(table, "rb").read()
     with open(table, "a") as fh:
         fh.write("bilinear,1/4,full,99.000000,1.000000,1.000000\n")
+    capsys.readouterr()
     assert run(["quality", "--config", cfg, "--out", out, "--factor", "1/4",
                 "--method", "bicubic"]) == 0
     assert open(table, "rb").read() == before
+    assert " fsim " in capsys.readouterr().out
 
 
 def test_quality_metas_keep_lineage_across_methods(own_pipeline):
@@ -574,10 +580,30 @@ def test_quality_metas_keep_lineage_across_methods(own_pipeline):
 
 def test_fusion_split_option(pipeline):
     out, cfg = pipeline
-    assert run(["eval", "--config", cfg, "--out", out, "--fusion-split"]) == 0
-    with open(os.path.join(out, "eval", "eer.csv")) as fh:
-        rows = fh.read()
-    assert "FUSED" in rows
+    score_dir = os.path.join(out, "scores", "bicubic", "1_4")
+
+    def column(name):
+        with open(os.path.join(score_dir, name)) as fh:
+            return [row[2] for row in csv.reader(fh)][1:]
+
+    scores = np.column_stack([np.array(column(f"{comp}.csv"), dtype=np.float64)
+                              for comp in ("lg", "sift")])
+    genuine = np.array(column("labels.csv")) == fusion_eval.GENUINE
+    # with the flag fusion is fitted on the even rows and scored on the odd
+    # ones; without it, on all of them
+    for argv, fit, test in ((["--fusion-split"], slice(0, None, 2), slice(1, None, 2)),
+                            ([], slice(None), slice(None))):
+        assert run(["eval", "--config", cfg, "--out", out, *argv]) == 0
+        weights = fusion_eval.train_fusion(scores[fit][genuine[fit]],
+                                           scores[fit][~genuine[fit]])
+        fused = fusion_eval.fuse(weights, scores[test])
+        rate, roc = fusion_eval.eer(fused[genuine[test]], fused[~genuine[test]])
+        with open(os.path.join(out, "eval", "eer.csv")) as fh:
+            assert [row for row in csv.reader(fh) if row[2] == "FUSED"] \
+                == [["bicubic", "1/4", "FUSED", f"{rate:.6f}"]]
+        with open(os.path.join(out, "eval", "roc.csv")) as fh:
+            assert [row[3] for row in csv.reader(fh) if row[2] == "FUSED"] \
+                == [repr(float(t)) for t in roc.thresholds]
 
 
 def test_unwritable_output_exit_code(tmp_path):

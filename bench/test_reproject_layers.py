@@ -25,6 +25,6 @@ def test_reproject_image(benchmark, lr_n, max_iter):
     # the LR image as `sr` reads it back from its PGM
     lr = np.rint(raster.degrade(EYE, lr_n, lr_n, sigma) * 255) / 255
     start = raster.resize_bicubic(lr, 231, 231)
-    cfg = reproject.ReprojectConfig(lr_n, lr_n, sigma, max_iter=max_iter)
-    y, iterations, _ = benchmark(reproject.reproject, start, lr, cfg)
+    y, iterations, _ = benchmark(reproject.reproject, start, lr, sigma,
+                                 max_iter=max_iter)
     assert y.shape == (231, 231) and 1 <= iterations <= max_iter

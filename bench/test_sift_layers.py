@@ -20,7 +20,8 @@ EYE = dataset.synth_iris(0, 231)[0]
 
 def upscaled_eye(lr):
     sigma = raster.antialias_sigma(231, 231, lr, lr)
-    return np.round(dataset.simulate_lr(EYE, lr, lr, sigma)[1] * 255) / 255
+    baseline = raster.upsample(dataset.simulate_lr(EYE, lr, lr, sigma), 231, 231)
+    return np.round(baseline * 255) / 255
 
 
 @pytest.mark.parametrize("lr", [57, 15], ids=["1/4", "1/16"])

@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -181,6 +182,17 @@ def validate_config(cfg: dict) -> None:
         if not _is_path_component(name):
             raise CliError(EXIT_CONFIG, f"backend name {name!r} must be one path "
                            f"component: it names the SR directory")
+        try:  # an unclosed quotation or a trailing escape raises
+            tokens = shlex.split(entry["command"])
+        except ValueError:
+            tokens = []
+        if not tokens:
+            raise CliError(EXIT_CONFIG, f"backend {name!r}: command must parse into "
+                           f"at least one token, got {entry['command']!r}")
+        exchange = entry.get("exchange_dir")
+        if "exchange_dir" in entry and not (isinstance(exchange, str) and exchange):
+            raise CliError(EXIT_CONFIG, f"backend {name!r}: exchange_dir must be a "
+                           f"non-empty path, got {exchange!r}")
         limit = entry.get("timeout")
         if limit is not None and (isinstance(limit, bool)
                                   or not isinstance(limit, (int, float))
@@ -441,19 +453,16 @@ def cmd_degrade(cfg, args) -> int:
 
     out = ensure_dir(os.path.join(args.out, "lr", factor_slug(label)))
     lr_dir = ensure_dir(os.path.join(out, "lr"))
-    base_dir = ensure_dir(os.path.join(out, "baseline"))
 
     def process(rec):
         img = raster.load_image(os.path.join(prep_dir, rec.image_path))
-        lr, baseline = dataset.simulate_lr(img, lr_size[0], lr_size[1], sigma)
         name = os.path.basename(rec.image_path)
-        raster.write_pgm(os.path.join(lr_dir, name), lr)
-        raster.write_pgm(os.path.join(base_dir, name), baseline)
+        raster.write_pgm(os.path.join(lr_dir, name),
+                         dataset.simulate_lr(img, lr_size[0], lr_size[1], sigma))
         return name
 
     names = _pmap(process, records, cfg["jobs"])
     outputs = [os.path.join(lr_dir, n) for n in names]
-    outputs += [os.path.join(base_dir, n) for n in names]
     write_stage_meta(out, "degrade", inputs, outputs, time.perf_counter() - t0,
                      extra={"factor": label, "lr_size": list(lr_size),
                             "sigma": sigma, "records": len(names)})
@@ -463,13 +472,13 @@ def cmd_degrade(cfg, args) -> int:
 
 
 def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
-    """Turn the validated method string into (UpscalerSpec, model); an
-    eigen-patch model is retrained when its degrade stage's fingerprint changes."""
+    """The (model, backend) the validated method needs, each None when it
+    needs none: an eigen-patch model, retrained when its degrade stage's
+    fingerprint changes, or a backend's config entry with its exchange
+    directory resolved."""
     from . import eigenpatch, raster, sr
 
     method = cfg["method"]
-    if method in ("bilinear", "bicubic"):
-        return sr.UpscalerSpec(name=method, kind=method), None
     if method == "eigenpatch":
         model_dir = cfg["model_dir"] or os.path.join(out_root, "models")
         ensure_dir(model_dir)
@@ -486,15 +495,14 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
             model = eigenpatch.train(hr_images, lr_w, lr_h, degrade["extra"]["sigma"],
                                      provenance=provenance)
             eigenpatch.save_model(model_path, model)
-        return sr.UpscalerSpec(name="eigenpatch", kind="eigenpatch"), model
+        return model, None
+    if not method.startswith("backend:"):
+        return None, None
     name = method.split(":", 1)[1]
     entry = cfg["backends"][name]
     exchange = entry.get("exchange_dir") or os.environ.get(sr.EXCHANGE_ENV) \
         or os.path.join(out_root, "exchange", name)
-    spec = sr.UpscalerSpec(name=name, kind="external",
-                           backend_command=entry["command"],
-                           exchange_dir=exchange, timeout=entry.get("timeout"))
-    return spec, None
+    return None, {**entry, "exchange_dir": exchange}
 
 
 def cmd_sr(cfg, args) -> int:
@@ -509,14 +517,11 @@ def cmd_sr(cfg, args) -> int:
     records = stage_records(degrade, prep_records)
     train_recs = [r for r in prep_records if r not in records]
 
-    spec, model = _resolve_method(cfg, args.out, label, degrade, prep_dir, train_recs)
+    model, backend = _resolve_method(cfg, args.out, label, degrade, prep_dir,
+                                     train_recs)
     method_name = method_dir(cfg)
     side = prep["extra"]["crop_side"]
-    lr_size = degrade["extra"]["lr_size"]
-    rp_cfg = reproject_mod.ReprojectConfig(
-        lr_w=lr_size[0], lr_h=lr_size[1], sigma=degrade["extra"]["sigma"],
-        tau=cfg["tau"], tol=cfg["reproject_tol"],
-        max_iter=cfg["reproject_max_iter"])
+    sigma = degrade["extra"]["sigma"]
 
     out = ensure_dir(os.path.join(args.out, "sr", method_name, factor_slug(label)))
     img_dir = ensure_dir(os.path.join(out, "images"))
@@ -524,10 +529,13 @@ def cmd_sr(cfg, args) -> int:
     def process(rec):
         name = os.path.basename(rec.image_path)
         lr = raster.read_pgm(os.path.join(lr_stage, "lr", name))
-        img, passes = sr.super_resolve(lr, side, side, spec, model=model)
+        img, passes = sr.super_resolve(lr, side, side, cfg["method"], model=model,
+                                       backend=backend)
         iters, converged = 0, False
         if cfg["reproject"]:
-            img, iters, converged = reproject_mod.reproject(img, lr, rp_cfg)
+            img, iters, converged = reproject_mod.reproject(
+                img, lr, sigma, tau=cfg["tau"], tol=cfg["reproject_tol"],
+                max_iter=cfg["reproject_max_iter"])
         raster.write_pgm(os.path.join(img_dir, name), img)
         return name, passes, iters, converged
 
@@ -855,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest", help="external manifest CSV (default: synth stage)")
 
-    p = sub.add_parser("degrade", help="simulate LR images and bicubic baselines")
+    p = sub.add_parser("degrade", help="simulate the LR images")
     common(p, factor=True)
 
     p = sub.add_parser("sr", help="reconstruct LR images with the chosen method")

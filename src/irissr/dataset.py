@@ -183,17 +183,9 @@ def preprocess(img: np.ndarray, ann: IrisAnnotation, target_radius: float, side:
 # LR simulation
 # ---------------------------------------------------------------------------
 
-def simulate_lr(img: np.ndarray, lr_w: int, lr_h: int, sigma: float):
-    """Degrade to LR and bicubic-upscale back: (lr, baseline) pair.
-
-    The baseline is the classic-interpolation reconstruction of the LR image.
-    It is not a quality reference: `quality` scores every SR image against
-    the HR image it came from, the prep crop.
-    """
-    h, w = img.shape
-    lr = raster.degrade(img, lr_w, lr_h, sigma)
-    baseline = raster.upsample(lr, w, h)
-    return lr, baseline
+def simulate_lr(img: np.ndarray, lr_w: int, lr_h: int, sigma: float) -> np.ndarray:
+    """The LR observation of an HR image: blur by `sigma`, then downsample."""
+    return raster.degrade(img, lr_w, lr_h, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ raster.degrade_linear, so a fixed point gives a zero step exactly.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,40 +39,28 @@ class ReprojectError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class ReprojectConfig:
-    lr_w: int
-    lr_h: int
-    sigma: float
-    tau: float = DEFAULT_TAU
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-
-    def validate(self) -> None:
-        if not 0 <= self.tau < math.inf:
-            raise ReprojectError(f"tau must be finite and >= 0, got {self.tau}")
-        if not 0 < self.tol < math.inf:
-            raise ReprojectError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ReprojectError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-def reproject(y0: np.ndarray, x: np.ndarray, cfg: ReprojectConfig,
+def reproject(y0: np.ndarray, x: np.ndarray, sigma: float, tau: float = DEFAULT_TAU,
+              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
               trace: list | None = None):
     """Run the re-projection recurrence. Returns (image, iterations, converged).
 
-    `trace`, when given, collects the per-iteration mean absolute update so
-    runs can log their convergence path.
+    `y0` is the HR start estimate and `x` the LR observation; the LR size is
+    the shape of `x`. `sigma` is the degradation blur in HR pixels, `tau` the
+    step size, `tol` the mean absolute update that stops the loop and
+    `max_iter` the cap on iterations. `trace`, when given, collects the
+    per-iteration mean absolute update so runs can log their convergence path.
     """
-    cfg.validate()
+    if not 0 <= tau < math.inf:
+        raise ReprojectError(f"tau must be finite and >= 0, got {tau}")
+    if not 0 < tol < math.inf:
+        raise ReprojectError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 1:
+        raise ReprojectError(f"max_iter must be >= 1, got {max_iter}")
     y0 = np.asarray(y0, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     hr_h, hr_w = y0.shape
-    if x.shape != (cfg.lr_h, cfg.lr_w):
-        raise ReprojectError(
-            f"observation dims {x.shape[::-1]} do not match config "
-            f"({cfg.lr_w}, {cfg.lr_h})")
-    if hr_w < cfg.lr_w or hr_h < cfg.lr_h:
+    lr_h, lr_w = x.shape
+    if hr_w < lr_w or hr_h < lr_h:
         raise ReprojectError("HR estimate smaller than the LR observation")
 
     def axis_matrices(hr_n, lr_n):
@@ -82,29 +69,29 @@ def reproject(y0: np.ndarray, x: np.ndarray, cfg: ReprojectConfig,
         # that ratio. The HR value itself would smear the LR residual to its
         # mean and stall the correction.
         up = raster.axis_operator(lr_n, hr_n)
-        blur = raster.axis_operator(lr_n, lr_n, cfg.sigma * (lr_n / hr_n))
-        return blur, up, raster.axis_operator(hr_n, lr_n, cfg.sigma) @ up
+        blur = raster.axis_operator(lr_n, lr_n, sigma * (lr_n / hr_n))
+        return blur, up, raster.axis_operator(hr_n, lr_n, sigma) @ up
 
-    blur_h, up_h, down_up_h = axis_matrices(hr_h, cfg.lr_h)
-    blur_w, up_w, down_up_w = axis_matrices(hr_w, cfg.lr_w)
+    blur_h, up_h, down_up_h = axis_matrices(hr_h, lr_h)
+    blur_w, up_w, down_up_w = axis_matrices(hr_w, lr_w)
 
-    residual = raster.degrade_linear(y0, cfg.lr_w, cfg.lr_h, cfg.sigma) - x
+    residual = raster.degrade_linear(y0, lr_w, lr_h, sigma) - x
     total = np.zeros_like(residual)
     iterations = 0
     converged = False
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         iterations += 1
         smoothed = blur_h @ residual @ blur_w.T
         total += smoothed
         # U (s U') stays on one OpenBLAS thread at 231 -> 15, where (U s) U'
         # runs threaded and several times slower
         step = up_h @ (smoothed @ up_w.T)
-        delta = cfg.tau * float(np.mean(np.abs(step, out=step)))
+        delta = tau * float(np.mean(np.abs(step, out=step)))
         if trace is not None:
             trace.append(delta)
-        if delta < cfg.tol:
+        if delta < tol:
             converged = True
             break
-        residual = residual - cfg.tau * (down_up_h @ smoothed @ down_up_w.T)
-    y = y0 - cfg.tau * (up_h @ (total @ up_w.T))
+        residual = residual - tau * (down_up_h @ smoothed @ down_up_w.T)
+    y = y0 - tau * (up_h @ (total @ up_w.T))
     return raster.clamp01(y), iterations, converged

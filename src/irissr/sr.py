@@ -1,11 +1,11 @@
-"""Super-resolution driver: chain a x2 upscaler log2(n) times, then fix the size.
+"""Super-resolution driver: reconstruct an LR image at the HR size by method.
 
-Built-in kinds `bilinear` and `bicubic` are single direct resizes (the classic
-baselines). Kind `eigenpatch` is a direct LR->HR map through a trained model.
-Kind `external` shells out to an opaque x2 backend through a file-exchange
-protocol (PGM in, PGM out; see BACKEND.md), invoked ceil(log2(n)) times for a
-nominal factor n = hr_w / lr_w, followed by one bicubic exact-size correction
-when the chained dims do not land on the target.
+Methods `bilinear` and `bicubic` are single direct resizes (the classic
+baselines). Method `eigenpatch` is a direct LR->HR map through a trained
+model. Method `backend:<name>` shells out to an opaque x2 backend through a
+file-exchange protocol (PGM in, PGM out; see BACKEND.md), invoked
+ceil(log2(n)) times for a nominal factor n = hr_w / lr_w, followed by one
+bicubic exact-size correction when the chained dims do not land on the target.
 """
 
 import math
@@ -13,7 +13,6 @@ import os
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from . import eigenpatch, raster
 from .errors import BackendError, InputError
 
 EXCHANGE_ENV = "IRIS_SR_TMP"
-
-KINDS = ("bilinear", "bicubic", "eigenpatch", "external")
 
 
 class SrError(InputError):
@@ -58,45 +55,28 @@ class BackendDimensionError(BackendError):
             f"backend output dims {got} do not match the required x2 dims {expected}")
 
 
-@dataclass(frozen=True)
-class UpscalerSpec:
-    name: str
-    kind: str
-    backend_command: str | None = None
-    exchange_dir: str | None = None
-    timeout: float | None = None  # seconds one backend call may take
-
-    def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise SrError(f"unknown upscaler kind {self.kind!r}")
-        if self.kind == "external" and not (self.backend_command and self.exchange_dir):
-            raise SrError("external upscaler requires backend_command and exchange_dir")
-
-
-def apply_backend(lr: np.ndarray, up: UpscalerSpec) -> np.ndarray:
+def apply_backend(lr: np.ndarray, backend: dict) -> np.ndarray:
     """One x2 pass through the external backend via the file-exchange protocol.
 
-    Each invocation gets a fresh subdirectory of the exchange dir, so
-    concurrent calls cannot collide; the files are left in place for
-    debugging.
+    `backend` is the backend's config entry: `command`, `exchange_dir` and
+    an optional `timeout` in seconds. Each invocation gets a fresh
+    subdirectory of the exchange dir, so concurrent calls cannot collide;
+    the files are left in place for debugging.
     """
-    if up.kind != "external":
-        raise SrError(f"apply_backend needs an external upscaler, got {up.kind!r}")
-    up.validate()
     h, w = lr.shape
-    os.makedirs(up.exchange_dir, exist_ok=True)
-    workdir = tempfile.mkdtemp(prefix="x2-", dir=up.exchange_dir)
+    limit = backend.get("timeout")
+    os.makedirs(backend["exchange_dir"], exist_ok=True)
+    workdir = tempfile.mkdtemp(prefix="x2-", dir=backend["exchange_dir"])
     in_path = os.path.join(workdir, "in.pgm")
     out_path = os.path.join(workdir, "out.pgm")
     raster.write_pgm(in_path, lr)
 
     argv = [tok.replace("{in}", in_path).replace("{out}", out_path)
-            for tok in shlex.split(up.backend_command)]
+            for tok in shlex.split(backend["command"])]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=up.timeout)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=limit)
     except subprocess.TimeoutExpired:
-        raise BackendTimeoutError(" ".join(argv), up.timeout) from None
+        raise BackendTimeoutError(" ".join(argv), limit) from None
     if proc.returncode != 0:
         raise BackendProcessError(" ".join(argv), proc.returncode,
                                   proc.stderr[-2000:])
@@ -111,36 +91,42 @@ def apply_backend(lr: np.ndarray, up: UpscalerSpec) -> np.ndarray:
     return out
 
 
-def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, up: UpscalerSpec,
-                  model: eigenpatch.EigenPatchModel | None = None):
-    """Reconstruct lr to exactly (hr_w, hr_h). Returns (image, passes).
+def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, method: str,
+                  model: eigenpatch.EigenPatchModel | None = None,
+                  backend: dict | None = None):
+    """Reconstruct lr to exactly (hr_w, hr_h) by `method`. Returns (image, passes).
 
-    `passes` counts upscaler applications: 1 for the direct kinds, and
-    ceil(log2(hr_w / lr_w)) backend invocations for the external kind.
+    `model` is the trained model `eigenpatch` needs and `backend` the config
+    entry a `backend:<name>` method calls. `passes` counts upscaler
+    applications: 1 for the direct methods, and ceil(log2(hr_w / lr_w))
+    backend invocations for a backend.
     """
-    up.validate()
     lr = raster.as_image(lr)
     h, w = lr.shape
     if hr_w < w or hr_h < h:
         raise SrError(f"target {hr_w}x{hr_h} smaller than input {w}x{h}")
 
-    if up.kind == "bilinear":
+    if method == "bilinear":
         return raster.resize_bilinear(lr, hr_w, hr_h), 1
-    if up.kind == "bicubic":
+    if method == "bicubic":
         return raster.resize_bicubic(lr, hr_w, hr_h), 1
-    if up.kind == "eigenpatch":
+    if method == "eigenpatch":
         if model is None:
             raise SrError("eigenpatch upscaler requires a model")
         out = eigenpatch.reconstruct(lr, model)
         if out.shape != (hr_h, hr_w):
             out = raster.resize_bicubic(out, hr_w, hr_h)
         return out, 1
+    if not method.startswith("backend:"):
+        raise SrError(f"unknown SR method {method!r}")
+    if backend is None:
+        raise SrError(f"method {method!r} requires its backend entry")
 
-    # external: repeated x2 passes, then exact-size correction
+    # repeated x2 passes, then exact-size correction
     passes = planned_passes(w, hr_w)
     img = lr
     for _ in range(passes):
-        img = raster.clamp01(apply_backend(img, up))
+        img = raster.clamp01(apply_backend(img, backend))
     if img.shape != (hr_h, hr_w):
         img = raster.resize_bicubic(img, hr_w, hr_h)
     return img, passes

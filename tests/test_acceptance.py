@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. Budgets are asserted with the stated limits.
 """
 
+import inspect
 import json
 import math
 import os
@@ -41,8 +42,8 @@ def test_criterion_1_reprojection_constants():
     b = Budget(1, 1.0, "re-projection constants tau=0.02, tol=1e-5, fixed point")
     assert reproject.DEFAULT_TAU == 0.02
     assert reproject.DEFAULT_TOL == 1e-5
-    cfg = reproject.ReprojectConfig(lr_w=16, lr_h=16, sigma=1.0)
-    assert cfg.tau == 0.02 and cfg.tol == 1e-5
+    defaults = inspect.signature(reproject.reproject).parameters
+    assert defaults["tau"].default == 0.02 and defaults["tol"].default == 1e-5
     assert cli.DEFAULT_CONFIG["tau"] == 0.02
     assert cli.DEFAULT_CONFIG["reproject_tol"] == 1e-5
 
@@ -50,16 +51,16 @@ def test_criterion_1_reprojection_constants():
     y0 = raster.upsample(raster.degrade(img, 16, 16, 0.0), 64, 64)
     x = raster.degrade(y0, 16, 16, 1.0)
     trace = []
-    y, iters, converged = reproject.reproject(y0, x, cfg, trace=trace)
+    y, iters, converged = reproject.reproject(y0, x, 1.0, trace=trace)
     assert iters == 1 and converged
     assert trace == [0.0]                      # zero change, observable
     assert np.array_equal(y, y0)
     # the tolerance is what stops a non-trivial run, visible in its trace
     img2, _ = dataset.synth_iris(1, 64)
-    lr2, base2 = dataset.simulate_lr(img2, 16, 16, 2.0)
+    lr2 = dataset.simulate_lr(img2, 16, 16, 2.0)
+    base2 = raster.upsample(lr2, 64, 64)
     trace2 = []
-    _, it2, conv2 = reproject.reproject(
-        base2, lr2, reproject.ReprojectConfig(16, 16, 2.0), trace=trace2)
+    _, it2, conv2 = reproject.reproject(base2, lr2, 2.0, trace=trace2)
     assert conv2 and trace2[-1] < 1e-5
     assert all(d >= 1e-5 for d in trace2[:-1])
     b.done(f"fixed point at iteration {iters}")
@@ -68,12 +69,12 @@ def test_criterion_1_reprojection_constants():
 def test_criterion_2_reprojection_fidelity(corpus20):
     b = Budget(2, 120.0, "re-projection fidelity on the 20-seed corpus")
     sigma = raster.antialias_sigma(231, 231, 15, 15)
-    cfg = reproject.ReprojectConfig(lr_w=15, lr_h=15, sigma=sigma)
     residual_ok = 0
     psnr_wins = 0
     for img, _ann in corpus20:
-        lr, base = dataset.simulate_lr(img, 15, 15, sigma)
-        y, _iters, _conv = reproject.reproject(base, lr, cfg)
+        lr = dataset.simulate_lr(img, 15, 15, sigma)
+        base = raster.upsample(lr, 231, 231)
+        y, _iters, _conv = reproject.reproject(base, lr, sigma)
         r0 = np.abs(raster.degrade(base, 15, 15, sigma) - lr).mean()
         r1 = np.abs(raster.degrade(y, 15, 15, sigma) - lr).mean()
         residual_ok += (r1 <= r0)
@@ -104,22 +105,20 @@ def test_criterion_3_metric_oracles():
 def test_criterion_4_multipass_driver(tmp_path):
     b = Budget(4, 10.0, "multi-pass driver invocation counts")
     exchange = str(tmp_path / "exchange")
-    spec = sr.UpscalerSpec(
-        name="nn2x", kind="external",
-        backend_command=f"{sys.executable} -m irissr.refbackend {{in}} {{out}}",
-        exchange_dir=exchange)
+    backend = {"command": f"{sys.executable} -m irissr.refbackend {{in}} {{out}}",
+               "exchange_dir": exchange}
 
     def invocations():
         return len([d for d in os.listdir(exchange)
                     if os.path.isdir(os.path.join(exchange, d))])
 
     img16 = np.random.default_rng(0).uniform(size=(16, 16))
-    _, passes = sr.super_resolve(img16, 32, 32, spec)
+    _, passes = sr.super_resolve(img16, 32, 32, "backend:nn2x", backend=backend)
     assert passes == 1 and invocations() == 1
-    _, passes = sr.super_resolve(img16, 256, 256, spec)
+    _, passes = sr.super_resolve(img16, 256, 256, "backend:nn2x", backend=backend)
     assert passes == 4 and invocations() == 5
     img13 = np.random.default_rng(1).uniform(size=(13, 13))
-    out, passes = sr.super_resolve(img13, 319, 319, spec)
+    out, passes = sr.super_resolve(img13, 319, 319, "backend:nn2x", backend=backend)
     assert passes == 5 and invocations() == 10
     assert out.shape == (319, 319)  # exact-size correction after 13*2^5 = 416
     b.done("factor 2 -> 1, 16 -> 4, 13->319 -> 5 backend calls")
@@ -172,7 +171,8 @@ def test_criterion_6_lg_comparator(corpus20_sessions, templates20_sessions):
                 test = img
             else:
                 sigma = raster.antialias_sigma(231, 231, lr_size, lr_size)
-                _, test = dataset.simulate_lr(img, lr_size, lr_size, sigma)
+                test = raster.upsample(
+                    dataset.simulate_lr(img, lr_size, lr_size, sigma), 231, 231)
             templates[(s, j)] = iriscode.encode(iriscode.unwrap(test, ann))
         gen = [iriscode.hamming(templates[p], templates[g]) for p, g in gen_pairs]
         imp = [iriscode.hamming(templates[p], templates[g]) for p, g in imp_pairs]

@@ -259,7 +259,13 @@ def test_bad_config_exit_code(tmp_path):
                  '{"comparators": ["lg", "lg"]}',
                  # a backend timeout is a positive number of seconds
                  *('{"backends": {"nn2x": {"command": "x", "timeout": %s}}}' % limit
-                   for limit in ("true", '"5"', "0", "-1", "NaN", "Infinity"))):
+                   for limit in ("true", '"5"', "0", "-1", "NaN", "Infinity")),
+                 # a command must split into at least one token, and an
+                 # exchange directory must be a non-empty path
+                 *('{"backends": {"nn2x": %s}}' % entry for entry in (
+                     '{"command": "x \\"y"}', '{"command": ""}', '{"command": " "}',
+                     '{"command": "x", "exchange_dir": 5}',
+                     '{"command": "x", "exchange_dir": ""}'))):
         bad.write_text(text)
         assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG, text
     for flag in ("--seeds", "--sessions"):
@@ -275,6 +281,17 @@ def test_bad_config_exit_code(tmp_path):
     for limit in (None, 1, 0.5):
         cli.validate_config({**cli.DEFAULT_CONFIG,
                              "backends": {"b": {"command": "x", "timeout": limit}}})
+
+
+def test_degrade_writes_only_lr_images(pipeline):
+    out, _ = pipeline
+    stage = os.path.join(out, "lr", "1_4")
+    assert not os.path.exists(os.path.join(stage, "baseline"))
+    with open(os.path.join(stage, "stage_degrade.json")) as fh:
+        outputs = json.load(fh)["outputs"]
+    lr_images = sorted(os.path.join("lr", name)
+                       for name in os.listdir(os.path.join(stage, "lr")))
+    assert lr_images and sorted(outputs) == lr_images
 
 
 def test_degrade_rerun_makes_sr_outputs_stale(own_pipeline, tmp_path):

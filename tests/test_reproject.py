@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,13 @@ def _eight_bit(img):
 
 
 def test_default_constants():
-    cfg = reproject.ReprojectConfig(lr_w=8, lr_h=8, sigma=1.0)
-    assert cfg.tau == 0.02
-    assert cfg.tol == 1e-5
-    assert cfg.max_iter == 1000
+    assert reproject.DEFAULT_TAU == 0.02
+    assert reproject.DEFAULT_TOL == 1e-5
+    assert reproject.DEFAULT_MAX_ITER == 1000
+    params = inspect.signature(reproject.reproject).parameters
+    assert params["tau"].default == reproject.DEFAULT_TAU
+    assert params["tol"].default == reproject.DEFAULT_TOL
+    assert params["max_iter"].default == reproject.DEFAULT_MAX_ITER
 
 
 def test_fixed_point_terminates_immediately():
@@ -21,8 +26,7 @@ def test_fixed_point_terminates_immediately():
     y0 = raster.upsample(raster.degrade(img, 16, 16, 0.0), 64, 64)
     x = raster.degrade(y0, 16, 16, 1.0)  # exact fidelity by construction
     trace = []
-    y, iters, converged = reproject.reproject(
-        y0, x, reproject.ReprojectConfig(16, 16, 1.0), trace=trace)
+    y, iters, converged = reproject.reproject(y0, x, 1.0, trace=trace)
     assert iters == 1 and converged
     assert trace == [0.0]
     assert np.array_equal(y, y0)
@@ -31,16 +35,16 @@ def test_fixed_point_terminates_immediately():
 def test_zero_tau_returns_input():
     img, _ = dataset.synth_iris(4, 64)
     x = raster.degrade(img, 16, 16, 2.0)
-    y, iters, converged = reproject.reproject(
-        img, x, reproject.ReprojectConfig(16, 16, 2.0, tau=0.0))
+    y, iters, converged = reproject.reproject(img, x, 2.0, tau=0.0)
     assert iters == 1 and converged
     assert np.array_equal(y, img)
 
 
 def test_dims_mismatch_rejected():
-    with pytest.raises(reproject.ReprojectError):
-        reproject.reproject(np.zeros((32, 32)), np.zeros((8, 9)),
-                            reproject.ReprojectConfig(8, 8, 1.0))
+    # an HR estimate smaller than the observation along either axis
+    for hr, lr in (((32, 32), (8, 40)), ((32, 32), (40, 8)), ((8, 8), (9, 9))):
+        with pytest.raises(reproject.ReprojectError, match="smaller"):
+            reproject.reproject(np.zeros(hr), np.zeros(lr), 1.0)
 
 
 def test_config_validation():
@@ -48,15 +52,15 @@ def test_config_validation():
                 {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
                 {"max_iter": 0}):
         with pytest.raises(reproject.ReprojectError):
-            reproject.ReprojectConfig(8, 8, 1.0, **bad).validate()
+            reproject.reproject(np.zeros((32, 32)), np.zeros((8, 8)), 1.0, **bad)
 
 
 def test_termination_within_max_iter():
     img, _ = dataset.synth_iris(5, 96)
     sigma = raster.antialias_sigma(96, 96, 12, 12)
-    lr, base = dataset.simulate_lr(img, 12, 12, sigma)
-    cfg = reproject.ReprojectConfig(12, 12, sigma, max_iter=25)
-    y, iters, converged = reproject.reproject(base, lr, cfg)
+    lr = dataset.simulate_lr(img, 12, 12, sigma)
+    base = raster.upsample(lr, 96, 96)
+    y, iters, converged = reproject.reproject(base, lr, sigma, max_iter=25)
     assert iters <= 25
     if not converged:
         assert iters == 25
@@ -68,9 +72,9 @@ def test_fidelity_residual_decreases_on_seeds():
     for seed in range(4):
         img, _ = dataset.synth_iris(seed, 231)
         sigma = raster.antialias_sigma(231, 231, 15, 15)
-        lr, base = dataset.simulate_lr(img, 15, 15, sigma)
-        cfg = reproject.ReprojectConfig(15, 15, sigma)
-        y, iters, converged = reproject.reproject(base, lr, cfg)
+        lr = dataset.simulate_lr(img, 15, 15, sigma)
+        base = raster.upsample(lr, 231, 231)
+        y, iters, converged = reproject.reproject(base, lr, sigma)
         r0 = np.abs(raster.degrade(base, 15, 15, sigma) - lr).mean()
         r1 = np.abs(raster.degrade(y, 15, 15, sigma) - lr).mean()
         assert r1 <= r0
@@ -80,10 +84,10 @@ def test_fidelity_residual_decreases_on_seeds():
 def test_determinism():
     img, _ = dataset.synth_iris(6, 96)
     sigma = raster.antialias_sigma(96, 96, 16, 16)
-    lr, base = dataset.simulate_lr(img, 16, 16, sigma)
-    cfg = reproject.ReprojectConfig(16, 16, sigma, max_iter=60)
-    y1, i1, c1 = reproject.reproject(base, lr, cfg)
-    y2, i2, c2 = reproject.reproject(base, lr, cfg)
+    lr = dataset.simulate_lr(img, 16, 16, sigma)
+    base = raster.upsample(lr, 96, 96)
+    y1, i1, c1 = reproject.reproject(base, lr, sigma, max_iter=60)
+    y2, i2, c2 = reproject.reproject(base, lr, sigma, max_iter=60)
     assert i1 == i2 and c1 == c2
     assert np.array_equal(y1, y2)
 
@@ -91,10 +95,10 @@ def test_determinism():
 def test_trace_records_every_iteration():
     img, _ = dataset.synth_iris(7, 64)
     sigma = raster.antialias_sigma(64, 64, 8, 8)
-    lr, base = dataset.simulate_lr(img, 8, 8, sigma)
+    lr = dataset.simulate_lr(img, 8, 8, sigma)
+    base = raster.upsample(lr, 64, 64)
     trace = []
-    cfg = reproject.ReprojectConfig(8, 8, sigma, max_iter=15)
-    _, iters, _ = reproject.reproject(base, lr, cfg, trace=trace)
+    _, iters, _ = reproject.reproject(base, lr, sigma, max_iter=15, trace=trace)
     assert len(trace) == iters
     assert all(d >= 0 for d in trace)
 
@@ -104,37 +108,37 @@ def test_non_square_factor_reaches_fidelity():
     # needs its own scale, or the rows' residual is smeared and stays large
     img, _ = dataset.synth_iris(0, 231)
     sigma = raster.antialias_sigma(231, 231, 57, 15)
-    lr, _ = dataset.simulate_lr(img, 57, 15, sigma)
-    lr = _eight_bit(lr)
+    lr = _eight_bit(dataset.simulate_lr(img, 57, 15, sigma))
     y0 = raster.resize_bicubic(lr, 231, 231)
-    y, _, converged = reproject.reproject(
-        y0, lr, reproject.ReprojectConfig(57, 15, sigma))
+    y, _, converged = reproject.reproject(y0, lr, sigma)
     assert converged
     residual = raster.degrade(y, 57, 15, sigma) - lr
     assert np.sqrt(np.mean(residual ** 2)) < 0.01
 
 
-def _reference_reproject(y0, x, cfg):
+def _reference_reproject(y0, x, sigma, tau=reproject.DEFAULT_TAU,
+                         tol=reproject.DEFAULT_TOL, max_iter=reproject.DEFAULT_MAX_ITER):
     """The recurrence as first written, one HR degrade per iteration."""
     y = np.asarray(y0, dtype=np.float64).copy()
     hr_h, hr_w = y.shape
+    lr_h, lr_w = x.shape
     trace = []
     iterations, converged = 0, False
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         iterations += 1
-        residual = raster.degrade_linear(y, cfg.lr_w, cfg.lr_h, cfg.sigma) - x
-        if cfg.sigma > 0:
+        residual = raster.degrade_linear(y, lr_w, lr_h, sigma) - x
+        if sigma > 0:
             # the degradation blur rescaled from HR to LR pixels along each
             # axis: rows first, then columns, each pass ending transposed
-            for lr_n, hr_n in ((cfg.lr_h, hr_h), (cfg.lr_w, hr_w)):
-                taps = raster.gaussian_taps(cfg.sigma * (lr_n / hr_n))
+            for lr_n, hr_n in ((lr_h, hr_h), (lr_w, hr_w)):
+                taps = raster.gaussian_taps(sigma * (lr_n / hr_n))
                 residual = raster._correlate_rows(residual, taps).T
         step = raster.upsample_linear(residual, hr_w, hr_h)
-        y_next = y - cfg.tau * step
+        y_next = y - tau * step
         delta = float(np.mean(np.abs(y_next - y)))
         trace.append(delta)
         y = y_next
-        if delta < cfg.tol:
+        if delta < tol:
             converged = True
             break
     return raster.clamp01(y), iterations, converged, trace
@@ -160,16 +164,14 @@ def test_operator_form_matches_reference(seed, hr, lr, sigma, extra):
     img, _ = dataset.synth_iris(seed, max(hr))
     img = img[:hr_h, :hr_w]
     observed_sigma = raster.antialias_sigma(hr_w, hr_h, lr_w, lr_h)
-    lr_img, _ = dataset.simulate_lr(img, lr_w, lr_h, observed_sigma)
-    lr_img = quantise(lr_img)
+    lr_img = quantise(dataset.simulate_lr(img, lr_w, lr_h, observed_sigma))
     # a bilinear start is further from a fixed point than the bicubic baseline
     y0 = quantise(raster.resize_bilinear(lr_img, hr_w, hr_h))
-    cfg = reproject.ReprojectConfig(
-        lr_w, lr_h, observed_sigma if sigma is None else sigma, **extra)
+    sigma = observed_sigma if sigma is None else sigma
     trace = []
-    y, iters, converged = reproject.reproject(y0, lr_img, cfg, trace=trace)
+    y, iters, converged = reproject.reproject(y0, lr_img, sigma, trace=trace, **extra)
     y_ref, iters_ref, converged_ref, trace_ref = _reference_reproject(
-        y0, lr_img, cfg)
+        y0, lr_img, sigma, **extra)
     assert iters == iters_ref and converged == converged_ref
     assert np.abs(np.array(trace) - np.array(trace_ref)).max() < 1e-12
     assert np.abs(y - y_ref).max() < 1e-12

@@ -447,7 +447,7 @@ def equality_images():
         images[f"eye{seed}-j{jitter}"] = eye
         for lr in (57, 15):
             sigma = raster.antialias_sigma(231, 231, lr, lr)
-            baseline = dataset.simulate_lr(eye, lr, lr, sigma)[1]
+            baseline = raster.upsample(dataset.simulate_lr(eye, lr, lr, sigma), 231, 231)
             images[f"eye{seed}-j{jitter}-{lr}"] = np.round(baseline * 255) / 255
     images["smooth-noise"] = smooth_noise(6)
     images["smooth-noise-160"] = smooth_noise(8, size=160, blur=1.5)

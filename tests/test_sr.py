@@ -9,24 +9,23 @@ from irissr import dataset, eigenpatch, raster, sr
 NN2X = f"{sys.executable} -m irissr.refbackend {{in}} {{out}}"
 
 
-def external_spec(tmp_path, command=NN2X):
-    return sr.UpscalerSpec(name="test", kind="external", backend_command=command,
-                           exchange_dir=str(tmp_path / "exchange"))
+def backend_entry(tmp_path, command=NN2X):
+    return {"command": command, "exchange_dir": str(tmp_path / "exchange")}
 
 
-def test_spec_validation():
+def test_method_dispatch_errors():
+    img = np.zeros((16, 16))
     with pytest.raises(sr.SrError):
-        sr.UpscalerSpec(name="x", kind="wavelet").validate()
+        sr.super_resolve(img, 32, 32, "wavelet")
     with pytest.raises(sr.SrError):
-        sr.UpscalerSpec(name="x", kind="external").validate()
-    sr.UpscalerSpec(name="x", kind="bicubic").validate()
+        sr.super_resolve(img, 32, 32, "backend:x")  # no backend entry
 
 
-def test_direct_kinds_single_pass():
+def test_direct_methods_single_pass():
     img = np.random.default_rng(0).uniform(size=(16, 16))
-    out, passes = sr.super_resolve(img, 64, 64, sr.UpscalerSpec("b", "bilinear"))
+    out, passes = sr.super_resolve(img, 64, 64, "bilinear")
     assert passes == 1 and out.shape == (64, 64)
-    out, passes = sr.super_resolve(img, 64, 64, sr.UpscalerSpec("c", "bicubic"))
+    out, passes = sr.super_resolve(img, 64, 64, "bicubic")
     assert passes == 1
     # the driver adds nothing over the raw resampler
     assert np.array_equal(out, raster.resize_bicubic(img, 64, 64))
@@ -35,7 +34,7 @@ def test_direct_kinds_single_pass():
 def test_target_smaller_rejected():
     img = np.zeros((16, 16))
     with pytest.raises(sr.SrError):
-        sr.super_resolve(img, 8, 16, sr.UpscalerSpec("c", "bicubic"))
+        sr.super_resolve(img, 8, 16, "bicubic")
 
 
 def test_planned_passes_formula():
@@ -49,20 +48,21 @@ def test_planned_passes_formula():
 def test_backend_chain_passes_and_exact_size(tmp_path):
     img, _ = dataset.synth_iris(0, 64)
     lr = raster.degrade(img, 13, 13, 2.0)
-    spec = external_spec(tmp_path)
-    out, passes = sr.super_resolve(lr, 319, 319, spec)
+    backend = backend_entry(tmp_path)
+    out, passes = sr.super_resolve(lr, 319, 319, "backend:test", backend=backend)
     assert passes == 5
     assert out.shape == (319, 319)
     # exchange protocol: one unique subdirectory per invocation
-    subdirs = [d for d in os.listdir(spec.exchange_dir)
-               if os.path.isdir(os.path.join(spec.exchange_dir, d))]
+    exchange = backend["exchange_dir"]
+    subdirs = [d for d in os.listdir(exchange)
+               if os.path.isdir(os.path.join(exchange, d))]
     assert len(subdirs) == 5
 
 
 def test_backend_single_pass_factor2(tmp_path):
     img = np.random.default_rng(1).uniform(size=(16, 16))
-    spec = external_spec(tmp_path)
-    out, passes = sr.super_resolve(img, 32, 32, spec)
+    out, passes = sr.super_resolve(img, 32, 32, "backend:test",
+                                   backend=backend_entry(tmp_path))
     assert passes == 1
     assert out.shape == (32, 32)
     # nearest-neighbor backend: values preserved blockwise (modulo 8-bit I/O)
@@ -75,33 +75,29 @@ def test_apply_backend_dimension_mismatch(tmp_path):
     bad = (f"{sys.executable} -c \"import sys; from irissr import raster; "
            "img = raster.read_pgm(sys.argv[1]); raster.write_pgm(sys.argv[2], img)\" "
            "{in} {out}")
-    spec = external_spec(tmp_path, bad)
     with pytest.raises(sr.BackendDimensionError):
-        sr.apply_backend(np.zeros((8, 8)), spec)
+        sr.apply_backend(np.zeros((8, 8)), backend_entry(tmp_path, bad))
 
 
 def test_apply_backend_nonzero_exit(tmp_path):
     bad = f"{sys.executable} -c \"import sys; sys.exit(3)\" {{in}} {{out}}"
-    spec = external_spec(tmp_path, bad)
     with pytest.raises(sr.BackendProcessError) as exc:
-        sr.apply_backend(np.zeros((8, 8)), spec)
+        sr.apply_backend(np.zeros((8, 8)), backend_entry(tmp_path, bad))
     assert exc.value.status == 3
 
 
 def test_apply_backend_missing_output(tmp_path):
     bad = f"{sys.executable} -c \"pass\" {{in}} {{out}}"
-    spec = external_spec(tmp_path, bad)
     with pytest.raises(sr.BackendOutputMissingError):
-        sr.apply_backend(np.zeros((8, 8)), spec)
+        sr.apply_backend(np.zeros((8, 8)), backend_entry(tmp_path, bad))
 
 
-def test_eigenpatch_kind_single_pass():
+def test_eigenpatch_method_single_pass():
     imgs = [dataset.synth_iris(seed, 64)[0] for seed in range(4)]
     model = eigenpatch.train(imgs, 16, 16, 1.0)
     lr = raster.degrade(imgs[0], 16, 16, 1.0)
-    spec = sr.UpscalerSpec(name="ep", kind="eigenpatch")
-    out, passes = sr.super_resolve(lr, 64, 64, spec, model=model)
+    out, passes = sr.super_resolve(lr, 64, 64, "eigenpatch", model=model)
     assert passes == 1
     assert out.shape == (64, 64)
     with pytest.raises(sr.SrError):
-        sr.super_resolve(lr, 64, 64, spec)  # no model
+        sr.super_resolve(lr, 64, 64, "eigenpatch")  # no model

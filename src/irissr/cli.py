@@ -475,7 +475,7 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
     """The (model, backend) the validated method needs, each None when it
     needs none: an eigen-patch model, retrained when its degrade stage's
     fingerprint changes, or a backend's config entry with its exchange
-    directory resolved."""
+    directory resolved and checked writable."""
     from . import eigenpatch, raster, sr
 
     method = cfg["method"]
@@ -502,7 +502,7 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
     entry = cfg["backends"][name]
     exchange = entry.get("exchange_dir") or os.environ.get(sr.EXCHANGE_ENV) \
         or os.path.join(out_root, "exchange", name)
-    return None, {**entry, "exchange_dir": exchange}
+    return None, {**entry, "exchange_dir": ensure_dir(exchange)}
 
 
 def cmd_sr(cfg, args) -> int:

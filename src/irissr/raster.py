@@ -251,15 +251,6 @@ def read_png(path) -> np.ndarray:
         return rgb_to_luma(rgb)
 
 
-def write_png(path, img: np.ndarray) -> None:
-    try:
-        from PIL import Image as PilImage
-    except ImportError as exc:  # pragma: no cover
-        raise RasterError("PNG support requires Pillow (pip install iris-sr[png])") from exc
-    quant = np.rint(clamp01(as_image(img)) * 255.0).astype(np.uint8)
-    PilImage.fromarray(quant, mode="L").save(path)
-
-
 def load_image(path) -> np.ndarray:
     p = str(path)
     if p.lower().endswith(".png"):

@@ -631,6 +631,27 @@ def test_unwritable_output_exit_code(tmp_path):
                 "--out", str(blocker / "out")]) == cli.EXIT_UNWRITABLE
 
 
+def test_exchange_dir_naming_a_file_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    blocker = tmp_path / "exchange"
+    blocker.write_text("a file where the exchange directory must go")
+    cfg = write_config(
+        tmp_path / "c.json", seeds=2, sessions=1, train_subjects=0,
+        backends={"nn2x": {"command": f"{sys.executable} -m irissr.refbackend {{in}} {{out}}",
+                           "exchange_dir": str(blocker)}})
+    base = ["--config", cfg, "--out", out]
+    assert run(["synth", *base]) == 0
+    assert run(["prep", *base]) == 0
+    assert run(["degrade", *base, "--factor", "1/4"]) == 0
+    capsys.readouterr()
+    assert run(["sr", *base, "--factor", "1/4",
+                "--method", "backend:nn2x"]) == cli.EXIT_UNWRITABLE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("irissr sr:") and str(blocker) in err[0]
+    # the check ran before any image: no SR output directory, no stage meta
+    assert not os.path.exists(os.path.join(out, "sr"))
+
+
 def test_exchange_env_var_used(tmp_path, monkeypatch):
     # IRIS_SR_TMP supplies the exchange directory when the backend config
     # does not name one

@@ -21,12 +21,17 @@ def test_default_constants():
     assert params["max_iter"].default == reproject.DEFAULT_MAX_ITER
 
 
-def test_fixed_point_terminates_immediately():
+def _fixed_point_case():
     img, _ = dataset.synth_iris(3, 64)
     y0 = raster.upsample(raster.degrade(img, 16, 16, 0.0), 64, 64)
-    x = raster.degrade(y0, 16, 16, 1.0)  # exact fidelity by construction
+    # exact fidelity by construction
+    return y0, raster.degrade(y0, 16, 16, 1.0), 1.0
+
+
+def test_fixed_point_terminates_immediately():
+    y0, x, sigma = _fixed_point_case()
     trace = []
-    y, iters, converged = reproject.reproject(y0, x, 1.0, trace=trace)
+    y, iters, converged = reproject.reproject(y0, x, sigma, trace=trace)
     assert iters == 1 and converged
     assert trace == [0.0]
     assert np.array_equal(y, y0)
@@ -176,3 +181,39 @@ def test_operator_form_matches_reference(seed, hr, lr, sigma, extra):
     assert np.abs(np.array(trace) - np.array(trace_ref)).max() < 1e-12
     assert np.abs(y - y_ref).max() < 1e-12
     assert np.array_equal(np.rint(y * 255), np.rint(y_ref * 255))
+
+
+def _eye_case(seed, hr, lr, sigma=None):
+    hr_h, hr_w = hr
+    lr_h, lr_w = lr
+    img = dataset.synth_iris(seed, max(hr))[0][:hr_h, :hr_w]
+    observed_sigma = raster.antialias_sigma(hr_w, hr_h, lr_w, lr_h)
+    lr_img = _eight_bit(dataset.simulate_lr(img, lr_w, lr_h, observed_sigma))
+    # a bilinear start is further from a fixed point than the bicubic baseline
+    y0 = raster.resize_bilinear(lr_img, hr_w, hr_h)
+    return y0, lr_img, observed_sigma if sigma is None else sigma
+
+
+@pytest.mark.parametrize("case,extra", [
+    (lambda: _eye_case(0, (231, 231), (15, 15)), {"max_iter": 300}),
+    (lambda: _eye_case(1, (231, 231), (57, 57)), {}),
+    (lambda: _eye_case(2, (96, 80), (12, 16)), {}),
+    (lambda: _eye_case(3, (64, 64), (16, 16), sigma=0.0), {}),
+    (lambda: _eye_case(4, (64, 64), (16, 16)), {"tau": 0.0}),
+    (_fixed_point_case, {}),
+], ids=["1_16_cap_300", "1_4", "non_square", "sigma_0", "tau_0", "fixed_point"])
+def test_certified_stop_matches_every_exact_test(monkeypatch, case, extra):
+    # `trace` forces the exact HR stop test on every iteration; without it
+    # most iterations are skipped on the LR bound, and nothing else changes
+    y0, x, sigma = case()
+    forced, iters, converged = reproject.reproject(y0, x, sigma, trace=[], **extra)
+    refreshes = []
+    sign = np.sign
+    # each exact test that does not stop the loop keeps sign(step)
+    monkeypatch.setattr(np, "sign", lambda a: refreshes.append(1) or sign(a))
+    certified, iters_c, converged_c = reproject.reproject(y0, x, sigma, **extra)
+    monkeypatch.undo()
+    assert np.array_equal(certified, forced)
+    assert (iters_c, converged_c) == (iters, converged)
+    # and the bound does skip: at most one exact test in twenty iterations
+    assert len(refreshes) <= max(1, iters // 20)

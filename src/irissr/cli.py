@@ -76,12 +76,6 @@ class CliError(Exception):
         self.code = code
 
 
-# Module errors for input the configuration cannot process: exit 2. Every
-# module's error class derives from InputError; the one other module error
-# `main` maps is BackendError: exit 5.
-INPUT_ERRORS = (InputError,)
-
-
 # ---------------------------------------------------------------------------
 # config and artifact helpers
 # ---------------------------------------------------------------------------
@@ -93,8 +87,11 @@ def load_config(args) -> dict:
             user = _read_json(args.config)
         except FileNotFoundError:
             raise CliError(EXIT_MISSING_INPUT, f"config file not found: {args.config}")
-        except ValueError as exc:  # bad JSON, or an int too long to convert
-            raise CliError(EXIT_CONFIG, f"bad config JSON: {exc}")
+        except OSError as exc:  # a directory, or no read permission
+            raise CliError(EXIT_CONFIG, f"unreadable config file {args.config}: "
+                                        f"{exc.strerror}")
+        except ValueError as exc:  # bad JSON or encoding, or an int too long to convert
+            raise CliError(EXIT_CONFIG, f"bad config JSON in {args.config}: {exc}")
         unknown = set(user) - set(cfg)
         if unknown:
             raise CliError(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}")
@@ -376,6 +373,10 @@ def cmd_prep(cfg, args) -> int:
     if not os.path.exists(manifest_path):
         raise CliError(EXIT_MISSING_INPUT, f"manifest not found: {manifest_path}")
     records = dataset.load_manifest(manifest_path)
+    for rec in records:
+        path = os.path.join(src_root, rec.image_path)
+        if not os.path.isfile(path):
+            raise CliError(EXIT_MISSING_INPUT, f"manifest image not found: {path}")
 
     out = ensure_dir(os.path.join(args.out, "prep"))
     img_dir = ensure_dir(os.path.join(out, "images"))
@@ -900,12 +901,14 @@ COMMANDS = {
 }
 
 
+# Every module raises one of two errors: InputError (exit 2) or BackendError
+# (exit 5). The command line's own CliError carries its exit code.
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg, args)
-    except (CliError, BackendError, *INPUT_ERRORS) as exc:
+    except (CliError, InputError, BackendError) as exc:
         print(f"irissr {args.command}: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
             return exc.code

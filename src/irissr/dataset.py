@@ -20,14 +20,6 @@ from . import raster
 from .errors import InputError
 
 
-class DatasetError(InputError):
-    pass
-
-
-class ManifestError(DatasetError):
-    pass
-
-
 @dataclass(frozen=True)
 class IrisAnnotation:
     """Pupil/iris/sclera circle parameters, concentric about the pupil center."""
@@ -40,14 +32,14 @@ class IrisAnnotation:
 
     def validate(self) -> None:
         if not (0 < self.pupil_radius < self.iris_radius <= self.sclera_radius):
-            raise DatasetError(
+            raise InputError(
                 "annotation radii must satisfy 0 < pupil < iris <= sclera, got "
                 f"({self.pupil_radius}, {self.iris_radius}, {self.sclera_radius})"
             )
 
     def check_in_bounds(self, width: int, height: int) -> None:
         if not (0 <= self.px < width and 0 <= self.py < height):
-            raise DatasetError(
+            raise InputError(
                 f"pupil center ({self.px}, {self.py}) outside image {width}x{height}"
             )
 
@@ -77,43 +69,45 @@ MANIFEST_HEADER = ["path", "subject", "session", "px", "py", "pr", "ir", "sr"]
 
 def load_manifest(path) -> list[ManifestRecord]:
     """Parse an annotation manifest CSV, validating every record."""
+    try:
+        with open(path, "r", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: unreadable manifest ({exc})") from None
+    if not rows:
+        raise InputError(f"{path}: empty manifest (missing header)")
+    header = rows[0]
+    if [h.strip() for h in header] != MANIFEST_HEADER:
+        raise InputError(
+            f"{path}: bad header {header!r}, expected {MANIFEST_HEADER!r}"
+        )
     records: list[ManifestRecord] = []
     seen_paths: set[str] = set()
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(MANIFEST_HEADER):
+            raise InputError(f"{path}: line {lineno}: expected "
+                             f"{len(MANIFEST_HEADER)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty manifest (missing header)")
-        if [h.strip() for h in header] != MANIFEST_HEADER:
-            raise ManifestError(
-                f"{path}: bad header {header!r}, expected {MANIFEST_HEADER!r}"
+            ann = IrisAnnotation(
+                px=float(row[3]), py=float(row[4]),
+                pupil_radius=float(row[5]),
+                iris_radius=float(row[6]),
+                sclera_radius=float(row[7]),
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(MANIFEST_HEADER):
-                raise ManifestError(f"{path}: line {lineno}: expected "
-                                    f"{len(MANIFEST_HEADER)} fields, got {len(row)}")
-            try:
-                ann = IrisAnnotation(
-                    px=float(row[3]), py=float(row[4]),
-                    pupil_radius=float(row[5]),
-                    iris_radius=float(row[6]),
-                    sclera_radius=float(row[7]),
-                )
-                session = int(row[2])
-            except ValueError as exc:
-                raise ManifestError(f"{path}: line {lineno}: {exc}") from exc
-            try:
-                ann.validate()
-            except DatasetError as exc:
-                raise ManifestError(
-                    f"{path}: line {lineno} ({row[0]}): {exc}") from exc
-            if row[0] in seen_paths:
-                raise ManifestError(f"{path}: line {lineno}: duplicate path {row[0]!r}")
-            seen_paths.add(row[0])
-            records.append(ManifestRecord(row[0], row[1], session, ann))
+            session = int(row[2])
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            ann.validate()
+        except InputError as exc:
+            raise InputError(
+                f"{path}: line {lineno} ({row[0]}): {exc}") from exc
+        if row[0] in seen_paths:
+            raise InputError(f"{path}: line {lineno}: duplicate path {row[0]!r}")
+        seen_paths.add(row[0])
+        records.append(ManifestRecord(row[0], row[1], session, ann))
     return records
 
 
@@ -161,7 +155,7 @@ def crop_square(img: np.ndarray, ann: IrisAnnotation, side: int):
     does not fit inside the image (the discard outcome).
     """
     if side < 1:
-        raise DatasetError(f"crop side must be >= 1, got {side}")
+        raise InputError(f"crop side must be >= 1, got {side}")
     h, w = img.shape
     cx = int(round(ann.px))
     cy = int(round(ann.py))
@@ -213,7 +207,7 @@ def synth_iris(seed: int, size: int, jitter: int = 0):
     (seed, jitter) pairs act like repeated sessions of one eye.
     """
     if size < 64:
-        raise DatasetError(f"size must be >= 64, got {size}")
+        raise InputError(f"size must be >= 64, got {size}")
     rng = np.random.default_rng(seed)
 
     pupil_r = size * rng.uniform(0.12, 0.16)

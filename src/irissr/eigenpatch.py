@@ -22,12 +22,8 @@ from . import raster
 from .errors import InputError
 
 
-class EigenPatchError(InputError):
-    pass
-
-
-DEFAULT_PATCH_SIZE = 4
-DEFAULT_STRIDE = 2
+PATCH_SIZE = 4
+STRIDE = 2
 DEFAULT_VARIANCE_KEEP = 0.98
 EIGENVALUE_FLOOR = 1e-10
 
@@ -37,9 +33,9 @@ _FORMAT_VERSION = "epm-1"
 def grid_positions(extent: int, patch: int, stride: int) -> list[int]:
     """Top-left offsets covering [0, extent): stride steps, last one clamped."""
     if not (1 <= stride <= patch):
-        raise EigenPatchError(f"need 1 <= stride <= patch_size, got stride={stride}")
+        raise InputError(f"need 1 <= stride <= patch_size, got stride={stride}")
     if patch > extent:
-        raise EigenPatchError(f"patch size {patch} exceeds plane extent {extent}")
+        raise InputError(f"patch size {patch} exceeds plane extent {extent}")
     xs = list(range(0, extent - patch + 1, stride))
     if xs[-1] != extent - patch:
         xs.append(extent - patch)
@@ -55,10 +51,10 @@ def patch_positions(width: int, height: int, patch: int, stride: int) -> list:
 def _check_axis_coverage(offsets, patch, extent, axis_name):
     off = sorted(set(offsets))
     if off[0] != 0 or off[-1] + patch != extent:
-        raise EigenPatchError(f"{axis_name} patches do not reach the plane edges")
+        raise InputError(f"{axis_name} patches do not reach the plane edges")
     for a, b in zip(off, off[1:]):
         if b > a + patch:
-            raise EigenPatchError(f"{axis_name} patch gap between offsets {a} and {b}")
+            raise InputError(f"{axis_name} patch gap between offsets {a} and {b}")
 
 
 @dataclass
@@ -103,35 +99,35 @@ class EigenPatchModel:
 
 
 def train(hr_images, lr_w: int, lr_h: int, sigma: float,
-          patch_size: int = DEFAULT_PATCH_SIZE, stride: int = DEFAULT_STRIDE,
           variance_keep: float = DEFAULT_VARIANCE_KEEP,
           provenance: str = "") -> EigenPatchModel:
     """Build the per-position PCA model from aligned same-size HR images.
 
     LR counterparts are produced by the same degradation used at test time.
+    Patches are PATCH_SIZE x PATCH_SIZE LR pixels, STRIDE apart.
     `variance_keep` truncates components at that cumulative-variance fraction
     (1.0 disables truncation); eigenvalues below EIGENVALUE_FLOOR are always
     dropped, so K <= M - 1.
     """
     hr_images = [np.asarray(im, dtype=np.float64) for im in hr_images]
     if not hr_images:
-        raise EigenPatchError("empty training set")
+        raise InputError("empty training set")
     hr_h, hr_w = hr_images[0].shape
     for im in hr_images[1:]:
         if im.shape != (hr_h, hr_w):
-            raise EigenPatchError(
+            raise InputError(
                 f"training image dims differ: {im.shape} vs {(hr_h, hr_w)}")
     if lr_w > hr_w or lr_h > hr_h:
-        raise EigenPatchError("LR plane must not exceed the HR plane")
+        raise InputError("LR plane must not exceed the HR plane")
 
     lr_images = [raster.degrade(im, lr_w, lr_h, sigma) for im in hr_images]
-    positions_lr = np.array(patch_positions(lr_w, lr_h, patch_size, stride),
+    positions_lr = np.array(patch_positions(lr_w, lr_h, PATCH_SIZE, STRIDE),
                             dtype=np.int64)
 
     fx = hr_w / lr_w
     fy = hr_h / lr_h
-    hp_w = int(math.ceil(patch_size * fx))
-    hp_h = int(math.ceil(patch_size * fy))
+    hp_w = int(math.ceil(PATCH_SIZE * fx))
+    hp_h = int(math.ceil(PATCH_SIZE * fy))
 
     positions_hr = np.empty_like(positions_lr)
     for i, (x, y) in enumerate(positions_lr):
@@ -142,7 +138,7 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
 
     m = len(hr_images)
     p = len(positions_lr)
-    d = patch_size * patch_size
+    d = PATCH_SIZE * PATCH_SIZE
     hd = hp_w * hp_h
 
     means_lr = np.empty((p, d))
@@ -153,7 +149,7 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
 
     for i in range(p):
         x, y = positions_lr[i]
-        patches = np.stack([im[y:y + patch_size, x:x + patch_size].ravel()
+        patches = np.stack([im[y:y + PATCH_SIZE, x:x + PATCH_SIZE].ravel()
                             for im in lr_images])  # (M, d)
         mean_lr = patches.mean(axis=0)
         xc = (patches - mean_lr).T  # (d, M)
@@ -193,7 +189,7 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
 
     return EigenPatchModel(
         lr_w=lr_w, lr_h=lr_h, hr_w=hr_w, hr_h=hr_h,
-        patch_size=patch_size, stride=stride, hp_w=hp_w, hp_h=hp_h,
+        patch_size=PATCH_SIZE, stride=STRIDE, hp_w=hp_w, hp_h=hp_h,
         sigma=sigma,
         positions_lr=positions_lr, positions_hr=positions_hr,
         means_lr=means_lr, means_hr=means_hr,
@@ -208,7 +204,7 @@ def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
     """Hallucinate the HR image for one LR input using the trained model."""
     lr = np.asarray(lr, dtype=np.float64)
     if lr.shape != (model.lr_h, model.lr_w):
-        raise EigenPatchError(
+        raise InputError(
             f"LR dims {lr.shape[::-1]} do not match model plane "
             f"({model.lr_w}, {model.lr_h})")
     ps = model.patch_size
@@ -265,7 +261,7 @@ def load_model(path) -> EigenPatchModel:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("version") != _FORMAT_VERSION:
-            raise EigenPatchError(
+            raise InputError(
                 f"{path}: unsupported model version {meta.get('version')!r}")
         arrays = {name: data[name] for name in _ARRAY_FIELDS}
     return EigenPatchModel(

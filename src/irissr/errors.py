@@ -1,8 +1,9 @@
-"""The base classes of the module errors the command line maps to exit
-codes: input the configuration cannot process (exit 2) and external backend
-failures (exit 5), plus `RasterError`, which both `raster` and the PGM codec
-`pgm` raise. The module imports nothing, so any module can subclass them at
-no start-up cost, and the command line can catch them without importing the
+"""The two errors every module raises, one per exit code of the command line:
+`InputError` for input data or a request the configuration cannot process
+(exit 2), and `BackendError` for an external backend failure (exit 5). The
+message says what went wrong; callers tell failures apart by it, not by
+class. The module imports nothing, so any module can raise them at no
+start-up cost, and the command line can catch them without importing the
 modules that raise them.
 """
 
@@ -11,9 +12,5 @@ class InputError(ValueError):
     """Input data or a request that the configuration cannot process."""
 
 
-class RasterError(InputError):
-    """Bad image data or an invalid geometry request."""
-
-
 class BackendError(RuntimeError):
-    """Base class for external backend failures."""
+    """An external backend failed, hung or wrote an unusable output."""

@@ -24,10 +24,6 @@ import numpy as np
 from .errors import InputError
 
 
-class FusionEvalError(InputError):
-    pass
-
-
 GENUINE = "genuine"
 IMPOSTOR = "impostor"
 
@@ -74,13 +70,13 @@ def train_fusion(genuine, impostor) -> np.ndarray:
     gen = np.asarray(genuine, dtype=np.float64)
     imp = np.asarray(impostor, dtype=np.float64)
     if len(gen) == 0 and len(imp) == 0:
-        raise FusionEvalError("empty trial set")
+        raise InputError("empty trial set")
     if len(gen) == 0 or len(imp) == 0:
-        raise FusionEvalError("trial set contains a single class")
+        raise InputError("trial set contains a single class")
     if gen.ndim != 2 or imp.ndim != 2 or gen.shape[1] != imp.shape[1]:
-        raise FusionEvalError("genuine and impostor rows differ in score arity")
+        raise InputError("genuine and impostor rows differ in score arity")
     if gen.shape[1] < 1:
-        raise FusionEvalError("trials carry no comparator scores")
+        raise InputError("trials carry no comparator scores")
     # genuine rows first, as match writes them: the row order of the design
     # matrix decides the last bits of the weights
     x = np.concatenate([gen, imp])
@@ -129,7 +125,7 @@ def fuse(weights, scores) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     rows = np.asarray(scores, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != len(w) - 1:
-        raise FusionEvalError(
+        raise InputError(
             f"score rows of shape {rows.shape} do not fit {len(w) - 1} weights")
     # one dot product per row: a matrix product may sum in another order,
     # which changes the last bits of the fused scores and so the ROC export
@@ -148,11 +144,11 @@ def eer(genuine, impostor, polarity: str = "genuine_high"):
     gen = np.asarray(genuine, dtype=np.float64)
     imp = np.asarray(impostor, dtype=np.float64)
     if gen.size == 0 or imp.size == 0:
-        raise FusionEvalError("both genuine and impostor scores are required")
+        raise InputError("both genuine and impostor scores are required")
     if polarity == "genuine_low":
         gen, imp = -gen, -imp
     elif polarity != "genuine_high":
-        raise FusionEvalError(f"unknown polarity {polarity!r}")
+        raise InputError(f"unknown polarity {polarity!r}")
 
     gen_sorted = np.sort(gen)
     imp_sorted = np.sort(imp)

@@ -15,14 +15,6 @@ import numpy as np
 from .errors import InputError
 
 
-class IrisCodeError(InputError):
-    pass
-
-
-class NoComparableBitsError(IrisCodeError):
-    """Every candidate shift left an empty joint mask."""
-
-
 # published defaults of the comparator this module follows
 RADIAL_RES = 20
 ANGULAR_RES = 240
@@ -46,20 +38,19 @@ class IrisTemplate:
     mask: np.ndarray  # (R, 2A) bool
 
 
-def unwrap(img: np.ndarray, ann, radial_res: int = RADIAL_RES,
-           angular_res: int = ANGULAR_RES) -> NormalizedIris:
+def unwrap(img: np.ndarray, ann) -> NormalizedIris:
     """Daugman rubber-sheet normalization with bilinear pixel sampling."""
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     if ann.pupil_radius >= ann.iris_radius:
-        raise IrisCodeError(
+        raise InputError(
             f"degenerate annotation: pupil radius {ann.pupil_radius} >= "
             f"iris radius {ann.iris_radius}")
     if ann.pupil_radius <= 0:
-        raise IrisCodeError("pupil radius must be positive")
+        raise InputError("pupil radius must be positive")
 
-    theta = 2.0 * np.pi * np.arange(angular_res) / angular_res
-    t = (np.arange(radial_res) + 0.5) / radial_res
+    theta = 2.0 * np.pi * np.arange(ANGULAR_RES) / ANGULAR_RES
+    t = (np.arange(RADIAL_RES) + 0.5) / RADIAL_RES
     radii = ann.pupil_radius + t * (ann.iris_radius - ann.pupil_radius)
 
     sx = ann.px + radii[:, None] * np.cos(theta)[None, :]
@@ -83,13 +74,11 @@ def unwrap(img: np.ndarray, ann, radial_res: int = RADIAL_RES,
     return NormalizedIris(values=values, mask=mask)
 
 
-def encode(norm: NormalizedIris, wavelength: float = WAVELENGTH,
-           sigma_ratio: float = SIGMA_RATIO,
-           amplitude_threshold: float = AMPLITUDE_THRESHOLD) -> IrisTemplate:
+def encode(norm: NormalizedIris) -> IrisTemplate:
     """1-D log-Gabor phase quantization, two bits per angular sample.
 
     Each row is filtered in the frequency domain by
-    G(f) = exp(-(ln(f/f0))^2 / (2 ln(sigma_ratio)^2)), f0 = 1/wavelength,
+    G(f) = exp(-(ln(f/f0))^2 / (2 ln(SIGMA_RATIO)^2)), f0 = 1/WAVELENGTH,
     applied one-sided (negative frequencies zeroed) so the response is the
     filtered analytic signal. DC gain is zero, so constant rows encode to
     fully masked bits.
@@ -97,21 +86,21 @@ def encode(norm: NormalizedIris, wavelength: float = WAVELENGTH,
     values = norm.values
     r_res, a_res = values.shape
     if a_res < 8:
-        raise IrisCodeError(f"angular resolution {a_res} too small to filter")
+        raise InputError(f"angular resolution {a_res} too small to filter")
 
     freqs = np.fft.fftfreq(a_res)  # cycles per sample
-    f0 = 1.0 / wavelength
+    f0 = 1.0 / WAVELENGTH
     gain = np.zeros(a_res)
     pos = freqs > 0
     gain[pos] = np.exp(-(np.log(freqs[pos] / f0) ** 2)
-                       / (2.0 * np.log(sigma_ratio) ** 2))
+                       / (2.0 * np.log(SIGMA_RATIO) ** 2))
 
     spectrum = np.fft.fft(values, axis=1)
     response = np.fft.ifft(spectrum * gain[None, :], axis=1)
 
     re_bit = response.real >= 0.0
     im_bit = response.imag >= 0.0
-    valid = norm.mask & (np.abs(response) >= amplitude_threshold)
+    valid = norm.mask & (np.abs(response) >= AMPLITUDE_THRESHOLD)
 
     code = np.empty((r_res, 2 * a_res), dtype=bool)
     mask = np.empty((r_res, 2 * a_res), dtype=bool)
@@ -129,7 +118,7 @@ def hamming(t1: IrisTemplate, t2: IrisTemplate, max_shift: int = MAX_SHIFT) -> f
     columns); shifts whose joint mask is empty are skipped.
     """
     if t1.code.shape != t2.code.shape:
-        raise IrisCodeError(
+        raise InputError(
             f"template dims differ: {t1.code.shape} vs {t2.code.shape}")
     best = None
     for s in range(-max_shift, max_shift + 1):
@@ -143,5 +132,5 @@ def hamming(t1: IrisTemplate, t2: IrisTemplate, max_shift: int = MAX_SHIFT) -> f
         if best is None or hd < best:
             best = hd
     if best is None:
-        raise NoComparableBitsError("no jointly valid bits at any shift")
+        raise InputError("no jointly valid bits at any shift")
     return best

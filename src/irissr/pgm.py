@@ -7,7 +7,7 @@ big-endian bytes otherwise, rows top to bottom. A file holds one image: it
 ends with its pixel data.
 """
 
-from .errors import RasterError
+from .errors import InputError
 
 
 def _header_tokens(data: bytes, count: int):
@@ -37,22 +37,22 @@ def read(path):
         data = fh.read()
     tokens, offset = _header_tokens(data, 4)
     if not data.startswith(b"P5") or tokens[0] != b"P5":
-        raise RasterError(f"{path}: not a binary PGM (P5) file")
+        raise InputError(f"{path}: not a binary PGM (P5) file")
     if len(tokens) < 4:
-        raise RasterError(f"{path}: truncated PGM header")
+        raise InputError(f"{path}: truncated PGM header")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
-        raise RasterError(f"{path}: malformed PGM header") from exc
+        raise InputError(f"{path}: malformed PGM header") from exc
     if width < 1 or height < 1 or not (0 < maxval < 65536):
-        raise RasterError(f"{path}: invalid PGM dimensions or maxval")
+        raise InputError(f"{path}: invalid PGM dimensions or maxval")
     offset += 1  # single whitespace after maxval
     nbytes = width * height * (2 if maxval > 255 else 1)
     samples = data[offset : offset + nbytes]
     if len(samples) != nbytes:
-        raise RasterError(f"{path}: truncated PGM pixel data")
+        raise InputError(f"{path}: truncated PGM pixel data")
     if len(data) > offset + nbytes:
-        raise RasterError(f"{path}: {len(data) - offset - nbytes} bytes after "
+        raise InputError(f"{path}: {len(data) - offset - nbytes} bytes after "
                           f"the PGM pixel data (a PGM holds one image)")
     return width, height, maxval, samples
 

@@ -27,10 +27,6 @@ import numpy as np
 from .errors import InputError
 
 
-class QualityError(InputError):
-    pass
-
-
 PSNR_TABLE_CAP = 99.0
 
 SSIM_WINDOW = 8
@@ -61,7 +57,7 @@ def _check_pair(ref, test):
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if ref.shape != test.shape:
-        raise QualityError(f"image dims differ: {ref.shape} vs {test.shape}")
+        raise InputError(f"image dims differ: {ref.shape} vs {test.shape}")
     return ref, test
 
 
@@ -93,7 +89,7 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
     h, w = ref.shape
     window = SSIM_WINDOW
     if h < window or w < window:
-        raise QualityError(f"image {w}x{h} smaller than SSIM window {window}")
+        raise InputError(f"image {w}x{h} smaller than SSIM window {window}")
     c1 = (SSIM_K1 * 1.0) ** 2
     c2 = (SSIM_K2 * 1.0) ** 2
     n = window * window

@@ -17,16 +17,16 @@ import math
 import numpy as np
 
 from . import pgm
-from .errors import RasterError
+from .errors import InputError
 
 
 def as_image(arr) -> np.ndarray:
     """Coerce to a 2-D float64 image array, validating shape and finiteness."""
     img = np.asarray(arr, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
-        raise RasterError(f"expected a 2-D image, got shape {img.shape}")
+        raise InputError(f"expected a 2-D image, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
-        raise RasterError("image contains non-finite values")
+        raise InputError("image contains non-finite values")
     return img
 
 
@@ -78,7 +78,7 @@ def _resample_axis(arr: np.ndarray, out_n: int, axis: int, kind: str) -> np.ndar
 
 def _resize(img: np.ndarray, out_w: int, out_h: int, kind: str) -> np.ndarray:
     if out_w < 1 or out_h < 1:
-        raise RasterError(f"target size {out_w}x{out_h} must be at least 1x1")
+        raise InputError(f"target size {out_w}x{out_h} must be at least 1x1")
     if (out_w, out_h) == (img.shape[1], img.shape[0]):
         return img.copy()
     out = _resample_axis(img, out_h, 0, kind)
@@ -112,7 +112,7 @@ def gaussian_taps(sigma: float) -> np.ndarray:
     """1-D separable Gaussian taps, normalized to 1, over radius ceil(3*sigma);
     the radius is len(taps) // 2."""
     if sigma <= 0:
-        raise RasterError(f"sigma must be positive, got {sigma}")
+        raise InputError(f"sigma must be positive, got {sigma}")
     radius = int(math.ceil(3.0 * sigma))
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(k**2) / (2.0 * sigma**2))
@@ -167,7 +167,7 @@ def degrade(img: np.ndarray, out_w: int, out_h: int, sigma: float) -> np.ndarray
     img = as_image(img)
     h, w = img.shape
     if out_w > w or out_h > h:
-        raise RasterError(f"degrade target {out_w}x{out_h} exceeds source {w}x{h}")
+        raise InputError(f"degrade target {out_w}x{out_h} exceeds source {w}x{h}")
     blurred = gaussian_blur(img, sigma) if sigma > 0 else img
     return resize_bicubic(blurred, out_w, out_h)
 
@@ -184,7 +184,7 @@ def upsample(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     img = as_image(img)
     h, w = img.shape
     if out_w < w or out_h < h:
-        raise RasterError(f"upsample target {out_w}x{out_h} smaller than source {w}x{h}")
+        raise InputError(f"upsample target {out_w}x{out_h} smaller than source {w}x{h}")
     return resize_bicubic(img, out_w, out_h)
 
 
@@ -241,7 +241,7 @@ def read_png(path) -> np.ndarray:
     try:
         from PIL import Image as PilImage
     except ImportError as exc:  # pragma: no cover
-        raise RasterError("PNG support requires Pillow (pip install iris-sr[png])") from exc
+        raise InputError("PNG support requires Pillow (pip install iris-sr[png])") from exc
     with PilImage.open(path) as im:
         if im.mode in ("L", "I;16", "I"):
             arr = np.asarray(im, dtype=np.float64)

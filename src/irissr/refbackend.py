@@ -12,7 +12,7 @@ names the file.
 import sys
 
 from . import pgm
-from .errors import RasterError
+from .errors import InputError
 
 
 def main(argv=None) -> int:
@@ -24,8 +24,8 @@ def main(argv=None) -> int:
     try:
         width, height, maxval, raw = pgm.read(argv[0])
         if maxval != 255:
-            raise RasterError(f"{argv[0]}: maxval {maxval}, expected 255")
-    except (OSError, RasterError) as exc:
+            raise InputError(f"{argv[0]}: maxval {maxval}, expected 255")
+    except (OSError, InputError) as exc:
         print(f"refbackend: {exc}", file=sys.stderr)
         return 2
     # double every sample along its row, then write each doubled row twice

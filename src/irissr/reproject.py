@@ -53,10 +53,6 @@ DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 1000
 
 
-class ReprojectError(InputError):
-    pass
-
-
 def reproject(y0: np.ndarray, x: np.ndarray, sigma: float, tau: float = DEFAULT_TAU,
               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
               trace: list | None = None):
@@ -69,17 +65,17 @@ def reproject(y0: np.ndarray, x: np.ndarray, sigma: float, tau: float = DEFAULT_
     per-iteration mean absolute update so runs can log their convergence path.
     """
     if not 0 <= tau < math.inf:
-        raise ReprojectError(f"tau must be finite and >= 0, got {tau}")
+        raise InputError(f"tau must be finite and >= 0, got {tau}")
     if not 0 < tol < math.inf:
-        raise ReprojectError(f"tol must be finite and > 0, got {tol}")
+        raise InputError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
-        raise ReprojectError(f"max_iter must be >= 1, got {max_iter}")
+        raise InputError(f"max_iter must be >= 1, got {max_iter}")
     y0 = np.asarray(y0, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     hr_h, hr_w = y0.shape
     lr_h, lr_w = x.shape
     if hr_w < lr_w or hr_h < lr_h:
-        raise ReprojectError("HR estimate smaller than the LR observation")
+        raise InputError("HR estimate smaller than the LR observation")
 
     def axis_matrices(hr_n, lr_n):
         # The degradation blur `sigma` is in HR pixels and one HR pixel is

@@ -32,10 +32,6 @@ from . import raster
 from .errors import InputError
 
 
-class SiftError(InputError):
-    pass
-
-
 INTERVALS = 3
 INITIAL_SIGMA = 1.6
 ASSUMED_BLUR = 0.5
@@ -309,7 +305,7 @@ def detect_describe(img: np.ndarray, annulus: tuple | None = None):
     """
     img = raster.as_image(img)
     if img.shape[0] < 32 or img.shape[1] < 32:
-        raise SiftError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
+        raise InputError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
 
     gauss_octaves, dog_octaves = _build_pyramid(img)
     records = []  # (octave, y, x, orientation, scale, response, descriptor)
@@ -403,7 +399,7 @@ def save_features(path, keypoints, descriptors) -> None:
 def load_features(path):
     with np.load(path) as data:
         if int(data["version"]) != _CACHE_VERSION:
-            raise SiftError(f"{path}: unsupported feature cache version")
+            raise InputError(f"{path}: unsupported feature cache version")
         kp = data["keypoints"]
         desc = data["descriptors"]
     keypoints = [Keypoint(x=row[0], y=row[1], scale=row[2], orientation=row[3],

@@ -4,8 +4,10 @@ Methods `bilinear` and `bicubic` are single direct resizes (the classic
 baselines). Method `eigenpatch` is a direct LR->HR map through a trained
 model. Method `backend:<name>` shells out to an opaque x2 backend through a
 file-exchange protocol (PGM in, PGM out; see BACKEND.md), invoked
-ceil(log2(n)) times for a nominal factor n = hr_w / lr_w, followed by one
-bicubic exact-size correction when the chained dims do not land on the target.
+ceil(log2(n)) times for the larger of the two axis factors n = hr_w / lr_w and
+hr_h / lr_h, so the chain reaches the target on both axes. One bicubic
+exact-size correction follows when the chained dims do not land on the
+target; it only ever shrinks.
 """
 
 import math
@@ -20,39 +22,6 @@ from . import eigenpatch, raster
 from .errors import BackendError, InputError
 
 EXCHANGE_ENV = "IRIS_SR_TMP"
-
-
-class SrError(InputError):
-    pass
-
-
-class BackendProcessError(BackendError):
-    def __init__(self, command, status, stderr_tail=""):
-        self.status = status
-        super().__init__(
-            f"backend exited with status {status}: {command}"
-            + (f"\n{stderr_tail}" if stderr_tail else ""))
-
-
-class BackendOutputMissingError(BackendError):
-    def __init__(self, path):
-        super().__init__(f"backend produced no output file: {path}")
-
-
-class BackendOutputError(BackendError):
-    def __init__(self, reason):
-        super().__init__(f"backend wrote an unreadable output file: {reason}")
-
-
-class BackendTimeoutError(BackendError):
-    def __init__(self, command, limit):
-        super().__init__(f"backend did not finish within {limit:g} s: {command}")
-
-
-class BackendDimensionError(BackendError):
-    def __init__(self, got, expected):
-        super().__init__(
-            f"backend output dims {got} do not match the required x2 dims {expected}")
 
 
 def apply_backend(lr: np.ndarray, backend: dict) -> np.ndarray:
@@ -73,21 +42,25 @@ def apply_backend(lr: np.ndarray, backend: dict) -> np.ndarray:
 
     argv = [tok.replace("{in}", in_path).replace("{out}", out_path)
             for tok in shlex.split(backend["command"])]
+    command = " ".join(argv)
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=limit)
     except subprocess.TimeoutExpired:
-        raise BackendTimeoutError(" ".join(argv), limit) from None
+        raise BackendError(
+            f"backend did not finish within {limit:g} s: {command}") from None
     if proc.returncode != 0:
-        raise BackendProcessError(" ".join(argv), proc.returncode,
-                                  proc.stderr[-2000:])
+        tail = proc.stderr[-2000:]
+        raise BackendError(f"backend exited with status {proc.returncode}: {command}"
+                           + (f"\n{tail}" if tail else ""))
     if not os.path.exists(out_path):
-        raise BackendOutputMissingError(out_path)
+        raise BackendError(f"backend produced no output file: {out_path}")
     try:
         out = raster.read_pgm(out_path)
-    except raster.RasterError as exc:
-        raise BackendOutputError(exc) from None
+    except InputError as exc:
+        raise BackendError(f"backend wrote an unreadable output file: {exc}") from None
     if out.shape != (2 * h, 2 * w):
-        raise BackendDimensionError((out.shape[1], out.shape[0]), (2 * w, 2 * h))
+        raise BackendError(f"backend output dims {(out.shape[1], out.shape[0])} do not "
+                           f"match the required x2 dims {(2 * w, 2 * h)}")
     return out
 
 
@@ -98,13 +71,13 @@ def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, method: str,
 
     `model` is the trained model `eigenpatch` needs and `backend` the config
     entry a `backend:<name>` method calls. `passes` counts upscaler
-    applications: 1 for the direct methods, and ceil(log2(hr_w / lr_w))
-    backend invocations for a backend.
+    applications: 1 for the direct methods, and ceil(log2(n)) backend
+    invocations for a backend, n the larger of the two axis factors.
     """
     lr = raster.as_image(lr)
     h, w = lr.shape
     if hr_w < w or hr_h < h:
-        raise SrError(f"target {hr_w}x{hr_h} smaller than input {w}x{h}")
+        raise InputError(f"target {hr_w}x{hr_h} smaller than input {w}x{h}")
 
     if method == "bilinear":
         return raster.resize_bilinear(lr, hr_w, hr_h), 1
@@ -112,18 +85,18 @@ def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, method: str,
         return raster.resize_bicubic(lr, hr_w, hr_h), 1
     if method == "eigenpatch":
         if model is None:
-            raise SrError("eigenpatch upscaler requires a model")
+            raise InputError("eigenpatch upscaler requires a model")
         out = eigenpatch.reconstruct(lr, model)
         if out.shape != (hr_h, hr_w):
             out = raster.resize_bicubic(out, hr_w, hr_h)
         return out, 1
     if not method.startswith("backend:"):
-        raise SrError(f"unknown SR method {method!r}")
+        raise InputError(f"unknown SR method {method!r}")
     if backend is None:
-        raise SrError(f"method {method!r} requires its backend entry")
+        raise InputError(f"method {method!r} requires its backend entry")
 
-    # repeated x2 passes, then exact-size correction
-    passes = planned_passes(w, hr_w)
+    # x2 passes until both axes reach the target, then exact-size correction
+    passes = max(planned_passes(w, hr_w), planned_passes(h, hr_h))
     img = lr
     for _ in range(passes):
         img = raster.clamp01(apply_backend(img, backend))
@@ -133,6 +106,6 @@ def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, method: str,
 
 
 def planned_passes(lr_w: int, hr_w: int) -> int:
-    """Backend invocation count for a nominal factor hr_w / lr_w."""
+    """Backend invocation count for one axis, nominal factor hr_w / lr_w."""
     n = hr_w / lr_w
     return max(0, math.ceil(math.log2(n))) if n > 1 else 0

@@ -12,6 +12,7 @@ import pytest
 
 import irissr
 from irissr import cli, dataset, eigenpatch, fusion_eval, iriscode, raster, sr
+from irissr.errors import BackendError, InputError
 
 
 def run(argv):
@@ -390,17 +391,15 @@ def test_eval_without_genuine_pairs_exit_code(tmp_path):
 
 
 def test_error_table_covers_module_errors():
-    # a module error missing from main's table would end in a traceback
-    covered = (*cli.INPUT_ERRORS, sr.BackendError)
-    found = []
+    # main maps InputError and BackendError; an error class of a module's own
+    # could be raised past that table and end in a traceback
+    allowed = {"errors": {InputError, BackendError}, "cli": {cli.CliError}}
     for info in pkgutil.iter_modules(irissr.__path__):
         module = importlib.import_module(f"irissr.{info.name}")
-        for obj in vars(module).values():
-            if (isinstance(obj, type) and obj.__module__ == module.__name__
-                    and issubclass(obj, (ValueError, RuntimeError))):
-                found.append(obj)
-                assert issubclass(obj, covered), obj
-    assert sr.BackendProcessError in found and sr.SrError in found
+        defined = {obj for obj in vars(module).values()
+                   if isinstance(obj, type) and obj.__module__ == module.__name__
+                   and issubclass(obj, BaseException)}
+        assert defined == allowed.get(info.name, set()), info.name
 
 
 def test_failing_backend_exit_code(tmp_path):
@@ -665,6 +664,45 @@ def test_exchange_env_var_used(tmp_path, monkeypatch):
     assert run(["degrade", *base, "--factor", "1/4"]) == 0
     assert run(["sr", *base, "--factor", "1/4", "--method", "backend:nn2x"]) == 0
     assert os.path.isdir(exchange) and os.listdir(exchange)
+
+
+def test_missing_manifest_image_exit_code(tmp_path, capsys):
+    # prep checks every manifest image before it writes anything
+    out = tmp_path / "out"
+    src = tmp_path / "data"
+    os.makedirs(src)
+    img, ann = dataset.synth_iris(0, 128)
+    raster.write_pgm(src / "ok.pgm", img)
+    dataset.save_manifest(src / "manifest.csv", [
+        dataset.ManifestRecord("ok.pgm", "sA", 0, ann),
+        dataset.ManifestRecord("nope.pgm", "sB", 0, ann)])
+    assert run(["prep", "--config", write_config(tmp_path / "c.json"),
+                "--out", str(out), "--manifest", str(src / "manifest.csv")]
+               ) == cli.EXIT_MISSING_INPUT
+    err = capsys.readouterr().err
+    assert f"manifest image not found: {src / 'nope.pgm'}" in err
+    assert not os.path.exists(out / "prep")
+
+
+@pytest.mark.parametrize("case, code", [
+    ("config-dir", cli.EXIT_CONFIG),
+    ("manifest-dir", cli.EXIT_CONFIG),
+    ("manifest-not-utf8", cli.EXIT_CONFIG),
+    ("config-missing", cli.EXIT_MISSING_INPUT),
+    ("manifest-missing", cli.EXIT_MISSING_INPUT)])
+def test_unreadable_config_or_manifest_exit_code(tmp_path, capsys, case, code):
+    bad = tmp_path / "bad"
+    if case.endswith("-dir"):
+        bad.mkdir()
+    elif case.endswith("-utf8"):
+        bad.write_bytes(b"path,subject\n\xff\xfe.pgm,s1\n")
+    flag = "--config" if case.startswith("config") else "--manifest"
+    argv = ["prep", "--out", str(tmp_path / "out"), flag, str(bad)]
+    if flag == "--manifest":
+        argv += ["--config", write_config(tmp_path / "c.json")]
+    assert run(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(bad) in err[0], err
 
 
 def test_discard_sidecar_logs_out_of_bounds(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irissr import dataset, quality, raster
+from irissr.errors import InputError
 
 
 def make_ann(px=50.0, py=50.0, pr=10.0, ir=25.0, sr=40.0):
@@ -33,7 +34,7 @@ def test_manifest_invariant_violation_names_row(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text(HEADER + "ok.pgm,s1,1,50,50,10,25,40\n"
                           "bad.pgm,s2,1,50,50,30,25,40\n")
-    with pytest.raises(dataset.ManifestError) as exc:
+    with pytest.raises(InputError, match="annotation radii must satisfy") as exc:
         dataset.load_manifest(p)
     assert "line 3" in str(exc.value)
     assert "bad.pgm" in str(exc.value)
@@ -42,7 +43,7 @@ def test_manifest_invariant_violation_names_row(tmp_path):
 def test_manifest_parse_error_has_line_number(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text(HEADER + "a.pgm,s1,one,50,50,10,25,40\n")
-    with pytest.raises(dataset.ManifestError) as exc:
+    with pytest.raises(InputError, match="invalid literal for int") as exc:
         dataset.load_manifest(p)
     assert "line 2" in str(exc.value)
 
@@ -51,7 +52,7 @@ def test_manifest_duplicate_path_rejected(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text(HEADER + "a.pgm,s1,1,50,50,10,25,40\n"
                           "a.pgm,s2,1,50,50,10,25,40\n")
-    with pytest.raises(dataset.ManifestError):
+    with pytest.raises(InputError, match="line 3: duplicate path 'a.pgm'"):
         dataset.load_manifest(p)
 
 
@@ -189,7 +190,7 @@ def test_synth_annotation_matches_drawn_circles():
 
 
 def test_synth_size_too_small():
-    with pytest.raises(dataset.DatasetError):
+    with pytest.raises(InputError, match="size must be >= 64, got 32"):
         dataset.synth_iris(0, 32)
 
 

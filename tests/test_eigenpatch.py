@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from irissr import dataset, eigenpatch, quality, raster
+from irissr.errors import InputError
 
 
 def small_corpus(n=6, size=64):
@@ -22,9 +24,9 @@ def test_grid_covers_plane_with_clamped_tail():
 
 
 def test_grid_rejects_bad_stride():
-    with pytest.raises(eigenpatch.EigenPatchError):
+    with pytest.raises(InputError, match="need 1 <= stride <= patch_size, got stride=5"):
         eigenpatch.grid_positions(8, 4, 5)
-    with pytest.raises(eigenpatch.EigenPatchError):
+    with pytest.raises(InputError, match="need 1 <= stride <= patch_size, got stride=0"):
         eigenpatch.grid_positions(8, 4, 0)
 
 
@@ -36,10 +38,10 @@ def test_patch_positions_row_major():
 # --- training -----------------------------------------------------------------
 
 def test_train_rejects_empty_and_mismatched():
-    with pytest.raises(eigenpatch.EigenPatchError):
+    with pytest.raises(InputError, match="empty training set"):
         eigenpatch.train([], 8, 8, 1.0)
     imgs = [np.zeros((32, 32)), np.zeros((32, 30))]
-    with pytest.raises(eigenpatch.EigenPatchError):
+    with pytest.raises(InputError, match="training image dims differ"):
         eigenpatch.train(imgs, 8, 8, 1.0)
 
 
@@ -131,7 +133,8 @@ def test_in_training_reconstruction_beats_bicubic():
 
 def test_reconstruct_dims_checked():
     model = eigenpatch.train(small_corpus(3), 16, 16, 1.0)
-    with pytest.raises(eigenpatch.EigenPatchError):
+    with pytest.raises(InputError,
+                       match=re.escape("LR dims (16, 17) do not match model plane")):
         eigenpatch.reconstruct(np.zeros((17, 16)), model)
 
 
@@ -167,5 +170,5 @@ def test_model_version_mismatch_rejected(tmp_path):
     meta["version"] = "epm-0"
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
-    with pytest.raises(eigenpatch.EigenPatchError, match="unsupported model version"):
+    with pytest.raises(InputError, match="unsupported model version 'epm-0'"):
         eigenpatch.load_model(path)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from irissr import fusion_eval as fe
+from irissr.errors import InputError
 
 
 # --- brute-force oracles --------------------------------------------------------
@@ -138,9 +140,9 @@ def test_eer_polarity_negation_identity():
 
 
 def test_eer_empty_class_rejected():
-    with pytest.raises(fe.FusionEvalError):
+    with pytest.raises(InputError, match="both genuine and impostor scores are required"):
         fe.eer([], [0.1])
-    with pytest.raises(fe.FusionEvalError):
+    with pytest.raises(InputError, match="both genuine and impostor scores are required"):
         fe.eer([0.1], [])
 
 
@@ -168,7 +170,8 @@ def test_fuse_scores_zero_and_identity():
 
 
 def test_fuse_arity_mismatch():
-    with pytest.raises(fe.FusionEvalError):
+    with pytest.raises(InputError,
+                       match=re.escape("score rows of shape (1, 2) do not fit 1 weights")):
         fe.fuse((0.0, 1.0), [(0.1, 0.2)])
 
 
@@ -204,7 +207,7 @@ def test_train_fusion_duplicated_comparator_matches_single():
 
 
 def test_train_fusion_single_class_rejected():
-    with pytest.raises(fe.FusionEvalError):
+    with pytest.raises(InputError, match="trial set contains a single class"):
         fe.train_fusion([(0.5,)], [])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irissr import dataset, iriscode
+from irissr.errors import InputError
 
 
 def render_annulus(size, ann, pattern, rotation=0.0):
@@ -57,7 +58,8 @@ def test_unwrap_rotation_becomes_column_shift():
 def test_unwrap_degenerate_annotation():
     ann = dataset.IrisAnnotation(px=64, py=64, pupil_radius=20,
                                  iris_radius=20, sclera_radius=40)
-    with pytest.raises(iriscode.IrisCodeError):
+    with pytest.raises(InputError,
+                       match="degenerate annotation: pupil radius 20 >= iris radius 20"):
         iriscode.unwrap(np.zeros((128, 128)), ann)
 
 
@@ -87,7 +89,7 @@ def test_encode_pure_tone_phase_quadrants():
     row = 0.5 + 0.4 * np.cos(2 * np.pi * t / wavelength)
     values = np.tile(row, (2, 1))
     norm = iriscode.NormalizedIris(values=values, mask=np.ones_like(values, bool))
-    tpl = iriscode.encode(norm, wavelength=wavelength)
+    tpl = iriscode.encode(norm)
     # analytic signal of the tone: phase advances 2*pi/wavelength per sample
     phase = (2 * np.pi * t / wavelength) % (2 * np.pi)
     expected_re = np.cos(phase) >= 0
@@ -168,14 +170,14 @@ def test_hamming_empty_mask_error():
     code = np.zeros((2, 8), dtype=bool)
     empty = iriscode.IrisTemplate(code=code, mask=np.zeros_like(code))
     full = iriscode.IrisTemplate(code=code, mask=np.ones_like(code))
-    with pytest.raises(iriscode.NoComparableBitsError):
+    with pytest.raises(InputError, match="no jointly valid bits at any shift"):
         iriscode.hamming(empty, full)
 
 
 def test_hamming_dims_mismatch():
     a = random_template(np.random.default_rng(4), r=4, a=32)
     b = random_template(np.random.default_rng(5), r=4, a=16)
-    with pytest.raises(iriscode.IrisCodeError):
+    with pytest.raises(InputError, match="template dims differ"):
         iriscode.hamming(a, b)
 
 

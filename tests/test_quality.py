@@ -6,6 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate
 
 from irissr import dataset, iriscode, quality, raster
+from irissr.errors import InputError
 
 
 # --- brute-force scalar oracles ---------------------------------------------
@@ -222,7 +223,7 @@ def test_psnr_closed_form_checkerboard():
 
 
 def test_psnr_dims_mismatch():
-    with pytest.raises(quality.QualityError):
+    with pytest.raises(InputError, match="image dims differ"):
         quality.psnr(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
@@ -267,7 +268,7 @@ def test_ssim_symmetric():
 
 
 def test_ssim_too_small_rejected():
-    with pytest.raises(quality.QualityError):
+    with pytest.raises(InputError, match="image 4x4 smaller than SSIM window"):
         quality.ssim(np.zeros((4, 4)), np.zeros((4, 4)))
 
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.ndimage import correlate1d
 
 from irissr import pgm, raster
+from irissr.errors import InputError
 
 
 # --- independent scalar oracles -------------------------------------------
@@ -63,9 +64,9 @@ def test_bilinear_matches_oracle_random():
 
 def test_bilinear_zero_target_rejected():
     img = np.zeros((4, 4))
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="target size 0x4 must be at least 1x1"):
         raster.resize_bilinear(img, 0, 4)
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="target size 4x0 must be at least 1x1"):
         raster.resize_bilinear(img, 4, 0)
 
 
@@ -128,9 +129,9 @@ def test_gaussian_blur_subtap_sigma_near_identity():
 
 
 def test_gaussian_blur_rejects_nonpositive_sigma():
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="sigma must be positive, got 0.0"):
         raster.gaussian_blur(np.zeros((4, 4)), 0.0)
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="sigma must be positive, got -1.0"):
         raster.gaussian_taps(-1.0)
 
 
@@ -156,7 +157,7 @@ def test_degrade_sizes_match_configuration():
     img = np.zeros((231, 231))
     out = raster.degrade(img, 115, 115, 1.0)
     assert out.shape == (115, 115)
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="degrade target 232x231 exceeds source 231x231"):
         raster.degrade(img, 232, 231, 1.0)
 
 
@@ -179,7 +180,7 @@ def test_upsample_contracts():
     same = raster.upsample(img, 13, 13)
     assert np.array_equal(same, img)
     assert np.allclose(raster.upsample(np.full((4, 4), 0.9), 9, 9), 0.9, atol=1e-12)
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="upsample target 12x13 smaller than source 13x13"):
         raster.upsample(img, 12, 13)
 
 
@@ -263,10 +264,10 @@ def test_pgm_header_with_comments(tmp_path):
 def test_pgm_rejects_bad_files(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P2\n2 2\n255\n0 0 0 0")
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="not a binary PGM"):
         raster.read_pgm(p)
     p.write_bytes(b"P5\n2 2\n255\n\x00")
-    with pytest.raises(raster.RasterError):
+    with pytest.raises(InputError, match="truncated PGM pixel data"):
         raster.read_pgm(p)
 
 
@@ -276,13 +277,13 @@ def test_pgm_rejects_wrong_magic_and_trailing_bytes(tmp_path):
     # the magic number is the whole first token
     for header in (b"P55 2 2 255\n", b"P5# c\n2 2 255\n", b" P5 2 2 255\n"):
         p.write_bytes(header + body)
-        with pytest.raises(raster.RasterError, match="not a binary PGM"):
+        with pytest.raises(InputError, match="not a binary PGM"):
             raster.read_pgm(p)
     # one image per file: 16-bit samples under a maxval-255 header leave
     # half of them after the pixel data
     for tail in (b"\n", bytes(4), body):
         p.write_bytes(b"P5 2 2 255\n" + body + tail)
-        with pytest.raises(raster.RasterError,
+        with pytest.raises(InputError,
                            match=re.escape(f"{p}: {len(tail)} bytes after")):
             raster.read_pgm(p)
     p.write_bytes(b"P5 2 2 255\n" + body)
@@ -302,9 +303,12 @@ def test_pgm_codec_under_raster(tmp_path):
     assert pgm.read(a) == (2, 1, 65535, bytes([1, 0, 255, 255]))
     assert np.array_equal(raster.read_pgm(a), [[256 / 65535, 1.0]])
     # the codec raises the class raster's callers catch, naming the file
-    for body in (b"P5\n2", b"P5 2 x 255\n", b"P5 0 2 255\n", b"P5 2 2 65536\n"):
+    for body, reason in ((b"P5\n2", "truncated PGM header"),
+                         (b"P5 2 x 255\n", "malformed PGM header"),
+                         (b"P5 0 2 255\n", "invalid PGM dimensions or maxval"),
+                         (b"P5 2 2 65536\n", "invalid PGM dimensions or maxval")):
         a.write_bytes(body)
-        with pytest.raises(raster.RasterError, match=re.escape(str(a))):
+        with pytest.raises(InputError, match=re.escape(f"{a}: {reason}")):
             pgm.read(a)
 
 

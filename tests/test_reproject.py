@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irissr import dataset, raster, reproject
+from irissr.errors import InputError
 
 
 def _eight_bit(img):
@@ -48,7 +49,7 @@ def test_zero_tau_returns_input():
 def test_dims_mismatch_rejected():
     # an HR estimate smaller than the observation along either axis
     for hr, lr in (((32, 32), (8, 40)), ((32, 32), (40, 8)), ((8, 8), (9, 9))):
-        with pytest.raises(reproject.ReprojectError, match="smaller"):
+        with pytest.raises(InputError, match="HR estimate smaller than the LR observation"):
             reproject.reproject(np.zeros(hr), np.zeros(lr), 1.0)
 
 
@@ -56,7 +57,8 @@ def test_config_validation():
     for bad in ({"tau": -0.1}, {"tau": float("nan")}, {"tau": float("inf")},
                 {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
                 {"max_iter": 0}):
-        with pytest.raises(reproject.ReprojectError):
+        (key,) = bad
+        with pytest.raises(InputError, match=f"^{key} must be"):
             reproject.reproject(np.zeros((32, 32)), np.zeros((8, 8)), 1.0, **bad)
 
 

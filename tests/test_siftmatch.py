@@ -6,7 +6,8 @@ import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
 
 from irissr import dataset, raster, siftmatch
-from irissr.siftmatch import Keypoint, SiftError
+from irissr.errors import InputError
+from irissr.siftmatch import Keypoint
 
 # The references' own parameter values (Lowe 2004), written out rather than
 # read from siftmatch's constants, so that a mistyped constant fails the
@@ -36,7 +37,7 @@ def test_constant_image_no_keypoints():
 
 
 def test_too_small_rejected():
-    with pytest.raises(siftmatch.SiftError):
+    with pytest.raises(InputError, match="image 16x16 too small for SIFT"):
         siftmatch.detect_describe(np.zeros((16, 16)))
 
 
@@ -387,7 +388,7 @@ def detect_describe(img: np.ndarray, cfg=REFERENCE_CONFIG,
     """
     img = raster.as_image(img)
     if img.shape[0] < 32 or img.shape[1] < 32:
-        raise SiftError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
+        raise InputError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
 
     gauss_octaves, dog_octaves = build_pyramid_reference(img, cfg)
     records = []  # (octave, y, x, orientation, scale, response, descriptor)

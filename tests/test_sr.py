@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from irissr import dataset, eigenpatch, raster, sr
+from irissr.errors import BackendError, InputError
 
 NN2X = f"{sys.executable} -m irissr.refbackend {{in}} {{out}}"
 
@@ -15,9 +16,9 @@ def backend_entry(tmp_path, command=NN2X):
 
 def test_method_dispatch_errors():
     img = np.zeros((16, 16))
-    with pytest.raises(sr.SrError):
+    with pytest.raises(InputError, match="unknown SR method 'wavelet'"):
         sr.super_resolve(img, 32, 32, "wavelet")
-    with pytest.raises(sr.SrError):
+    with pytest.raises(InputError, match="'backend:x' requires its backend entry"):
         sr.super_resolve(img, 32, 32, "backend:x")  # no backend entry
 
 
@@ -33,7 +34,7 @@ def test_direct_methods_single_pass():
 
 def test_target_smaller_rejected():
     img = np.zeros((16, 16))
-    with pytest.raises(sr.SrError):
+    with pytest.raises(InputError, match="target 8x16 smaller than input 16x16"):
         sr.super_resolve(img, 8, 16, "bicubic")
 
 
@@ -59,6 +60,19 @@ def test_backend_chain_passes_and_exact_size(tmp_path):
     assert len(subdirs) == 5
 
 
+def test_backend_passes_counted_per_axis(tmp_path):
+    # the height factor 231 / 15 decides: 4 passes reach 912x240 and the
+    # bicubic correction only shrinks
+    lr = np.random.default_rng(3).uniform(size=(15, 57))
+    backend = backend_entry(tmp_path)
+    out, passes = sr.super_resolve(lr, 231, 231, "backend:test", backend=backend)
+    assert passes == 4 and out.shape == (231, 231)
+    exchange = backend["exchange_dir"]
+    sizes = sorted(raster.read_pgm(os.path.join(exchange, d, "out.pgm")).shape
+                   for d in os.listdir(exchange))
+    assert sizes == [(30, 114), (60, 228), (120, 456), (240, 912)]
+
+
 def test_backend_single_pass_factor2(tmp_path):
     img = np.random.default_rng(1).uniform(size=(16, 16))
     out, passes = sr.super_resolve(img, 32, 32, "backend:test",
@@ -75,20 +89,19 @@ def test_apply_backend_dimension_mismatch(tmp_path):
     bad = (f"{sys.executable} -c \"import sys; from irissr import raster; "
            "img = raster.read_pgm(sys.argv[1]); raster.write_pgm(sys.argv[2], img)\" "
            "{in} {out}")
-    with pytest.raises(sr.BackendDimensionError):
+    with pytest.raises(BackendError, match="do not match the required x2 dims"):
         sr.apply_backend(np.zeros((8, 8)), backend_entry(tmp_path, bad))
 
 
 def test_apply_backend_nonzero_exit(tmp_path):
     bad = f"{sys.executable} -c \"import sys; sys.exit(3)\" {{in}} {{out}}"
-    with pytest.raises(sr.BackendProcessError) as exc:
+    with pytest.raises(BackendError, match="backend exited with status 3: "):
         sr.apply_backend(np.zeros((8, 8)), backend_entry(tmp_path, bad))
-    assert exc.value.status == 3
 
 
 def test_apply_backend_missing_output(tmp_path):
     bad = f"{sys.executable} -c \"pass\" {{in}} {{out}}"
-    with pytest.raises(sr.BackendOutputMissingError):
+    with pytest.raises(BackendError, match="backend produced no output file"):
         sr.apply_backend(np.zeros((8, 8)), backend_entry(tmp_path, bad))
 
 
@@ -99,5 +112,5 @@ def test_eigenpatch_method_single_pass():
     out, passes = sr.super_resolve(lr, 64, 64, "eigenpatch", model=model)
     assert passes == 1
     assert out.shape == (64, 64)
-    with pytest.raises(sr.SrError):
+    with pytest.raises(InputError, match="eigenpatch upscaler requires a model"):
         sr.super_resolve(lr, 64, 64, "eigenpatch")  # no model

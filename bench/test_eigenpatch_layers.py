@@ -1,0 +1,42 @@
+"""Layer benchmarks of the eigen-patch method at the geometry of perfbench's
+`exchange` workload: `eigenpatch.train` on four 231x231 synthetic eyes at
+1/4 (57x57 LR, 784 patch positions), `eigenpatch.reconstruct` of one 57x57
+image with that model, and `eigenpatch.save_model` followed by
+`eigenpatch.load_model` of it.
+
+    PYTHONPATH=src python -m pytest bench/test_eigenpatch_layers.py --benchmark-enable --benchmark-only
+
+The default test run collects it with `--benchmark-disable`: each
+benchmarked call runs once, untimed.
+"""
+
+import numpy as np
+
+from irissr import dataset, eigenpatch, raster
+
+EYES = [dataset.synth_iris(seed, 231)[0] for seed in range(4)]
+SIGMA = raster.antialias_sigma(231, 231, 57, 57)
+MODEL = eigenpatch.train(EYES, 57, 57, SIGMA)
+# an eye outside the training set, as `sr` reads it back from its PGM
+LR = np.rint(raster.degrade(dataset.synth_iris(4, 231)[0], 57, 57, SIGMA) * 255) / 255
+
+
+def test_train(benchmark):
+    model = benchmark(eigenpatch.train, EYES, 57, 57, SIGMA)
+    assert model.n_positions == 28 * 28
+
+
+def test_reconstruct(benchmark):
+    img = benchmark(eigenpatch.reconstruct, LR, MODEL)
+    assert img.shape == (231, 231)
+
+
+def test_save_and_load_model(benchmark, tmp_path):
+    path = tmp_path / "eigenpatch_1_4.npz"
+
+    def round_trip():
+        eigenpatch.save_model(path, MODEL)
+        return eigenpatch.load_model(path)
+
+    model = benchmark(round_trip)
+    assert model.n_positions == MODEL.n_positions

@@ -373,10 +373,15 @@ def cmd_prep(cfg, args) -> int:
     if not os.path.exists(manifest_path):
         raise CliError(EXIT_MISSING_INPUT, f"manifest not found: {manifest_path}")
     records = dataset.load_manifest(manifest_path)
+    firsts = {}  # prep writes each image to images/<file name>
     for rec in records:
         path = os.path.join(src_root, rec.image_path)
         if not os.path.isfile(path):
             raise CliError(EXIT_MISSING_INPUT, f"manifest image not found: {path}")
+        first = firsts.setdefault(os.path.basename(path), rec.image_path)
+        if first != rec.image_path:
+            raise CliError(EXIT_CONFIG, f"{manifest_path}: manifest paths {first!r} "
+                           f"and {rec.image_path!r} share one file name")
 
     out = ensure_dir(os.path.join(args.out, "prep"))
     img_dir = ensure_dir(os.path.join(out, "images"))
@@ -516,7 +521,8 @@ def cmd_sr(cfg, args) -> int:
     lr_stage = os.path.join(args.out, "lr", factor_slug(label))
     degrade = check_stage(args.out, lr_stage, "degrade", inputs)
     records = stage_records(degrade, prep_records)
-    train_recs = [r for r in prep_records if r not in records]
+    targets = {r.image_path for r in records}
+    train_recs = [r for r in prep_records if r.image_path not in targets]
 
     model, backend = _resolve_method(cfg, args.out, label, degrade, prep_dir,
                                      train_recs)

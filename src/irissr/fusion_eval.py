@@ -127,9 +127,7 @@ def fuse(weights, scores) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != len(w) - 1:
         raise InputError(
             f"score rows of shape {rows.shape} do not fit {len(w) - 1} weights")
-    # one dot product per row: a matrix product may sum in another order,
-    # which changes the last bits of the fused scores and so the ROC export
-    return w[0] + np.array([w[1:] @ row for row in rows])
+    return w[0] + rows @ w[1:]
 
 
 def eer(genuine, impostor, polarity: str = "genuine_high"):

@@ -374,6 +374,28 @@ def test_unsupported_cached_model_exit_code(pipeline, tmp_path):
                 "--method", "eigenpatch"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("damage", ["truncated", "empty", "missing-array"])
+def test_unreadable_cached_model_exit_code(pipeline, tmp_path, capsys, damage):
+    out, _ = pipeline
+    model_dir = tmp_path / "models"
+    model_dir.mkdir()
+    path = model_dir / "eigenpatch_1_4.npz"
+    imgs = [dataset.synth_iris(seed, 64)[0] for seed in range(3)]
+    eigenpatch.save_model(path, eigenpatch.train(imgs, 16, 16, 1.0))
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:1000])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    else:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files if name != "means_hr"}
+        np.savez(path, **arrays)
+    cfg = write_config(tmp_path / "c.json", model_dir=str(model_dir))
+    assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "eigenpatch"]) == cli.EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+
+
 def test_eval_without_genuine_pairs_exit_code(tmp_path):
     # one session per subject: every trial is an impostor, so no EER exists;
     # one subject alone has no trials at all, so fusion has nothing to fit
@@ -681,6 +703,26 @@ def test_missing_manifest_image_exit_code(tmp_path, capsys):
                ) == cli.EXIT_MISSING_INPUT
     err = capsys.readouterr().err
     assert f"manifest image not found: {src / 'nope.pgm'}" in err
+    assert not os.path.exists(out / "prep")
+
+
+def test_prep_rejects_two_images_with_one_file_name(tmp_path, capsys):
+    # prep writes every image to prep/images/<file name>: the second crop
+    # would overwrite the first, so prep refuses before it writes anything
+    out = tmp_path / "out"
+    src = tmp_path / "data"
+    img, ann = dataset.synth_iris(0, 128)
+    for sub in ("a", "b"):
+        os.makedirs(src / sub)
+        raster.write_pgm(src / sub / "x.pgm", img)
+    dataset.save_manifest(src / "manifest.csv", [
+        dataset.ManifestRecord("a/x.pgm", "sA", 0, ann),
+        dataset.ManifestRecord("b/x.pgm", "sB", 0, ann)])
+    assert run(["prep", "--config", write_config(tmp_path / "c.json"),
+                "--out", str(out), "--manifest", str(src / "manifest.csv")]
+               ) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'a/x.pgm'" in err and "'b/x.pgm'" in err
     assert not os.path.exists(out / "prep")
 
 

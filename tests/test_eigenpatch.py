@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -14,25 +15,39 @@ def small_corpus(n=6, size=64):
 
 # --- grids --------------------------------------------------------------------
 
+def _covers(offsets, side, extent):
+    """Patches of `side` at `offsets` lie inside [0, extent) and cover all of it."""
+    covered = np.zeros(extent, dtype=bool)
+    for off in offsets:
+        covered[off:off + side] = True
+    return covered.all() and min(offsets) == 0 and max(offsets) + side == extent
+
+
 def test_grid_covers_plane_with_clamped_tail():
-    xs = eigenpatch.grid_positions(57, 4, 2)
+    xs = eigenpatch.grid_positions(57)
     assert xs[0] == 0 and xs[-1] == 53
-    covered = np.zeros(57, dtype=bool)
-    for x in xs:
-        covered[x:x + 4] = True
-    assert covered.all()
+    assert _covers(xs, 4, 57)
 
 
-def test_grid_rejects_bad_stride():
-    with pytest.raises(InputError, match="need 1 <= stride <= patch_size, got stride=5"):
-        eigenpatch.grid_positions(8, 4, 5)
-    with pytest.raises(InputError, match="need 1 <= stride <= patch_size, got stride=0"):
-        eigenpatch.grid_positions(8, 4, 0)
+def test_grid_rejects_plane_narrower_than_patch():
+    with pytest.raises(InputError, match="patch size 4 exceeds plane extent 3"):
+        eigenpatch.grid_positions(3)
+    assert eigenpatch.grid_positions(4) == [0]
 
 
 def test_patch_positions_row_major():
-    positions = eigenpatch.patch_positions(8, 6, 4, 2)
+    positions = eigenpatch.patch_positions(8, 6)
     assert positions == [(0, 0), (2, 0), (4, 0), (0, 2), (2, 2), (4, 2)]
+
+
+def test_hr_patches_cover_plane_without_gap():
+    for lr in range(4, 232):
+        side, offsets = eigenpatch.hr_offsets(lr, 231)
+        assert _covers(offsets, side, 231), lr
+    # both axes of a trained non-square model, 57 x 15 against 231 x 231
+    model = eigenpatch.train([dataset.synth_iris(0, 231)[0]], 57, 15, 1.0)
+    assert _covers(model.positions_hr[:, 0], model.hp_w, 231)
+    assert _covers(model.positions_hr[:, 1], model.hp_h, 231)
 
 
 # --- training -----------------------------------------------------------------
@@ -59,7 +74,7 @@ def test_identical_training_set_is_degenerate():
 def test_single_training_image():
     img = dataset.synth_iris(1, 64)[0]
     model = eigenpatch.train([img], 16, 16, 1.0)
-    assert model.n_train == 1
+    assert model.hr_deviations.shape[1] == 1
     assert int(model.kcounts.max()) == 0
     lr = raster.degrade(img, 16, 16, 1.0)
     # mean_lr equals the single training patch
@@ -158,6 +173,23 @@ def test_model_roundtrip(tmp_path):
     lr = raster.degrade(imgs[1], 16, 16, 1.0)
     assert np.array_equal(eigenpatch.reconstruct(lr, back),
                           eigenpatch.reconstruct(lr, model))
+
+
+def test_failed_save_leaves_previous_model(tmp_path, monkeypatch):
+    model = eigenpatch.train(small_corpus(3), 16, 16, 1.0)
+    path = tmp_path / "model.npz"
+    eigenpatch.save_model(path, model)
+    before = path.read_bytes()
+
+    def interrupted(fh, **arrays):
+        fh.write(b"PK partial")
+        raise OSError("write interrupted")
+
+    monkeypatch.setattr(np, "savez", interrupted)
+    with pytest.raises(OSError, match="write interrupted"):
+        eigenpatch.save_model(path, model)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.npz"]
 
 
 def test_model_version_mismatch_rejected(tmp_path):

@@ -213,10 +213,17 @@ def _is_path_component(name: str) -> bool:
     return name not in ("", ".", "..") and os.path.basename(name) == name
 
 
+# stage meta `extra` keys that say how a run went, not what it made
+RUN_FACTS = ("extract_s", "extract_workers")
+
+
 def fingerprint(obj: dict) -> str:
     """SHA-256 of the sort_keys JSON of a config or a stage meta, leaving out
-    a meta's timing so that identical reruns match."""
+    a meta's timing and worker count so that identical reruns match at any
+    `--jobs`."""
     body = {k: v for k, v in obj.items() if k != "elapsed_seconds"}
+    if "extra" in body:
+        body["extra"] = {k: v for k, v in body["extra"].items() if k not in RUN_FACTS}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
@@ -305,11 +312,44 @@ def _read_csv(path) -> list:
         return list(csv.reader(fh))
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
+def pool_size(jobs: int, n_items: int) -> int:
+    """Workers `_pmap` starts for `n_items` at `--jobs`; 0 runs them in the caller."""
+    return min(jobs, n_items) if jobs > 1 and n_items > 1 else 0
+
+
+# (fn, items) of the running process map; fork hands it to the workers,
+# since the closures a command maps cannot be pickled
+_FORKED = None
+
+
+def _call_forked(index):
+    fn, items = _FORKED
+    return fn(items[index])
+
+
+def _pmap(fn, items, jobs: int, processes: bool = False):
+    """`[fn(item) for item in items]` on `pool_size` threads or, with
+    `processes`, forked worker processes. Threads serve work that releases
+    the interpreter lock (FFTs, file and process I/O); processes serve work
+    that holds it (per-keypoint SIFT in Python). Results come back in item
+    order; a worker's exception is re-raised here, and a worker that dies
+    raises `BrokenProcessPool`."""
+    workers = pool_size(jobs, len(items))
+    if not workers:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+    if not processes:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _FORKED
+    _FORKED = (fn, items)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
+            return list(ex.map(_call_forked, range(len(items))))
+    finally:
+        _FORKED = None
 
 
 def factor_slug(label: str) -> str:
@@ -663,6 +703,7 @@ def cmd_match(cfg, args) -> int:
             os.remove(path)
 
     def extract(rec):
+        t = time.perf_counter()
         name = os.path.basename(rec.image_path)
         img = raster.read_pgm(os.path.join(sr_dir, "images", name))
         feats = {}
@@ -673,11 +714,13 @@ def cmd_match(cfg, args) -> int:
                 img, annulus=siftmatch.iris_annulus(rec.annotation))
             siftmatch.save_features(os.path.join(feat_dir, name + ".npz"),
                                     kps, feats["sift"])
-        return name, feats
+        return name, feats, time.perf_counter() - t
 
     # scores come from the features in memory; the pipeline never reads the
-    # .npz files back (perfbench counts their keypoints)
-    features = dict(_pmap(extract, records, cfg["jobs"]))
+    # .npz files back (perfbench counts their keypoints). Extraction holds
+    # the interpreter lock, so it runs in worker processes.
+    extracted = _pmap(extract, records, cfg["jobs"], processes=True)
+    features = {name: feats for name, feats, _ in extracted}
     ids = [(rec.subject_id, os.path.basename(rec.image_path)) for rec in records]
     genuine, impostor = fusion_eval.make_trials(ids)
     pairs = [(p, g, fusion_eval.GENUINE) for p, g in genuine]
@@ -703,7 +746,9 @@ def cmd_match(cfg, args) -> int:
                               ["probe", "gallery", "label"], pairs))
 
     extra = {"factor": label, "method": method_name,
-             "genuine": len(genuine), "impostor": len(impostor)}
+             "genuine": len(genuine), "impostor": len(impostor),
+             "extract_s": {name: round(sec, 4) for name, _, sec in extracted},
+             "extract_workers": pool_size(cfg["jobs"], len(records))}
     line = (f"match[{method_name}, {label}]: {len(genuine)} genuine / "
             f"{len(impostor)} impostor pairs -> {out}")
     # per image: SIFT keypoints (none quietly scores 0) and the valid share
@@ -850,7 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", required=True, help="pipeline output directory")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker parallelism (outputs are identical for any N)")
+                       help="workers per stage: threads, but forked processes for "
+                            "match's feature extraction (POSIX); outputs are "
+                            "identical for any N")
         if factor:
             p.add_argument("--factor", required=True,
                            help="factor label from the config (e.g. 1/16)")

@@ -4,6 +4,7 @@ import json
 import os
 import pkgutil
 import shutil
+import subprocess
 import sys
 import time
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import irissr
-from irissr import cli, dataset, eigenpatch, fusion_eval, iriscode, raster, sr
+from irissr import (cli, dataset, eigenpatch, fusion_eval, iriscode, raster,
+                    siftmatch, sr)
 from irissr.errors import BackendError, InputError
 
 
@@ -521,6 +523,89 @@ def test_match_records_keypoints_and_valid_bits(pipeline, capsys):
     empty = sum(n == 0 for n in counts.values())
     assert f"({empty} of {len(counts)} images without SIFT keypoints)" in \
         capsys.readouterr().out
+
+
+def test_match_outputs_independent_of_worker_processes(tmp_path):
+    # 9 images: 2 workers split them unevenly, 3 workers take 3 each
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path / "c.json", seeds=4, sessions=3)
+    base = ["--config", cfg, "--out", out]
+    for argv in (["synth"], ["prep"], ["degrade", "--factor", "1/4"],
+                 ["sr", "--factor", "1/4", "--method", "bicubic"]):
+        assert run([*argv, *base]) == 0
+    score_dir = os.path.join(out, "scores", "bicubic", "1_4")
+    runs = {}
+    for jobs in (1, 2, 3):
+        assert run(["match", *base, "--factor", "1/4", "--method", "bicubic",
+                    "--jobs", str(jobs)]) == 0
+        meta = cli._read_json(os.path.join(score_dir, "stage_match.json"))
+        files = {}
+        for name in ("lg.csv", "sift.csv", "labels.csv"):
+            with open(os.path.join(score_dir, name), "rb") as fh:
+                files[name] = fh.read()
+        features = {}
+        for name in sorted(os.listdir(os.path.join(score_dir, "features"))):
+            with np.load(os.path.join(score_dir, "features", name)) as data:
+                features[name] = {key: data[key] for key in data.files}
+        runs[jobs] = meta, files, features
+    meta1, files1, features1 = runs[1]
+    assert len(features1) == len(meta1["extra"]["extract_s"]) == 9
+    for jobs, (meta, files, features) in runs.items():
+        extra = meta["extra"]
+        assert extra["extract_workers"] == (0 if jobs == 1 else jobs)
+        assert set(extra["extract_s"]) == set(extra["sift_keypoints"])
+        assert all(sec > 0 for sec in extra["extract_s"].values())
+        assert files == files1
+        assert features.keys() == features1.keys()
+        for name, arrays in features.items():
+            assert arrays.keys() == features1[name].keys()
+            for key, array in arrays.items():
+                np.testing.assert_array_equal(array, features1[name][key])
+        for key in ("sift_keypoints", "lg_valid_fraction"):
+            assert extra[key] == meta1["extra"][key]
+        # timing and worker count are left out of the lineage
+        assert cli.fingerprint(meta) == cli.fingerprint(meta1)
+
+
+@pytest.mark.parametrize("error, code", [(InputError, cli.EXIT_CONFIG),
+                                         (BackendError, cli.EXIT_BACKEND)])
+def test_match_worker_error_keeps_exit_code(own_pipeline, capsys, monkeypatch,
+                                            error, code):
+    out, cfg = own_pipeline
+
+    def failing(img, annulus=None):
+        raise error("no usable pixels")
+
+    # the forked workers inherit the patch
+    monkeypatch.setattr(siftmatch, "detect_describe", failing)
+    stderr = []
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        assert run(["match", "--config", cfg, "--out", out, "--factor", "1/4",
+                    "--method", "bicubic", "--jobs", jobs]) == code
+        stderr.append(capsys.readouterr().err)
+    assert stderr[0] == stderr[1] == "irissr match: no usable pixels\n"
+
+
+def test_match_worker_death_exits_promptly(own_pipeline):
+    out, cfg = own_pipeline
+    argv = ["match", "--config", cfg, "--out", out, "--factor", "1/4",
+            "--method", "bicubic", "--jobs", "2"]
+    # patched in a child interpreter, so a hang ends at the timeout and the
+    # exit status is the one a shell would see
+    code = ("import os, sys\n"
+            "from irissr import cli, siftmatch\n"
+            "siftmatch.detect_describe = lambda *args, **kwargs: os._exit(9)\n"
+            f"sys.exit(cli.main({argv!r}))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(irissr.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert time.perf_counter() - t0 < 30
+    assert proc.returncode == 1
+    assert "BrokenProcessPool" in proc.stderr
 
 
 def test_eval_gathers_quality_table(pipeline):

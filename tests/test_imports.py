@@ -3,6 +3,7 @@ runs without numpy, and importing the command line or running a backend loads
 only the modules it uses. The reference backend's output is checked against
 numpy's nearest-neighbour doubling."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import irissr
-from irissr import raster
+from irissr import cli, raster
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(irissr.__file__)))
 
@@ -41,6 +42,31 @@ def test_cli_imports_no_command_modules():
     names = loaded_modules("import irissr.cli")
     heavy = {"siftmatch", "quality", "eigenpatch", "iriscode", "fusion_eval", "sr"}
     assert not {f"irissr.{m}" for m in heavy} & names
+
+
+def test_jobs_1_loads_no_process_pool(tmp_path):
+    # only `match` at --jobs > 1 forks workers; importing the command line or
+    # a --jobs 1 match pays nothing for the pool's modules
+    def pool_modules(names):
+        return {n for n in names if n.split(".")[0] == "multiprocessing"
+                or n == "concurrent.futures.process"}
+
+    assert not pool_modules(loaded_modules("import irissr.cli"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"factors": {"1/16": [15, 15]}, "seeds": 2,
+                               "sessions": 2, "train_subjects": 1}))
+    base = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    for argv in (["synth"], ["prep"], ["degrade", "--factor", "1/16"],
+                 ["sr", "--factor", "1/16", "--method", "bicubic"]):
+        assert cli.main([*argv, *base]) == 0
+    match = ["match", "--factor", "1/16", "--method", "bicubic", *base]
+    names = loaded_modules(
+        "import contextlib, io\n"
+        "from irissr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({match!r}) == 0")
+    assert "irissr.siftmatch" in names
+    assert not pool_modules(names)
 
 
 def test_refbackend_loads_no_numpy(tmp_path):

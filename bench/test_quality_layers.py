@@ -15,7 +15,7 @@ from irissr import dataset, iriscode, quality, raster
 
 def _pairs():
     img, ann = dataset.synth_iris(0, 231)
-    base = raster.upsample(dataset.simulate_lr(img, 57, 57, 2.0), 231, 231)
+    base = raster.resize_bicubic(dataset.simulate_lr(img, 57, 57, 2.0), 231, 231)
     return {"231x231": (img, base),
             "20x240": (iriscode.unwrap(img, ann).values,
                        iriscode.unwrap(base, ann).values)}

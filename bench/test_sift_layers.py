@@ -20,7 +20,7 @@ EYE = dataset.synth_iris(0, 231)[0]
 
 def upscaled_eye(lr):
     sigma = raster.antialias_sigma(231, 231, lr, lr)
-    baseline = raster.upsample(dataset.simulate_lr(EYE, lr, lr, sigma), 231, 231)
+    baseline = raster.resize_bicubic(dataset.simulate_lr(EYE, lr, lr, sigma), 231, 231)
     return np.round(baseline * 255) / 255
 
 

@@ -26,6 +26,7 @@ backend failure, 1 unexpected error.
 
 import argparse
 import csv
+import functools
 import glob
 import hashlib
 import json
@@ -92,6 +93,9 @@ def load_config(args) -> dict:
                                         f"{exc.strerror}")
         except ValueError as exc:  # bad JSON or encoding, or an int too long to convert
             raise CliError(EXIT_CONFIG, f"bad config JSON in {args.config}: {exc}")
+        if not isinstance(user, dict):
+            raise CliError(EXIT_CONFIG,
+                           f"config file {args.config} must hold a JSON object")
         unknown = set(user) - set(cfg)
         if unknown:
             raise CliError(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}")
@@ -236,8 +240,20 @@ def file_sha(path) -> str:
 
 
 def _read_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_meta(path, stage) -> dict:
+    """The stage meta at `path`; content that is not a JSON object ends the
+    command with exit 3."""
+    try:
+        meta = _read_json(path)
+    except (OSError, ValueError):  # ValueError: bad JSON or encoding
+        meta = None
+    if not isinstance(meta, dict):
+        raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: unreadable {path}")
+    return meta
 
 
 def ensure_dir(path) -> str:
@@ -275,7 +291,7 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
     if not os.path.exists(meta_path):
         raise CliError(EXIT_MISSING_INPUT,
                        f"missing upstream artifact: {meta_path} (run `{stage}` first)")
-    meta = _read_json(meta_path)
+    meta = _read_meta(meta_path, stage)
     if "inputs" not in meta:  # written before stages recorded their lineage
         raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: no lineage recorded")
     for rel, sha in meta.get("outputs", {}).items():
@@ -289,7 +305,7 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
     while pending:
         rel, recorded = pending.pop()
         path = os.path.join(out_root, rel)
-        ancestor = _read_json(path) if os.path.exists(path) else {}
+        ancestor = _read_meta(path, stage) if os.path.exists(path) else {}
         if fingerprint(ancestor) != recorded:
             raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: {rel}, which it "
                            f"was built from, is missing or has changed")
@@ -317,39 +333,26 @@ def pool_size(jobs: int, n_items: int) -> int:
     return min(jobs, n_items) if jobs > 1 and n_items > 1 else 0
 
 
-# (fn, items) of the running process map; fork hands it to the workers,
-# since the closures a command maps cannot be pickled
-_FORKED = None
-
-
-def _call_forked(index):
-    fn, items = _FORKED
-    return fn(items[index])
-
-
 def _pmap(fn, items, jobs: int, processes: bool = False):
     """`[fn(item) for item in items]` on `pool_size` threads or, with
-    `processes`, forked worker processes. Threads serve work that releases
-    the interpreter lock (FFTs, file and process I/O); processes serve work
-    that holds it (per-keypoint SIFT in Python). Results come back in item
-    order; a worker's exception is re-raised here, and a worker that dies
-    raises `BrokenProcessPool`."""
+    `processes`, forked worker processes, which need a picklable `fn` (a
+    module-level function or a `functools.partial` of one). Threads serve
+    work that releases the interpreter lock (FFTs, file and process I/O);
+    processes serve work that holds it (per-keypoint SIFT in Python).
+    Results come back in item order; a worker's exception is re-raised here,
+    and a worker that dies raises `BrokenProcessPool`."""
     workers = pool_size(jobs, len(items))
     if not workers:
         return [fn(item) for item in items]
-    if not processes:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    if processes:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    global _FORKED
-    _FORKED = (fn, items)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
-            return list(ex.map(_call_forked, range(len(items))))
-    finally:
-        _FORKED = None
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    else:
+        pool = ThreadPoolExecutor(max_workers=workers)
+    with pool as ex:
+        return list(ex.map(fn, items))
 
 
 def factor_slug(label: str) -> str:
@@ -673,13 +676,32 @@ def cmd_quality(cfg, args) -> int:
                      [detail_path], time.perf_counter() - t0,
                      extra={"summary_rows": summary_rows})
     _write_quality_table(os.path.join(out, "quality.csv"), [
-        _read_json(os.path.join(out, f"stage_{stage}.json"))
+        _read_meta(os.path.join(out, f"stage_{stage}.json"), stage)
         for stage in _quality_stages(out)])
     return 0
 
 
+def _extract(sr_dir, feat_dir, comparators, rec):
+    """One SR image's features by comparator, its `.npz` written when SIFT is
+    among them: (image name, features, seconds taken)."""
+    from . import iriscode, raster, siftmatch
+
+    t = time.perf_counter()
+    name = os.path.basename(rec.image_path)
+    img = raster.read_pgm(os.path.join(sr_dir, "images", name))
+    feats = {}
+    if "lg" in comparators:
+        feats["lg"] = iriscode.encode(iriscode.unwrap(img, rec.annotation))
+    if "sift" in comparators:
+        kps, feats["sift"] = siftmatch.detect_describe(
+            img, annulus=siftmatch.iris_annulus(rec.annotation))
+        siftmatch.save_features(os.path.join(feat_dir, name + ".npz"),
+                                kps, feats["sift"])
+    return name, feats, time.perf_counter() - t
+
+
 def cmd_match(cfg, args) -> int:
-    from . import fusion_eval, iriscode, raster, siftmatch
+    from . import fusion_eval, iriscode, siftmatch
 
     t0 = time.perf_counter()
     inputs = {}
@@ -702,24 +724,11 @@ def cmd_match(cfg, args) -> int:
         if os.path.exists(path):
             os.remove(path)
 
-    def extract(rec):
-        t = time.perf_counter()
-        name = os.path.basename(rec.image_path)
-        img = raster.read_pgm(os.path.join(sr_dir, "images", name))
-        feats = {}
-        if "lg" in comparators:
-            feats["lg"] = iriscode.encode(iriscode.unwrap(img, rec.annotation))
-        if "sift" in comparators:
-            kps, feats["sift"] = siftmatch.detect_describe(
-                img, annulus=siftmatch.iris_annulus(rec.annotation))
-            siftmatch.save_features(os.path.join(feat_dir, name + ".npz"),
-                                    kps, feats["sift"])
-        return name, feats, time.perf_counter() - t
-
     # scores come from the features in memory; the pipeline never reads the
     # .npz files back (perfbench counts their keypoints). Extraction holds
     # the interpreter lock, so it runs in worker processes.
-    extracted = _pmap(extract, records, cfg["jobs"], processes=True)
+    extracted = _pmap(functools.partial(_extract, sr_dir, feat_dir, comparators),
+                      records, cfg["jobs"], processes=True)
     features = {name: feats for name, feats, _ in extracted}
     ids = [(rec.subject_id, os.path.basename(rec.image_path)) for rec in records]
     genuine, impostor = fusion_eval.make_trials(ids)
@@ -729,15 +738,8 @@ def cmd_match(cfg, args) -> int:
     outputs = [os.path.join(feat_dir, name + ".npz")
                for name in features if "sift" in comparators]
     for comp in comparators:
-        def score(pair):
-            probe, gallery, _ = pair
-            if comp == "lg":
-                return iriscode.hamming(features[probe]["lg"],
-                                        features[gallery]["lg"])
-            return siftmatch.match_score(features[probe]["sift"],
-                                         features[gallery]["sift"])
-
-        values = _pmap(score, pairs, cfg["jobs"])
+        compare = iriscode.hamming if comp == "lg" else siftmatch.match_score
+        values = [compare(features[p][comp], features[g][comp]) for p, g, _ in pairs]
         outputs.append(_write_csv(
             os.path.join(out, f"{comp}.csv"), ["probe", "gallery", "score", "comparator"],
             ([probe, gallery, repr(value), comp.upper()]
@@ -838,16 +840,7 @@ def cmd_eval(cfg, args) -> int:
     if not eer_rows:
         raise CliError(EXIT_MISSING_INPUT, "no score sets found to evaluate")
 
-    # the EER, ROC and quality tables hold only what this run checked
-    outputs = [
-        _write_csv(os.path.join(out, "eer.csv"),
-                   ["method", "factor", "comparator", "eer"], sorted(eer_rows)),
-        _write_csv(os.path.join(out, "roc.csv"),
-                   ["method", "factor", "comparator", "threshold", "far", "frr"],
-                   roc_rows),
-        _write_quality_table(os.path.join(out, "quality.csv"), quality_metas),
-    ]
-
+    # read before any output is written, so an unreadable meta leaves none
     summary = {
         "config_hash": fingerprint(cfg)[:16],
         "versions": {
@@ -858,6 +851,15 @@ def cmd_eval(cfg, args) -> int:
         "stage_timings": _collect_timings(args.out),
         "trial_counts": trial_counts,
     }
+    # the EER, ROC and quality tables hold only what this run checked
+    outputs = [
+        _write_csv(os.path.join(out, "eer.csv"),
+                   ["method", "factor", "comparator", "eer"], sorted(eer_rows)),
+        _write_csv(os.path.join(out, "roc.csv"),
+                   ["method", "factor", "comparator", "threshold", "far", "frr"],
+                   roc_rows),
+        _write_quality_table(os.path.join(out, "quality.csv"), quality_metas),
+    ]
     outputs.append(os.path.join(out, "run_summary.json"))
     with open(outputs[-1], "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -875,8 +877,9 @@ def _collect_timings(out_root) -> dict:
         for name in sorted(filenames):
             if name.startswith("stage_") and name.endswith(".json"):
                 path = os.path.join(dirpath, name)
+                stage = name[len("stage_"):-len(".json")]
                 timings[os.path.relpath(path, out_root)] = \
-                    _read_json(path).get("elapsed_seconds")
+                    _read_meta(path, stage).get("elapsed_seconds")
     return timings
 
 
@@ -896,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="pipeline output directory")
         p.add_argument("--jobs", type=int, default=None,
                        help="workers per stage: threads, but forked processes for "
-                            "match's feature extraction (POSIX); outputs are "
-                            "identical for any N")
+                            "match's feature extraction (POSIX); match scores in "
+                            "the stage process; outputs are identical for any N")
         if factor:
             p.add_argument("--factor", required=True,
                            help="factor label from the config (e.g. 1/16)")

@@ -30,7 +30,7 @@ from .errors import InputError
 
 PATCH_SIZE = 4
 STRIDE = 2
-DEFAULT_VARIANCE_KEEP = 0.98
+VARIANCE_KEEP = 0.98
 EIGENVALUE_FLOOR = 1e-10
 
 _FORMAT_VERSION = "epm-2"
@@ -90,13 +90,12 @@ class EigenPatchModel:
 
 
 def train(hr_images, lr_w: int, lr_h: int, sigma: float,
-          variance_keep: float = DEFAULT_VARIANCE_KEEP,
           provenance: str = "") -> EigenPatchModel:
     """Build the per-position PCA model from aligned same-size HR images.
 
     LR counterparts are produced by the same degradation used at test time.
     Patches are PATCH_SIZE x PATCH_SIZE LR pixels, STRIDE apart.
-    `variance_keep` truncates components at that cumulative-variance fraction
+    VARIANCE_KEEP truncates components at that cumulative-variance fraction
     (1.0 disables truncation); eigenvalues below EIGENVALUE_FLOOR are always
     dropped, so K <= M - 1.
     """
@@ -147,7 +146,7 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
         lam = np.clip(lam[order], 0.0, None)
         vec = vec[:, order]
         total = lam.sum()
-        k = min(int(np.searchsorted(np.cumsum(lam), variance_keep * total)) + 1,
+        k = min(int(np.searchsorted(np.cumsum(lam), VARIANCE_KEEP * total)) + 1,
                 m - 1) if total > 0 else 0
         while k > 0 and lam[k - 1] <= EIGENVALUE_FLOOR:
             k -= 1

@@ -179,17 +179,9 @@ def degrade_linear(img: np.ndarray, out_w: int, out_h: int, sigma: float) -> np.
     return resize_bicubic_unclamped(blurred, out_w, out_h)
 
 
-def upsample(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Bicubic upscale (the U operator). Target must not shrink the image."""
-    img = as_image(img)
-    h, w = img.shape
-    if out_w < w or out_h < h:
-        raise InputError(f"upsample target {out_w}x{out_h} smaller than source {w}x{h}")
-    return resize_bicubic(img, out_w, out_h)
-
-
 def upsample_linear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """upsample() without the clamp, for signed residual planes."""
+    """Bicubic upscale (the U operator) without the clamp, for signed
+    residual planes."""
     return resize_bicubic_unclamped(img, out_w, out_h)
 
 

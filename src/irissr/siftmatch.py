@@ -383,25 +383,13 @@ def iris_annulus(ann) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# per-image feature cache
+# per-image feature file
 # ---------------------------------------------------------------------------
 
-_CACHE_VERSION = 1
-
-
 def save_features(path, keypoints, descriptors) -> None:
+    """Write one image's features as `.npz` arrays: `keypoints`, one
+    (x, y, scale, orientation, response) row each, and `descriptors`. The
+    pipeline never reads them back; they are there for inspection."""
     kp = np.array([[k.x, k.y, k.scale, k.orientation, k.response]
                    for k in keypoints], dtype=np.float64).reshape(-1, 5)
-    np.savez(path, version=np.int64(_CACHE_VERSION), keypoints=kp,
-             descriptors=np.asarray(descriptors, dtype=np.float64))
-
-
-def load_features(path):
-    with np.load(path) as data:
-        if int(data["version"]) != _CACHE_VERSION:
-            raise InputError(f"{path}: unsupported feature cache version")
-        kp = data["keypoints"]
-        desc = data["descriptors"]
-    keypoints = [Keypoint(x=row[0], y=row[1], scale=row[2], orientation=row[3],
-                          response=row[4]) for row in kp]
-    return keypoints, desc
+    np.savez(path, keypoints=kp, descriptors=np.asarray(descriptors, dtype=np.float64))

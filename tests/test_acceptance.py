@@ -48,7 +48,7 @@ def test_criterion_1_reprojection_constants():
     assert cli.DEFAULT_CONFIG["reproject_tol"] == 1e-5
 
     img, _ = dataset.synth_iris(0, 64)
-    y0 = raster.upsample(raster.degrade(img, 16, 16, 0.0), 64, 64)
+    y0 = raster.resize_bicubic(raster.degrade(img, 16, 16, 0.0), 64, 64)
     x = raster.degrade(y0, 16, 16, 1.0)
     trace = []
     y, iters, converged = reproject.reproject(y0, x, 1.0, trace=trace)
@@ -58,7 +58,7 @@ def test_criterion_1_reprojection_constants():
     # the tolerance is what stops a non-trivial run, visible in its trace
     img2, _ = dataset.synth_iris(1, 64)
     lr2 = dataset.simulate_lr(img2, 16, 16, 2.0)
-    base2 = raster.upsample(lr2, 64, 64)
+    base2 = raster.resize_bicubic(lr2, 64, 64)
     trace2 = []
     _, it2, conv2 = reproject.reproject(base2, lr2, 2.0, trace=trace2)
     assert conv2 and trace2[-1] < 1e-5
@@ -73,7 +73,7 @@ def test_criterion_2_reprojection_fidelity(corpus20):
     psnr_wins = 0
     for img, _ann in corpus20:
         lr = dataset.simulate_lr(img, 15, 15, sigma)
-        base = raster.upsample(lr, 231, 231)
+        base = raster.resize_bicubic(lr, 231, 231)
         y, _iters, _conv = reproject.reproject(base, lr, sigma)
         r0 = np.abs(raster.degrade(base, 15, 15, sigma) - lr).mean()
         r1 = np.abs(raster.degrade(y, 15, 15, sigma) - lr).mean()
@@ -139,7 +139,7 @@ def test_criterion_5_eigenpatch(corpus20):
     for img in imgs:
         lr = raster.degrade(img, 57, 57, sigma)
         rec = eigenpatch.reconstruct(lr, model)
-        base = raster.upsample(lr, 231, 231)
+        base = raster.resize_bicubic(lr, 231, 231)
         wins += (quality.psnr(img, rec) >= quality.psnr(img, base))
     assert wins == 20, f"in-training reconstruction won on {wins}/20"
     degenerate = eigenpatch.train([imgs[0]] * 4, 57, 57, sigma)
@@ -171,7 +171,7 @@ def test_criterion_6_lg_comparator(corpus20_sessions, templates20_sessions):
                 test = img
             else:
                 sigma = raster.antialias_sigma(231, 231, lr_size, lr_size)
-                test = raster.upsample(
+                test = raster.resize_bicubic(
                     dataset.simulate_lr(img, lr_size, lr_size, sigma), 231, 231)
             templates[(s, j)] = iriscode.encode(iriscode.unwrap(test, ann))
         gen = [iriscode.hamming(templates[p], templates[g]) for p, g in gen_pairs]

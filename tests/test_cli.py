@@ -357,6 +357,26 @@ def test_stale_artifact_detected(tmp_path):
     assert run(["prep", *base]) == cli.EXIT_MISSING_INPUT
 
 
+@pytest.mark.parametrize("rel, text, argv, stage", [
+    ("prep/stage_prep.json", b"{", ["degrade", "--factor", "1/4"], "prep"),
+    ("prep/stage_prep.json", b"[]", ["degrade", "--factor", "1/4"], "prep"),
+    ("prep/stage_prep.json", b'{"\xff": 1}', ["degrade", "--factor", "1/4"], "prep"),
+    # an ancestor of the stage degrade checks
+    ("synth/stage_synth.json", b"{", ["degrade", "--factor", "1/4"], "prep"),
+    # a meta eval reads only for the run summary's timings
+    ("eval/stage_eval.json", b"[]", ["eval"], "eval")],
+    ids=["damaged", "not-object", "not-utf8", "damaged-ancestor", "timings"])
+def test_unreadable_stage_meta_exit_code(own_pipeline, capsys, rel, text, argv, stage):
+    out, cfg = own_pipeline
+    path = os.path.join(out, *rel.split("/"))
+    with open(path, "wb") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert run([*argv, "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == \
+        f"irissr {argv[0]}: stale {stage} stage: unreadable {path}\n"
+
+
 def test_unknown_backend_exit_code(pipeline):
     out, cfg = pipeline
     for stage in ("sr", "quality", "match"):
@@ -608,6 +628,28 @@ def test_match_worker_death_exits_promptly(own_pipeline):
     assert "BrokenProcessPool" in proc.stderr
 
 
+def test_match_scores_in_the_stage_process(own_pipeline, monkeypatch):
+    out, cfg = own_pipeline
+    score_dir = os.path.join(out, "scores", "bicubic", "1_4")
+
+    def scores():
+        files = {}
+        for name in ("lg.csv", "sift.csv", "labels.csv"):
+            with open(os.path.join(score_dir, name), "rb") as fh:
+                files[name] = fh.read()
+        return files
+
+    before = scores()
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("match started a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_threads)
+    assert run(["match", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "bicubic", "--jobs", "2"]) == 0
+    assert scores() == before
+
+
 def test_eval_gathers_quality_table(pipeline):
     out, _ = pipeline
     gathered = os.path.join(out, "eval", "quality.csv")
@@ -830,6 +872,17 @@ def test_unreadable_config_or_manifest_exit_code(tmp_path, capsys, case, code):
     assert run(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(bad) in err[0], err
+
+
+@pytest.mark.parametrize("text", ["null", "5", '["jobs"]', '"abc"', "[]"])
+def test_config_not_an_object_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert run(["synth", "--config", str(bad), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"irissr synth: config file {bad} must hold a JSON object\n"
+    assert not out.exists()
 
 
 def test_discard_sidecar_logs_out_of_bounds(tmp_path):

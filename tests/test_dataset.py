@@ -143,7 +143,7 @@ def test_preprocess_deterministic(corpus20):
 def test_simulate_lr_constant():
     img = np.full((64, 64), 0.25)
     lr = dataset.simulate_lr(img, 16, 16, 2.0)
-    base = raster.upsample(lr, 64, 64)
+    base = raster.resize_bicubic(lr, 64, 64)
     assert np.allclose(lr, 0.25, atol=1e-12)
     assert np.allclose(base, 0.25, atol=1e-12)
 
@@ -151,7 +151,7 @@ def test_simulate_lr_constant():
 def test_simulate_lr_13_to_319():
     img = np.random.default_rng(5).uniform(size=(319, 319))
     lr = dataset.simulate_lr(img, 13, 13, raster.antialias_sigma(319, 319, 13, 13))
-    base = raster.upsample(lr, 319, 319)
+    base = raster.resize_bicubic(lr, 319, 319)
     assert lr.shape == (13, 13)
     assert base.shape == (319, 319)
 
@@ -160,7 +160,7 @@ def test_simulate_lr_baseline_psnr_regression(corpus20):
     # pipeline self-oracle: value pinned from the first verified run
     img, _ = corpus20[0]
     lr = dataset.simulate_lr(img, 57, 57, raster.antialias_sigma(231, 231, 57, 57))
-    base = raster.upsample(lr, 231, 231)
+    base = raster.resize_bicubic(lr, 231, 231)
     assert quality.psnr(img, base) == pytest.approx(29.630032, abs=1e-3)
 
 

@@ -82,9 +82,10 @@ def test_single_training_image():
     assert np.allclose(model.means_lr[0], lr[y:y + 4, x:x + 4].ravel())
 
 
-def test_two_image_eigenpatch_is_normalized_difference():
+def test_two_image_eigenpatch_is_normalized_difference(monkeypatch):
+    monkeypatch.setattr(eigenpatch, "VARIANCE_KEEP", 1.0)
     imgs = small_corpus(2)
-    model = eigenpatch.train(imgs, 16, 16, 1.0, variance_keep=1.0)
+    model = eigenpatch.train(imgs, 16, 16, 1.0)
     lrs = [raster.degrade(im, 16, 16, 1.0) for im in imgs]
     for i in (0, len(model.positions_lr) // 2):
         x, y = model.positions_lr[i]
@@ -109,10 +110,11 @@ def test_orthonormal_eigen_patches():
             assert np.abs(gram - np.eye(e.shape[1])).max() < 1e-6
 
 
-def test_exact_recovery_in_span():
+def test_exact_recovery_in_span(monkeypatch):
     # with truncation disabled, a training patch round-trips through the basis
+    monkeypatch.setattr(eigenpatch, "VARIANCE_KEEP", 1.0)
     imgs = small_corpus(5)
-    model = eigenpatch.train(imgs, 16, 16, 1.0, variance_keep=1.0)
+    model = eigenpatch.train(imgs, 16, 16, 1.0)
     lr0 = raster.degrade(imgs[0], 16, 16, 1.0)
     for i in (0, model.n_positions - 1):
         x, y = model.positions_lr[i]
@@ -142,7 +144,7 @@ def test_in_training_reconstruction_beats_bicubic():
     for img in imgs[:3]:
         lr = raster.degrade(img, 32, 32, sigma)
         rec = eigenpatch.reconstruct(lr, model)
-        base = raster.upsample(lr, 128, 128)
+        base = raster.resize_bicubic(lr, 128, 128)
         assert quality.psnr(img, rec) >= quality.psnr(img, base)
 
 

@@ -185,7 +185,7 @@ def reference_pairs():
     pairs = []
     for seed in (0, 1):
         img, ann = dataset.synth_iris(seed, 231)
-        base = raster.upsample(dataset.simulate_lr(img, 57, 57, 2.0), 231, 231)
+        base = raster.resize_bicubic(dataset.simulate_lr(img, 57, 57, 2.0), 231, 231)
         pairs.append((f"eye{seed}", img, base))
         pairs.append((f"strip{seed}", iriscode.unwrap(img, ann).values,
                       iriscode.unwrap(base, ann).values))
@@ -371,7 +371,7 @@ def test_region_report_identity(corpus20):
 
 def test_region_report_differs_between_regions(corpus20):
     img, ann = corpus20[1]
-    base = raster.upsample(dataset.simulate_lr(img, 29, 29, 4.0), 231, 231)
+    base = raster.resize_bicubic(dataset.simulate_lr(img, 29, 29, 4.0), 231, 231)
     full, iris = quality.region_report(img, base, ann)
     assert full.psnr != pytest.approx(iris.psnr, abs=1e-6)
     assert 0 < full.ssim < 1 and 0 < iris.ssim < 1

@@ -24,7 +24,7 @@ def test_default_constants():
 
 def _fixed_point_case():
     img, _ = dataset.synth_iris(3, 64)
-    y0 = raster.upsample(raster.degrade(img, 16, 16, 0.0), 64, 64)
+    y0 = raster.resize_bicubic(raster.degrade(img, 16, 16, 0.0), 64, 64)
     # exact fidelity by construction
     return y0, raster.degrade(y0, 16, 16, 1.0), 1.0
 
@@ -66,7 +66,7 @@ def test_termination_within_max_iter():
     img, _ = dataset.synth_iris(5, 96)
     sigma = raster.antialias_sigma(96, 96, 12, 12)
     lr = dataset.simulate_lr(img, 12, 12, sigma)
-    base = raster.upsample(lr, 96, 96)
+    base = raster.resize_bicubic(lr, 96, 96)
     y, iters, converged = reproject.reproject(base, lr, sigma, max_iter=25)
     assert iters <= 25
     if not converged:
@@ -80,7 +80,7 @@ def test_fidelity_residual_decreases_on_seeds():
         img, _ = dataset.synth_iris(seed, 231)
         sigma = raster.antialias_sigma(231, 231, 15, 15)
         lr = dataset.simulate_lr(img, 15, 15, sigma)
-        base = raster.upsample(lr, 231, 231)
+        base = raster.resize_bicubic(lr, 231, 231)
         y, iters, converged = reproject.reproject(base, lr, sigma)
         r0 = np.abs(raster.degrade(base, 15, 15, sigma) - lr).mean()
         r1 = np.abs(raster.degrade(y, 15, 15, sigma) - lr).mean()
@@ -92,7 +92,7 @@ def test_determinism():
     img, _ = dataset.synth_iris(6, 96)
     sigma = raster.antialias_sigma(96, 96, 16, 16)
     lr = dataset.simulate_lr(img, 16, 16, sigma)
-    base = raster.upsample(lr, 96, 96)
+    base = raster.resize_bicubic(lr, 96, 96)
     y1, i1, c1 = reproject.reproject(base, lr, sigma, max_iter=60)
     y2, i2, c2 = reproject.reproject(base, lr, sigma, max_iter=60)
     assert i1 == i2 and c1 == c2
@@ -103,7 +103,7 @@ def test_trace_records_every_iteration():
     img, _ = dataset.synth_iris(7, 64)
     sigma = raster.antialias_sigma(64, 64, 8, 8)
     lr = dataset.simulate_lr(img, 8, 8, sigma)
-    base = raster.upsample(lr, 64, 64)
+    base = raster.resize_bicubic(lr, 64, 64)
     trace = []
     _, iters, _ = reproject.reproject(base, lr, sigma, max_iter=15, trace=trace)
     assert len(trace) == iters

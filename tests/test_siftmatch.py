@@ -190,9 +190,13 @@ def test_feature_cache_roundtrip(tmp_path):
     kps, desc = siftmatch.detect_describe(img)
     path = tmp_path / "feat.npz"
     siftmatch.save_features(path, kps, desc)
-    kps2, desc2 = siftmatch.load_features(path)
-    assert kps2 == kps
-    assert np.array_equal(desc2, desc)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["descriptors", "keypoints"]
+        rows, stored = data["keypoints"], data["descriptors"]
+    # columns x, y, scale, orientation, response; one row per keypoint
+    expected = np.array([[k.x, k.y, k.scale, k.orientation, k.response] for k in kps])
+    assert kps and np.array_equal(rows, expected)
+    assert np.array_equal(stored, desc)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +452,7 @@ def equality_images():
         images[f"eye{seed}-j{jitter}"] = eye
         for lr in (57, 15):
             sigma = raster.antialias_sigma(231, 231, lr, lr)
-            baseline = raster.upsample(dataset.simulate_lr(eye, lr, lr, sigma), 231, 231)
+            baseline = raster.resize_bicubic(dataset.simulate_lr(eye, lr, lr, sigma), 231, 231)
             images[f"eye{seed}-j{jitter}-{lr}"] = np.round(baseline * 255) / 255
     images["smooth-noise"] = smooth_noise(6)
     images["smooth-noise-160"] = smooth_noise(8, size=160, blur=1.5)

@@ -19,6 +19,11 @@ the same way in `sr`, `quality` and `match`.
 Each command imports the package modules it uses when it runs, so a command
 pays only for its own; they are still called through module attributes.
 
+`--jobs` is the only parallelism in a stage command: this module sets
+`OPENBLAS_NUM_THREADS=1` before it loads numpy, unless the caller set it, so
+BLAS runs on the stage's (or worker's) own thread and the outputs do not
+depend on the machine's core count. Backend commands inherit the setting.
+
 Exit codes: 0 ok, 2 bad config/usage or input data the configuration cannot
 process, 3 missing or stale input artifact, 4 unwritable output, 5 external
 backend failure, 1 unexpected error.
@@ -36,6 +41,10 @@ import shlex
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+
+# read once, when numpy loads: extra BLAS threads busy-wait on the cores that
+# --jobs workers use, and their split moves last bits with the core count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -218,12 +227,12 @@ def _is_path_component(name: str) -> bool:
 
 
 # stage meta `extra` keys that say how a run went, not what it made
-RUN_FACTS = ("extract_s", "extract_workers")
+RUN_FACTS = ("extract_s", "extract_workers", "backend_call_s")
 
 
 def fingerprint(obj: dict) -> str:
     """SHA-256 of the sort_keys JSON of a config or a stage meta, leaving out
-    a meta's timing and worker count so that identical reruns match at any
+    a meta's timings and worker count so that identical reruns match at any
     `--jobs`."""
     body = {k: v for k, v in obj.items() if k != "elapsed_seconds"}
     if "extra" in body:
@@ -245,7 +254,8 @@ def _read_json(path):
 
 
 def _read_meta(path, stage) -> dict:
-    """The stage meta at `path`; content that is not a JSON object ends the
+    """The stage meta at `path`; content that is not a JSON object, or whose
+    `inputs` (its lineage) or `outputs` is not a map of strings, ends the
     command with exit 3."""
     try:
         meta = _read_json(path)
@@ -253,6 +263,13 @@ def _read_meta(path, stage) -> dict:
         meta = None
     if not isinstance(meta, dict):
         raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: unreadable {path}")
+    for key in ("inputs", "outputs"):
+        value = meta.get(key)
+        # JSON object keys are strings already
+        if not isinstance(value, dict) or not all(isinstance(v, str)
+                                                  for v in value.values()):
+            raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: {key} of "
+                           f"{path} is missing or not a map of strings")
     return meta
 
 
@@ -292,9 +309,7 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
         raise CliError(EXIT_MISSING_INPUT,
                        f"missing upstream artifact: {meta_path} (run `{stage}` first)")
     meta = _read_meta(meta_path, stage)
-    if "inputs" not in meta:  # written before stages recorded their lineage
-        raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: no lineage recorded")
-    for rel, sha in meta.get("outputs", {}).items():
+    for rel, sha in meta["outputs"].items():
         path = os.path.join(stage_dir, rel)
         if not os.path.exists(path):
             raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: missing {path}")
@@ -338,7 +353,8 @@ def _pmap(fn, items, jobs: int, processes: bool = False):
     `processes`, forked worker processes, which need a picklable `fn` (a
     module-level function or a `functools.partial` of one). Threads serve
     work that releases the interpreter lock (FFTs, file and process I/O);
-    processes serve work that holds it (per-keypoint SIFT in Python).
+    processes serve work that holds it (per-keypoint SIFT in Python). BLAS
+    runs on each worker's own thread, so the pool is the only parallelism.
     Results come back in item order; a worker's exception is re-raised here,
     and a worker that dies raises `BrokenProcessPool`."""
     workers = pool_size(jobs, len(items))
@@ -579,25 +595,29 @@ def cmd_sr(cfg, args) -> int:
     def process(rec):
         name = os.path.basename(rec.image_path)
         lr = raster.read_pgm(os.path.join(lr_stage, "lr", name))
+        call_s = []
         img, passes = sr.super_resolve(lr, side, side, cfg["method"], model=model,
-                                       backend=backend)
+                                       backend=backend, call_s=call_s)
         iters, converged = 0, False
         if cfg["reproject"]:
             img, iters, converged = reproject_mod.reproject(
                 img, lr, sigma, tau=cfg["tau"], tol=cfg["reproject_tol"],
                 max_iter=cfg["reproject_max_iter"])
         raster.write_pgm(os.path.join(img_dir, name), img)
-        return name, passes, iters, converged
+        return name, passes, iters, converged, call_s
 
     results = _pmap(process, records, cfg["jobs"])
-    outputs = [os.path.join(img_dir, name) for name, _, _, _ in results]
+    outputs = [os.path.join(img_dir, name) for name, _, _, _, _ in results]
     extra = {"factor": label, "method": method_name,
-             "passes": [p for _, p, _, _ in results],
-             "reproject_iterations": [i for _, _, i, _ in results],
+             "passes": [p for _, p, _, _, _ in results],
+             "reproject_iterations": [i for _, _, i, _, _ in results],
              "tau": cfg["tau"], "tol": cfg["reproject_tol"]}
     line = f"sr[{method_name}, {label}]: {len(results)} images -> {out}"
+    if backend is not None:
+        extra["backend_call_s"] = {name: [round(sec, 4) for sec in call_s]
+                                   for name, _, _, _, call_s in results}
     if cfg["reproject"]:
-        converged = [c for _, _, _, c in results]
+        converged = [c for _, _, _, c, _ in results]
         extra["reproject_converged"] = converged
         line += (f" ({converged.count(False)} not converged within "
                  f"{cfg['reproject_max_iter']} iterations)")
@@ -847,6 +867,8 @@ def cmd_eval(cfg, args) -> int:
             "iris-sr": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            # as this process saw it; the import of this module pins it
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "stage_timings": _collect_timings(args.out),
         "trial_counts": trial_counts,

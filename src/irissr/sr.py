@@ -15,6 +15,7 @@ import os
 import shlex
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 
@@ -66,13 +67,14 @@ def apply_backend(lr: np.ndarray, backend: dict) -> np.ndarray:
 
 def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, method: str,
                   model: eigenpatch.EigenPatchModel | None = None,
-                  backend: dict | None = None):
+                  backend: dict | None = None, call_s: list | None = None):
     """Reconstruct lr to exactly (hr_w, hr_h) by `method`. Returns (image, passes).
 
     `model` is the trained model `eigenpatch` needs and `backend` the config
     entry a `backend:<name>` method calls. `passes` counts upscaler
     applications: 1 for the direct methods, and ceil(log2(n)) backend
-    invocations for a backend, n the larger of the two axis factors.
+    invocations for a backend, n the larger of the two axis factors. Each
+    backend call's wall time in seconds is appended to `call_s` when given.
     """
     lr = raster.as_image(lr)
     h, w = lr.shape
@@ -99,7 +101,11 @@ def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, method: str,
     passes = max(planned_passes(w, hr_w), planned_passes(h, hr_h))
     img = lr
     for _ in range(passes):
-        img = raster.clamp01(apply_backend(img, backend))
+        t = time.perf_counter()
+        out = apply_backend(img, backend)
+        if call_s is not None:
+            call_s.append(time.perf_counter() - t)
+        img = raster.clamp01(out)
     if img.shape != (hr_h, hr_w):
         img = raster.resize_bicubic(img, hr_w, hr_h)
     return img, passes

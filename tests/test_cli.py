@@ -79,6 +79,9 @@ def test_pipeline_artifacts_exist(pipeline):
     assert len(lines) == 4  # LG, SIFT, FUSED
     summary = json.load(open(os.path.join(out, "eval", "run_summary.json")))
     assert "config_hash" in summary and "versions" in summary
+    # importing the command line pinned it, unless this process's caller set it
+    assert summary["versions"]["OPENBLAS_NUM_THREADS"] == \
+        os.environ["OPENBLAS_NUM_THREADS"]
     assert summary["stage_timings"]
 
 
@@ -126,6 +129,25 @@ def test_backend_method_roundtrip(pipeline):
     img_dir = os.path.join(out, "sr", "backend-nn2x", "1_4", "images")
     img = raster.read_pgm(os.path.join(img_dir, sorted(os.listdir(img_dir))[0]))
     assert img.shape == (231, 231)
+
+
+def test_backend_call_times_left_out_of_lineage(own_pipeline):
+    out, cfg = own_pipeline
+    base = ["--config", cfg, "--out", out, "--factor", "1/16"]
+    assert run(["degrade", *base]) == 0
+    names = sorted(os.listdir(os.path.join(out, "lr", "1_16", "lr")))
+    metas = []
+    for jobs in ("1", "2"):
+        assert run(["sr", *base, "--method", "backend:nn2x", "--jobs", jobs]) == 0
+        metas.append(cli._read_json(
+            os.path.join(out, "sr", "backend-nn2x", "1_16", "stage_sr.json")))
+    for meta in metas:
+        # 15x15 -> 231x231 takes 4 x2 passes per image
+        calls = meta["extra"]["backend_call_s"]
+        assert sorted(calls) == names
+        assert all(len(times) == 4 and all(sec > 0 for sec in times)
+                   for times in calls.values())
+    assert cli.fingerprint(metas[0]) == cli.fingerprint(metas[1])
 
 
 def test_eigenpatch_method_trains_and_caches(own_pipeline, tmp_path):
@@ -375,6 +397,27 @@ def test_unreadable_stage_meta_exit_code(own_pipeline, capsys, rel, text, argv, 
     assert run([*argv, "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
     assert capsys.readouterr().err == \
         f"irissr {argv[0]}: stale {stage} stage: unreadable {path}\n"
+
+
+@pytest.mark.parametrize("rel, key, value", [
+    ("prep/stage_prep.json", "inputs", 5),
+    ("prep/stage_prep.json", "outputs", []),
+    ("prep/stage_prep.json", "inputs", {"x": 5}),
+    # an ancestor of the stage degrade checks
+    ("synth/stage_synth.json", "outputs", None)],
+    ids=["inputs-number", "outputs-list", "inputs-number-value", "ancestor"])
+def test_misshapen_stage_meta_exit_code(own_pipeline, capsys, rel, key, value):
+    out, cfg = own_pipeline
+    path = os.path.join(out, *rel.split("/"))
+    meta = cli._read_json(path)
+    meta[key] = value
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert run(["degrade", "--factor", "1/4", "--config", cfg, "--out", out]) == \
+        cli.EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == (f"irissr degrade: stale prep stage: {key} of "
+                                       f"{path} is missing or not a map of strings\n")
 
 
 def test_unknown_backend_exit_code(pipeline):

@@ -1,7 +1,8 @@
 """Start-up cost: the stage commands run without scipy, the reference backend
-runs without numpy, and importing the command line or running a backend loads
-only the modules it uses. The reference backend's output is checked against
-numpy's nearest-neighbour doubling."""
+runs without numpy, importing the command line or running a backend loads
+only the modules it uses, and the command line runs BLAS on one thread
+unless its caller says otherwise. The reference backend's output is checked
+against numpy's nearest-neighbour doubling."""
 
 import json
 import os
@@ -29,6 +30,31 @@ def loaded_modules(code):
         [sys.executable, "-c", code + "\nimport sys; print(*sorted(sys.modules))"],
         capture_output=True, text=True, env=package_env(), check=True)
     return set(proc.stdout.split())
+
+
+def blas_threads(**env):
+    """(OS threads, OPENBLAS_NUM_THREADS) of a fresh interpreter after
+    `import irissr.cli`, started with `env` in place of this process's BLAS
+    setting."""
+    base = package_env()
+    base.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, irissr.cli\n"
+         "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env={**base, **env}, check=True)
+    threads, setting = proc.stdout.split()
+    return int(threads), setting
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_import_runs_blas_on_one_thread():
+    # --jobs is the only parallelism: no BLAS thread starts beside the stage's
+    assert blas_threads() == (1, "1")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_import_keeps_callers_blas_threads():
+    assert blas_threads(OPENBLAS_NUM_THREADS="2")[1] == "2"
 
 
 def test_cli_imports_no_scipy():

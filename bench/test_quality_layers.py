@@ -1,5 +1,8 @@
 """Layer benchmarks of the quality metrics: SSIM, phase congruency and FSIM on
-a full 231x231 eye and on its 20x240 unwrapped iris strip.
+a full 231x231 eye and on its 20x240 unwrapped iris strip, and the two paths
+of one 231x231 region report: building the reference maps (the first
+`quality` command over a prep stage) and the report given them (every later
+one).
 
     PYTHONPATH=src python -m pytest bench/test_quality_layers.py --benchmark-enable --benchmark-only
 
@@ -13,15 +16,11 @@ import pytest
 from irissr import dataset, iriscode, quality, raster
 
 
-def _pairs():
-    img, ann = dataset.synth_iris(0, 231)
-    base = raster.resize_bicubic(dataset.simulate_lr(img, 57, 57, 2.0), 231, 231)
-    return {"231x231": (img, base),
-            "20x240": (iriscode.unwrap(img, ann).values,
-                       iriscode.unwrap(base, ann).values)}
-
-
-PAIRS = _pairs()
+EYE, ANN = dataset.synth_iris(0, 231)
+BASE = raster.resize_bicubic(dataset.simulate_lr(EYE, 57, 57, 2.0), 231, 231)
+PAIRS = {"231x231": (EYE, BASE),
+         "20x240": (iriscode.unwrap(EYE, ANN).values,
+                    iriscode.unwrap(BASE, ANN).values)}
 
 
 @pytest.fixture(params=sorted(PAIRS))
@@ -45,3 +44,15 @@ def test_phase_congruency(benchmark, pair):
 def test_fsim(benchmark, pair):
     value = benchmark(quality.fsim, *pair)
     assert 0.0 < value < 1.0
+
+
+def test_reference_maps(benchmark):
+    quality.reference_maps(EYE, ANN)  # the filter banks, outside the timed rounds
+    maps = benchmark(quality.reference_maps, EYE, ANN)
+    assert sorted(maps) == sorted(quality.REFERENCE_MAPS)
+
+
+def test_region_report_given_maps(benchmark):
+    maps = quality.reference_maps(EYE, ANN)
+    full, iris = benchmark(quality.region_report, EYE, BASE, ANN, maps)
+    assert 0.0 < full.fsim < 1.0 and 0.0 < iris.fsim < 1.0

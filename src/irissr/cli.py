@@ -11,6 +11,15 @@ from the summary rows of the quality metas, and `eval` reads only the score
 files a checked match meta hashes and writes every table in `eval/` from
 this run's checked records.
 
+Every (method, factor) set is scored against the same prep images, so
+`quality` stores each prep image's reference maps (`quality.reference_maps`)
+in `quality/reference/<image>.npz`, tagged with the prep fingerprint and
+`quality.reference_tag()`, a digest of the code that builds them. The
+first `quality` command that needs an image builds them; later ones read
+them back, and a tag that differs rebuilds them. The store is no stage's
+output: the tag is its lineage, the zip CRC its integrity check, and a file
+that cannot be read back intact exits 3.
+
 Each config key is read by one stage; later stages read what upstream stages
 recorded. Every command checks the whole configuration before it does any
 work, including the method string and the `--factor` label, so a typo fails
@@ -227,13 +236,14 @@ def _is_path_component(name: str) -> bool:
 
 
 # stage meta `extra` keys that say how a run went, not what it made
-RUN_FACTS = ("extract_s", "extract_workers", "backend_call_s")
+RUN_FACTS = ("extract_s", "extract_workers", "backend_call_s",
+             "reference_built", "reference_reused")
 
 
 def fingerprint(obj: dict) -> str:
     """SHA-256 of the sort_keys JSON of a config or a stage meta, leaving out
-    a meta's timings and worker count so that identical reruns match at any
-    `--jobs`."""
+    a meta's timings, worker count and reference-map counts, so that
+    identical reruns match at any `--jobs` and over a cold or warm store."""
     body = {k: v for k, v in obj.items() if k != "elapsed_seconds"}
     if "extra" in body:
         body["extra"] = {k: v for k, v in body["extra"].items() if k not in RUN_FACTS}
@@ -651,6 +661,28 @@ def _write_quality_table(path, metas) -> str:
         row for meta in metas for row in meta.get("extra", {}).get("summary_rows", [])))
 
 
+def _reference_maps(path, tag, ref, ann):
+    """The reference maps of one prep image (`quality.reference_maps`) and
+    whether they were built here: read back from the `.npz` at `path` when
+    it records `tag`, otherwise built and stored there. A file that cannot
+    be read back intact ends the command with exit 3."""
+    import zipfile
+
+    from . import quality, raster
+
+    if os.path.exists(path):
+        try:
+            with np.load(path) as data:
+                if bytes(data["tag"]).decode() == tag:
+                    return {name: data[name] for name in quality.REFERENCE_MAPS}, False
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise CliError(EXIT_MISSING_INPUT,
+                           f"stale quality reference: unreadable {path} ({exc})")
+    maps = quality.reference_maps(ref, ann)
+    raster.save_npz(path, tag=np.frombuffer(tag.encode(), dtype=np.uint8), **maps)
+    return maps, True
+
+
 def cmd_quality(cfg, args) -> int:
     from . import quality, raster
 
@@ -659,23 +691,30 @@ def cmd_quality(cfg, args) -> int:
     prep_dir, sr_dir, records = _load_sr(cfg, args, inputs)
     label = args.factor
     spec_method = method_dir(cfg)
+    out = ensure_dir(os.path.join(args.out, "quality"))
+    # the reference side of every set over this prep stage, stored once per
+    # image and tagged with what it was built from
+    ref_dir = ensure_dir(os.path.join(out, "reference"))
+    tag = json.dumps([quality.reference_tag(),
+                      inputs[os.path.join("prep", "stage_prep.json")]])
 
     def process(rec):
         name = os.path.basename(rec.image_path)
         ref = raster.load_image(os.path.join(prep_dir, rec.image_path))
         test = raster.read_pgm(os.path.join(sr_dir, "images", name))
-        full, iris = quality.region_report(ref, test, rec.annotation)
-        return name, full, iris
+        maps, built = _reference_maps(os.path.join(ref_dir, name + ".npz"), tag,
+                                      ref, rec.annotation)
+        full, iris = quality.region_report(ref, test, rec.annotation, maps)
+        return name, full, iris, built
 
     results = _pmap(process, records, cfg["jobs"])
-    out = ensure_dir(os.path.join(args.out, "quality"))
-
+    built = sum(r[3] for r in results)
     detail_path = _write_csv(
         os.path.join(out, f"detail_{spec_method}_{factor_slug(label)}.csv"),
         ["image", "region", "psnr", "ssim", "fsim"],
         ([name, rep.region, f"{quality.psnr_for_table(rep.psnr):.6f}",
           f"{rep.ssim:.6f}", f"{rep.fsim:.6f}"]
-         for name, full, iris in results for rep in (full, iris)))
+         for name, full, iris, _ in results for rep in (full, iris)))
 
     summary_rows = []
     for region_idx, region in ((1, "full"), (2, "iris")):
@@ -694,7 +733,10 @@ def cmd_quality(cfg, args) -> int:
     # the metas (unchecked here; eval checks the ones it gathers)
     write_stage_meta(out, f"quality_{spec_method}_{factor_slug(label)}", inputs,
                      [detail_path], time.perf_counter() - t0,
-                     extra={"summary_rows": summary_rows})
+                     extra={"summary_rows": summary_rows, "reference_built": built,
+                            "reference_reused": len(results) - built})
+    print(f"quality[{spec_method}, {label}]: reference maps of {len(results)} "
+          f"images: {built} built, {len(results) - built} reused -> {ref_dir}")
     _write_quality_table(os.path.join(out, "quality.csv"), [
         _read_meta(os.path.join(out, f"stage_{stage}.json"), stage)
         for stage in _quality_stages(out)])

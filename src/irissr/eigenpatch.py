@@ -17,8 +17,6 @@ overlapping patches are blended by uniform per-pixel averaging.
 
 import json
 import math
-import os
-import tempfile
 import zipfile
 from dataclasses import dataclass
 
@@ -208,16 +206,8 @@ def save_model(path, model: EigenPatchModel) -> None:
     interrupted write never leaves a partial model at `path`."""
     meta = json.dumps({"version": _FORMAT_VERSION,
                        **{name: getattr(model, name) for name in _META_FIELDS}})
-    arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    raster.save_npz(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
+                    **{name: getattr(model, name) for name in _ARRAY_FIELDS})
 
 
 def load_model(path) -> EigenPatchModel:

@@ -16,10 +16,17 @@ and the noise model, FSIM_* for the pooling. The bank is built once per image
 shape and cached read-only; the scales of one orientation go through one
 batched inverse FFT, in place in a buffer reused across orientations, and the
 local energy is taken in complex form.
+
+The reference side of a report (`reference_maps`: phase congruency and
+gradient of the reference, its unwrapped iris and that strip's maps) depends
+on the reference image alone, so a caller that scores many test images
+against one reference can compute it once and pass it to `region_report`.
 """
 
 import functools
+import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,17 +226,21 @@ def gradient_magnitude(img: np.ndarray) -> np.ndarray:
     return np.hypot(_correlate3x3(padded, SCHARR_X), _correlate3x3(padded, SCHARR_Y))
 
 
-def fsim(ref: np.ndarray, test: np.ndarray) -> float:
-    """Feature similarity: phase-congruency/gradient similarity weighted by PC."""
+def fsim(ref: np.ndarray, test: np.ndarray, ref_maps=None) -> float:
+    """Feature similarity: phase-congruency/gradient similarity weighted by PC.
+
+    `ref_maps` is the reference's (phase congruency, gradient magnitude)
+    when the caller has them; otherwise they are computed here.
+    """
     ref, test = _check_pair(ref, test)
-    pc1 = phase_congruency(ref)
+    pc1, g1 = ref_maps if ref_maps is not None else (phase_congruency(ref),
+                                                      gradient_magnitude(ref))
     pc2 = phase_congruency(test)
     pcm = np.maximum(pc1, pc2)
     total = float(pcm.sum())
     if total < 1e-12:
         # featureless pair (e.g. two constants): equal content counts as perfect
         return 1.0 if float(np.max(np.abs(ref - test))) <= 1e-9 else 0.0
-    g1 = gradient_magnitude(ref)
     g2 = gradient_magnitude(test)
     t1, t2 = FSIM_T1, FSIM_T2
     s_pc = (2.0 * pc1 * pc2 + t1) / (pc1**2 + pc2**2 + t1)
@@ -249,17 +260,49 @@ class QualityReport:
     region: str  # 'full' or 'iris'
 
 
-def region_report(ref: np.ndarray, test: np.ndarray, ann):
-    """Metrics on the raw pair plus on the rubber-sheet unwrapped iris region."""
+# the arrays `reference_maps` returns, by name
+REFERENCE_MAPS = ("pc", "grad", "iris", "iris_pc", "iris_grad")
+
+
+def reference_tag() -> str:
+    """Names what `reference_maps` depends on besides its image and
+    annotation: the SHA-256 of the source of this module and of `iriscode`,
+    which hold all of its code and constants, and numpy's version. Maps
+    stored under another tag are stale."""
     from . import iriscode
 
-    full = QualityReport(psnr(ref, test), ssim(ref, test), fsim(ref, test), "full")
-    nref = iriscode.unwrap(ref, ann)
-    ntest = iriscode.unwrap(test, ann)
-    iris = QualityReport(
-        psnr(nref.values, ntest.values),
-        ssim(nref.values, ntest.values),
-        fsim(nref.values, ntest.values),
-        "iris",
-    )
+    digest = hashlib.sha256()
+    for module in (sys.modules[__name__], iriscode):
+        with open(module.__file__, "rb") as fh:
+            digest.update(fh.read())
+    return f"{digest.hexdigest()} numpy {np.__version__}"
+
+
+def reference_maps(ref: np.ndarray, ann) -> dict:
+    """The reference side of `region_report`, which depends on the reference
+    image alone: its phase congruency and gradient magnitude, its unwrapped
+    iris and that strip's two maps."""
+    from . import iriscode
+
+    ref = np.asarray(ref, dtype=np.float64)
+    iris = iriscode.unwrap(ref, ann).values
+    return {"pc": phase_congruency(ref), "grad": gradient_magnitude(ref),
+            "iris": iris, "iris_pc": phase_congruency(iris),
+            "iris_grad": gradient_magnitude(iris)}
+
+
+def region_report(ref: np.ndarray, test: np.ndarray, ann, maps=None):
+    """Metrics on the raw pair plus on the rubber-sheet unwrapped iris region.
+    `maps` is `reference_maps(ref, ann)`, computed here when not given."""
+    from . import iriscode
+
+    if maps is None:
+        maps = reference_maps(ref, ann)
+    full = QualityReport(psnr(ref, test), ssim(ref, test),
+                         fsim(ref, test, (maps["pc"], maps["grad"])), "full")
+    nref = maps["iris"]
+    ntest = iriscode.unwrap(test, ann).values
+    iris = QualityReport(psnr(nref, ntest), ssim(nref, ntest),
+                         fsim(nref, ntest, (maps["iris_pc"], maps["iris_grad"])),
+                         "iris")
     return full, iris

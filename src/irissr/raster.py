@@ -4,6 +4,7 @@ Images are 2-D float64 arrays with intensities in [0, 1], shape (height, width).
 All operators here are pure functions; nothing mutates its input.
 `read_pgm` and `write_pgm` convert between these arrays and the samples of
 the standard-library PGM codec in `pgm`, which does all the file parsing.
+`save_npz` writes an `.npz` array file so that no reader sees half of one.
 
 Conventions fixed for the whole package:
   * resampling uses half-pixel centers (output pixel i samples source
@@ -13,6 +14,8 @@ Conventions fixed for the whole package:
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -221,6 +224,20 @@ def write_pgm(path, img: np.ndarray) -> None:
     quant = np.rint(clamp01(img) * 255.0).astype(np.uint8)
     h, w = quant.shape
     pgm.write(path, w, h, quant.tobytes())
+
+
+def save_npz(path, **arrays) -> None:
+    """`np.savez` through a temporary file in the same directory, so an
+    interrupted write never leaves a partial file at `path`."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:

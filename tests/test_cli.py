@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import irissr
-from irissr import (cli, dataset, eigenpatch, fusion_eval, iriscode, raster,
-                    siftmatch, sr)
+from irissr import (cli, dataset, eigenpatch, fusion_eval, iriscode, quality,
+                    raster, siftmatch, sr)
 from irissr.errors import BackendError, InputError
 
 
@@ -784,6 +784,110 @@ def test_quality_metas_keep_lineage_across_methods(own_pipeline):
     with open(os.path.join(quality_dir, "detail_bilinear_1_4.csv"), "a") as fh:
         fh.write("edited,full,0,0,0\n")
     assert run(["eval", "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
+
+
+def quality_meta(out, stage="quality_bicubic_1_4"):
+    return cli._read_json(os.path.join(out, "quality", f"stage_{stage}.json"))
+
+
+def quality_files(out):
+    """The bytes of quality.csv and of every detail CSV, by file name."""
+    quality_dir = os.path.join(out, "quality")
+    return {name: open(os.path.join(quality_dir, name), "rb").read()
+            for name in os.listdir(quality_dir) if name.endswith(".csv")}
+
+
+def test_quality_reference_counts_left_out_of_lineage(own_pipeline, capsys):
+    out, cfg = own_pipeline
+    base = ["quality", "--config", cfg, "--out", out, "--factor", "1/4",
+            "--method", "bicubic"]
+    cold = quality_meta(out)
+    n = cold["extra"]["reference_built"]
+    assert n > 0 and cold["extra"]["reference_reused"] == 0
+    capsys.readouterr()
+    for jobs in ("1", "2"):
+        assert run([*base, "--jobs", jobs]) == 0
+        warm = quality_meta(out)
+        assert (warm["extra"]["reference_built"], warm["extra"]["reference_reused"]) \
+            == (0, n)
+        assert cli.fingerprint(warm) == cli.fingerprint(cold)
+    assert f"{n} images: 0 built, {n} reused" in capsys.readouterr().out
+    shutil.rmtree(os.path.join(out, "quality", "reference"))
+    assert run([*base, "--jobs", "2"]) == 0
+    assert quality_meta(out)["extra"]["reference_built"] == n
+    assert cli.fingerprint(quality_meta(out)) == cli.fingerprint(cold)
+
+
+def test_damaged_quality_reference_exit_code(own_pipeline, capsys):
+    out, cfg = own_pipeline
+    ref_dir = os.path.join(out, "quality", "reference")
+    path = os.path.join(ref_dir, sorted(os.listdir(ref_dir))[0])
+    with np.load(path) as data:
+        pc = data["pc"].tobytes()
+    blob = bytearray(open(path, "rb").read())
+    # the archive stores each array uncompressed: flip a byte inside pc's data
+    at = blob.find(pc) + len(pc) // 2
+    blob[at] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    capsys.readouterr()
+    assert run(["quality", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "bicubic"]) == cli.EXIT_MISSING_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("irissr quality: stale quality reference: ") and path in err
+
+
+def test_prep_rerun_rebuilds_quality_reference(own_pipeline, tmp_path):
+    out, _ = own_pipeline
+    cfg = write_config(tmp_path / "c.json", target_sclera_radius=120.0)
+    base = ["--config", cfg, "--out", out, "--factor", "1/4"]
+    assert run(["prep", "--config", cfg, "--out", out]) == 0
+    assert run(["degrade", *base]) == 0
+    assert run(["sr", *base, "--method", "bicubic"]) == 0
+    assert run(["quality", *base, "--method", "bicubic"]) == 0
+    extra = quality_meta(out)["extra"]
+    assert extra["reference_built"] > 0 and extra["reference_reused"] == 0
+    detail = quality_files(out)["detail_bicubic_1_4.csv"]
+    shutil.rmtree(os.path.join(out, "quality", "reference"))
+    assert run(["quality", *base, "--method", "bicubic"]) == 0
+    assert quality_files(out)["detail_bicubic_1_4.csv"] == detail
+
+
+def test_changed_quality_code_rebuilds_reference(own_pipeline, monkeypatch):
+    out, cfg = own_pipeline
+    n = quality_meta(out)["extra"]["reference_built"]
+    before = quality_files(out)
+    # the tag a later edit of `quality` or `iriscode` would give
+    monkeypatch.setattr(quality, "reference_tag", lambda: "edited")
+    assert run(["quality", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "bicubic"]) == 0
+    assert quality_meta(out)["extra"]["reference_built"] == n
+    assert quality_files(out) == before
+
+
+def test_quality_outputs_equal_from_cold_or_warm_reference(own_pipeline):
+    out, cfg = own_pipeline
+    base = ["--config", cfg, "--out", out, "--factor", "1/4"]
+    ref_dir = os.path.join(out, "quality", "reference")
+    assert run(["sr", *base, "--method", "bilinear"]) == 0
+    # every set over a cold store, then both over the warm one
+    for method in ("bicubic", "bilinear"):
+        shutil.rmtree(ref_dir)
+        assert run(["quality", *base, "--method", method]) == 0
+    cold = quality_files(out)
+    assert sorted(cold) == ["detail_bicubic_1_4.csv", "detail_bilinear_1_4.csv",
+                            "quality.csv"]
+    for method in ("bicubic", "bilinear"):
+        assert run(["quality", *base, "--method", method]) == 0
+        assert quality_meta(out, f"quality_{method}_1_4")["extra"][
+            "reference_built"] == 0
+    assert quality_files(out) == cold
+    # eval gathers the table from the stage metas alone
+    assert run(["eval", "--config", cfg, "--out", out]) == 0
+    assert open(os.path.join(out, "eval", "quality.csv"), "rb").read() == \
+        cold["quality.csv"]
+    summary = cli._read_json(os.path.join(out, "eval", "run_summary.json"))
+    assert not [rel for rel in summary["stage_timings"] if "reference" in rel]
 
 
 def test_fusion_split_option(pipeline):

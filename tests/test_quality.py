@@ -375,3 +375,28 @@ def test_region_report_differs_between_regions(corpus20):
     full, iris = quality.region_report(img, base, ann)
     assert full.psnr != pytest.approx(iris.psnr, abs=1e-6)
     assert 0 < full.ssim < 1 and 0 < iris.ssim < 1
+
+
+def test_region_report_from_given_reference_maps(corpus20, tmp_path):
+    # the maps a caller stored and read back give the same report, bit for bit
+    img, ann = corpus20[2]
+    base = raster.resize_bicubic(dataset.simulate_lr(img, 57, 57, 2.0), 231, 231)
+    maps = quality.reference_maps(img, ann)
+    assert sorted(maps) == sorted(quality.REFERENCE_MAPS)
+    raster.save_npz(tmp_path / "maps.npz", **maps)
+    with np.load(tmp_path / "maps.npz") as data:
+        stored = {name: data[name] for name in data.files}
+    assert quality.region_report(img, base, ann, stored) == \
+        quality.region_report(img, base, ann)
+    assert quality.fsim(img, base, (maps["pc"], maps["grad"])) == \
+        quality.fsim(img, base)
+
+
+@pytest.mark.parametrize("module", [quality, iriscode], ids=lambda m: m.__name__)
+def test_reference_tag_follows_module_source(monkeypatch, tmp_path, module):
+    # any edit to the code or constants the maps come from makes them stale
+    before = quality.reference_tag()
+    edited = tmp_path / "edited.py"
+    edited.write_bytes(open(module.__file__, "rb").read() + b"\n")
+    monkeypatch.setattr(module, "__file__", str(edited))
+    assert quality.reference_tag() != before

@@ -2,7 +2,8 @@
 `exchange` workload: `eigenpatch.train` on four 231x231 synthetic eyes at
 1/4 (57x57 LR, 784 patch positions), `eigenpatch.reconstruct` of one 57x57
 image with that model, and `eigenpatch.save_model` followed by
-`eigenpatch.load_model` of it.
+`eigenpatch.load_model` of it. The save-and-load bench records the model
+file's size in bytes as `model_bytes` in its `extra_info`.
 
     PYTHONPATH=src python -m pytest bench/test_eigenpatch_layers.py --benchmark-enable --benchmark-only
 
@@ -39,4 +40,6 @@ def test_save_and_load_model(benchmark, tmp_path):
         return eigenpatch.load_model(path)
 
     model = benchmark(round_trip)
-    assert model.n_positions == MODEL.n_positions
+    benchmark.extra_info["model_bytes"] = path.stat().st_size
+    assert np.array_equal(eigenpatch.reconstruct(LR, model),
+                          eigenpatch.reconstruct(LR, MODEL))

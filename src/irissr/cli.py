@@ -237,13 +237,14 @@ def _is_path_component(name: str) -> bool:
 
 # stage meta `extra` keys that say how a run went, not what it made
 RUN_FACTS = ("extract_s", "extract_workers", "backend_call_s",
-             "reference_built", "reference_reused")
+             "reference_built", "reference_reused", "model_trained")
 
 
 def fingerprint(obj: dict) -> str:
     """SHA-256 of the sort_keys JSON of a config or a stage meta, leaving out
-    a meta's timings, worker count and reference-map counts, so that
-    identical reruns match at any `--jobs` and over a cold or warm store."""
+    a meta's timings, worker count, reference-map counts and whether `sr`
+    trained its model, so that identical reruns match at any `--jobs` and
+    over a cold or warm store."""
     body = {k: v for k, v in obj.items() if k != "elapsed_seconds"}
     if "extra" in body:
         body["extra"] = {k: v for k, v in body["extra"].items() if k not in RUN_FACTS}
@@ -547,10 +548,12 @@ def cmd_degrade(cfg, args) -> int:
 
 
 def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
-    """The (model, backend) the validated method needs, each None when it
-    needs none: an eigen-patch model, retrained when its degrade stage's
-    fingerprint changes, or a backend's config entry with its exchange
-    directory resolved and checked writable."""
+    """(model, backend, trained): the model and backend the validated method
+    needs, each None when it needs none, and whether this call trained and
+    saved the model. The model is an eigen-patch model, retrained when its
+    degrade stage's fingerprint changes; a cached one that cannot be read
+    back ends the command with exit 3. The backend is a config entry with
+    its exchange directory resolved and checked writable."""
     from . import eigenpatch, raster, sr
 
     method = cfg["method"]
@@ -559,8 +562,14 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
         ensure_dir(model_dir)
         model_path = os.path.join(model_dir, f"eigenpatch_{factor_slug(label)}.npz")
         provenance = fingerprint(degrade)
-        model = eigenpatch.load_model(model_path) if os.path.exists(model_path) else None
-        if model is None or model.provenance != provenance:
+        model = None
+        if os.path.exists(model_path):
+            try:
+                model = eigenpatch.load_model(model_path)
+            except InputError as exc:
+                raise CliError(EXIT_MISSING_INPUT, f"stale eigenpatch model: {exc}")
+        trained = model is None or model.provenance != provenance
+        if trained:
             if not train_recs:
                 raise CliError(EXIT_CONFIG,
                                "eigenpatch training needs train_subjects > 0")
@@ -570,14 +579,14 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
             model = eigenpatch.train(hr_images, lr_w, lr_h, degrade["extra"]["sigma"],
                                      provenance=provenance)
             eigenpatch.save_model(model_path, model)
-        return model, None
+        return model, None, trained
     if not method.startswith("backend:"):
-        return None, None
+        return None, None, False
     name = method.split(":", 1)[1]
     entry = cfg["backends"][name]
     exchange = entry.get("exchange_dir") or os.environ.get(sr.EXCHANGE_ENV) \
         or os.path.join(out_root, "exchange", name)
-    return None, {**entry, "exchange_dir": ensure_dir(exchange)}
+    return None, {**entry, "exchange_dir": ensure_dir(exchange)}, False
 
 
 def cmd_sr(cfg, args) -> int:
@@ -593,8 +602,8 @@ def cmd_sr(cfg, args) -> int:
     targets = {r.image_path for r in records}
     train_recs = [r for r in prep_records if r.image_path not in targets]
 
-    model, backend = _resolve_method(cfg, args.out, label, degrade, prep_dir,
-                                     train_recs)
+    model, backend, model_trained = _resolve_method(cfg, args.out, label, degrade,
+                                                    prep_dir, train_recs)
     method_name = method_dir(cfg)
     side = prep["extra"]["crop_side"]
     sigma = degrade["extra"]["sigma"]
@@ -623,6 +632,8 @@ def cmd_sr(cfg, args) -> int:
              "reproject_iterations": [i for _, _, i, _, _ in results],
              "tau": cfg["tau"], "tol": cfg["reproject_tol"]}
     line = f"sr[{method_name}, {label}]: {len(results)} images -> {out}"
+    if model is not None:
+        extra["model_trained"] = model_trained
     if backend is not None:
         extra["backend_call_s"] = {name: [round(sec, 4) for sec in call_s]
                                    for name, _, _, _, call_s in results}

@@ -4,15 +4,18 @@ co-located HR patches.
 
 For every grid position the M training LR patches X (centered on their mean
 mu) are eigendecomposed through the M x M Gram matrix X'X = V L V' (the dual
-form: M is small, the patch dimension may not be). Training stores, per
-position, the three arrays reconstruction applies: the orthonormal
-eigen-patches E = X V L^{-1/2} (d x K), the coefficient map V L^{-1/2}
-(M x K), both zero past the K kept components, and the deviations H - eta
-of the co-located HR training patches from their mean eta (M x hd).
+form: M is small, the patch dimension may not be). Training stores the HR
+training images once, as their mean image eta and their deviations H - eta
+(M x hr_h x hr_w), beside the mean LR image mu and, per position, the two
+arrays reconstruction applies there: the orthonormal eigen-patches
+E = X V L^{-1/2} (d x K) and the coefficient map V L^{-1/2} (M x K), both
+zero past the K kept components. Patch positions follow from the plane
+sizes (`patch_positions`, `hr_offsets`), so the model does not store them.
 Reconstruction projects the input patch onto E, w = E'(x - mu), converts
 the projection to per-sample coefficients c = V L^{-1/2} w (the zero
-padding adds exact zeros) and synthesizes the HR patch eta + c'(H - eta);
-overlapping patches are blended by uniform per-pixel averaging.
+padding adds exact zeros) and synthesizes the HR patch eta + c'(H - eta)
+from the co-located slices of eta and H - eta; overlapping patches are
+blended by uniform per-pixel averaging.
 """
 
 import json
@@ -31,7 +34,7 @@ STRIDE = 2
 VARIANCE_KEEP = 0.98
 EIGENVALUE_FLOOR = 1e-10
 
-_FORMAT_VERSION = "epm-2"
+_FORMAT_VERSION = "epm-3"
 
 
 def grid_positions(extent: int) -> list[int]:
@@ -59,28 +62,36 @@ def hr_offsets(lr_extent: int, hr_extent: int) -> tuple[int, list[int]]:
                   for x in grid_positions(lr_extent)]
 
 
+def _patch_slices(lr_w: int, lr_h: int, hr_w: int, hr_h: int) -> list:
+    """The (LR, HR) slices of every patch position in `patch_positions`
+    order: the PATCH_SIZE square at (x, y) and its co-located HR patch."""
+    hp_w, hxs = hr_offsets(lr_w, hr_w)
+    hp_h, hys = hr_offsets(lr_h, hr_h)
+    hx_at = dict(zip(grid_positions(lr_w), hxs))
+    hy_at = dict(zip(grid_positions(lr_h), hys))
+    return [(np.s_[y:y + PATCH_SIZE, x:x + PATCH_SIZE],
+             np.s_[hy_at[y]:hy_at[y] + hp_h, hx_at[x]:hx_at[x] + hp_w])
+            for x, y in patch_positions(lr_w, lr_h)]
+
+
 @dataclass
 class EigenPatchModel:
     lr_w: int
     lr_h: int
     hr_w: int
     hr_h: int
-    hp_w: int
-    hp_h: int
     sigma: float
-    positions_lr: np.ndarray   # (P, 2) int, (x, y)
-    positions_hr: np.ndarray   # (P, 2) int
-    means_lr: np.ndarray       # (P, d) mu
-    means_hr: np.ndarray       # (P, hd) eta
-    basis: np.ndarray          # (P, d, Kmax) E = X V L^{-1/2}
-    coeffs: np.ndarray         # (P, M, Kmax) V L^{-1/2}
-    kcounts: np.ndarray        # (P,) K; basis and coeffs are zero past it
-    hr_deviations: np.ndarray  # (P, M, hd) H - eta
+    mean_lr: np.ndarray     # (lr_h, lr_w) mu
+    mean_hr: np.ndarray     # (hr_h, hr_w) eta
+    deviations: np.ndarray  # (M, hr_h, hr_w) H - eta
+    basis: np.ndarray       # (P, d, Kmax) E = X V L^{-1/2}
+    coeffs: np.ndarray      # (P, M, Kmax) V L^{-1/2}
+    kcounts: np.ndarray     # (P,) K; basis and coeffs are zero past it
     provenance: str = ""
 
     @property
     def n_positions(self) -> int:
-        return self.positions_lr.shape[0]
+        return self.kcounts.shape[0]
 
     def eigen_patches(self, i: int) -> np.ndarray:
         """Orthonormal eigen-patch basis E at position i, (d, K)."""
@@ -108,36 +119,17 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
     if lr_w > hr_w or lr_h > hr_h:
         raise InputError("LR plane must not exceed the HR plane")
 
-    lr_images = [raster.degrade(im, lr_w, lr_h, sigma) for im in hr_images]
-    positions_lr = np.array(patch_positions(lr_w, lr_h), dtype=np.int64)
-    hp_w, hxs = hr_offsets(lr_w, hr_w)
-    hp_h, hys = hr_offsets(lr_h, hr_h)
-    positions_hr = np.array([(x, y) for y in hys for x in hxs], dtype=np.int64)
-
+    lr = np.stack([raster.degrade(im, lr_w, lr_h, sigma) for im in hr_images])
+    hr = np.stack(hr_images)
+    mean_lr = lr.mean(axis=0)
+    mean_hr = hr.mean(axis=0)
+    lr_deviations = lr - mean_lr
     m = len(hr_images)
-    p = len(positions_lr)
-    d = PATCH_SIZE * PATCH_SIZE
-    hd = hp_w * hp_h
 
-    means_lr = np.empty((p, d))
-    means_hr = np.empty((p, hd))
-    hr_deviations = np.empty((p, m, hd))
     components = []
-
-    for i in range(p):
-        x, y = positions_lr[i]
-        patches = np.stack([im[y:y + PATCH_SIZE, x:x + PATCH_SIZE].ravel()
-                            for im in lr_images])  # (M, d)
-        mean_lr = patches.mean(axis=0)
-        xc = (patches - mean_lr).T  # (d, M)
-        means_lr[i] = mean_lr
-
-        hx, hy = positions_hr[i]
-        hpat = np.stack([im[hy:hy + hp_h, hx:hx + hp_w].ravel()
-                         for im in hr_images])  # (M, hd)
-        means_hr[i] = hpat.mean(axis=0)
-        hr_deviations[i] = hpat - means_hr[i]
-
+    for x, y in patch_positions(lr_w, lr_h):
+        patches = lr_deviations[:, y:y + PATCH_SIZE, x:x + PATCH_SIZE]
+        xc = patches.reshape(m, -1).T  # (d, M)
         gram = xc.T @ xc
         lam, vec = np.linalg.eigh(gram)
         order = np.argsort(lam)[::-1]
@@ -152,8 +144,9 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
         components.append((xc @ scaled, scaled))
 
     # keep the arrays well-shaped even for all-degenerate models
+    p = len(components)
     kmax = max(1, max(s.shape[1] for _, s in components))
-    basis = np.zeros((p, d, kmax))
+    basis = np.zeros((p, PATCH_SIZE * PATCH_SIZE, kmax))
     coeffs = np.zeros((p, m, kmax))
     kcounts = np.zeros(p, dtype=np.int64)
     for i, (e, scaled) in enumerate(components):
@@ -162,10 +155,9 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
         coeffs[i, :, :k] = scaled
 
     return EigenPatchModel(
-        lr_w=lr_w, lr_h=lr_h, hr_w=hr_w, hr_h=hr_h, hp_w=hp_w, hp_h=hp_h,
-        sigma=sigma, positions_lr=positions_lr, positions_hr=positions_hr,
-        means_lr=means_lr, means_hr=means_hr, basis=basis, coeffs=coeffs,
-        kcounts=kcounts, hr_deviations=hr_deviations, provenance=provenance)
+        lr_w=lr_w, lr_h=lr_h, hr_w=hr_w, hr_h=hr_h, sigma=sigma,
+        mean_lr=mean_lr, mean_hr=mean_hr, deviations=hr - mean_hr,
+        basis=basis, coeffs=coeffs, kcounts=kcounts, provenance=provenance)
 
 
 def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
@@ -175,18 +167,21 @@ def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
         raise InputError(
             f"LR dims {lr.shape[::-1]} do not match model plane "
             f"({model.lr_w}, {model.lr_h})")
+    centered = lr - model.mean_lr
+    m = model.deviations.shape[0]
     accum = np.zeros((model.hr_h, model.hr_w))
     count = np.zeros((model.hr_h, model.hr_w))
 
-    for i in range(model.n_positions):
-        x, y = model.positions_lr[i]
-        centered = lr[y:y + PATCH_SIZE, x:x + PATCH_SIZE].ravel() - model.means_lr[i]
-        coeff = model.coeffs[i] @ (centered @ model.basis[i])  # (M,)
-        hr_patch = model.means_hr[i] + coeff @ model.hr_deviations[i]
-        hx, hy = model.positions_hr[i]
-        accum[hy:hy + model.hp_h, hx:hx + model.hp_w] += hr_patch.reshape(
-            model.hp_h, model.hp_w)
-        count[hy:hy + model.hp_h, hx:hx + model.hp_w] += 1.0
+    for i, (lr_slice, hr_slice) in enumerate(
+            _patch_slices(model.lr_w, model.lr_h, model.hr_w, model.hr_h)):
+        coeff = model.coeffs[i] @ (centered[lr_slice].ravel() @ model.basis[i])  # (M,)
+        # a C-contiguous (M, hd) operand, so that BLAS sums as it does for
+        # the per-position reference in tests/test_eigenpatch.py
+        deviations = np.ascontiguousarray(model.deviations[(..., *hr_slice)])
+        mean = model.mean_hr[hr_slice]
+        offset = coeff @ deviations.reshape(m, -1)
+        accum[hr_slice] += mean + offset.reshape(mean.shape)
+        count[hr_slice] += 1.0
 
     return raster.clamp01(accum / count)
 
@@ -195,10 +190,8 @@ def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
 # persistence
 # ---------------------------------------------------------------------------
 
-_ARRAY_FIELDS = ["positions_lr", "positions_hr", "means_lr", "means_hr",
-                 "basis", "coeffs", "kcounts", "hr_deviations"]
-_META_FIELDS = ["lr_w", "lr_h", "hr_w", "hr_h", "hp_w", "hp_h", "sigma",
-                "provenance"]
+_ARRAY_FIELDS = ["mean_lr", "mean_hr", "deviations", "basis", "coeffs", "kcounts"]
+_META_FIELDS = ["lr_w", "lr_h", "hr_w", "hr_h", "sigma", "provenance"]
 
 
 def save_model(path, model: EigenPatchModel) -> None:
@@ -211,17 +204,19 @@ def save_model(path, model: EigenPatchModel) -> None:
 
 
 def load_model(path) -> EigenPatchModel:
+    """Read a model `save_model` wrote. A file of another format version, or
+    one that cannot be read back intact, raises InputError naming `path`."""
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             if meta.get("version") != _FORMAT_VERSION:
                 raise InputError(
-                    f"{path}: unsupported model version {meta.get('version')!r}")
+                    f"{path} (unsupported model version {meta.get('version')!r})")
             fields = {name: meta[name] for name in _META_FIELDS}
             fields.update((name, data[name]) for name in _ARRAY_FIELDS)
     except InputError:
         raise
     except (OSError, EOFError, KeyError, ValueError, AttributeError,
             zipfile.BadZipFile) as exc:
-        raise InputError(f"{path}: unreadable model ({exc!r})") from exc
+        raise InputError(f"{path} (unreadable model: {exc!r})") from exc
     return EigenPatchModel(**fields)

@@ -174,6 +174,19 @@ def test_eigenpatch_method_trains_and_caches(own_pipeline, tmp_path):
     assert os.path.getmtime(model_path) == mtime
 
 
+def test_sr_records_whether_it_trained_the_model(own_pipeline):
+    out, cfg = own_pipeline
+    sr_argv = ["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+               "--method", "eigenpatch"]
+    meta_path = os.path.join(out, "sr", "eigenpatch", "1_4", "stage_sr.json")
+    metas = []
+    for trained in (True, False):
+        assert run(sr_argv) == 0
+        metas.append(cli._read_json(meta_path))
+        assert metas[-1]["extra"]["model_trained"] is trained
+    assert cli.fingerprint(metas[0]) == cli.fingerprint(metas[1])
+
+
 def test_reproject_flags(pipeline):
     out, cfg = pipeline
     base = ["--config", cfg, "--out", out]
@@ -428,15 +441,21 @@ def test_unknown_backend_exit_code(pipeline):
                         "--method", method]) == cli.EXIT_CONFIG, (stage, method)
 
 
-def test_unsupported_cached_model_exit_code(pipeline, tmp_path):
+def test_unsupported_cached_model_exit_code(pipeline, tmp_path, capsys):
     out, _ = pipeline
     model_dir = tmp_path / "models"
     model_dir.mkdir()
-    meta = np.frombuffer(json.dumps({"version": "epm-0"}).encode(), dtype=np.uint8)
-    np.savez(model_dir / "eigenpatch_1_4.npz", meta=meta)
+    path = model_dir / "eigenpatch_1_4.npz"
     cfg = write_config(tmp_path / "c.json", model_dir=str(model_dir))
-    assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
-                "--method", "eigenpatch"]) == cli.EXIT_CONFIG
+    for version in ("epm-0", "epm-2"):
+        meta = np.frombuffer(json.dumps({"version": version}).encode(), dtype=np.uint8)
+        np.savez(path, meta=meta)
+        capsys.readouterr()
+        assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+                    "--method", "eigenpatch"]) == cli.EXIT_MISSING_INPUT
+        assert capsys.readouterr().err == (
+            f"irissr sr: stale eigenpatch model: {path} "
+            f"(unsupported model version {version!r})\n")
 
 
 @pytest.mark.parametrize("damage", ["truncated", "empty", "missing-array"])
@@ -453,12 +472,13 @@ def test_unreadable_cached_model_exit_code(pipeline, tmp_path, capsys, damage):
         path.write_bytes(b"")
     else:
         with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files if name != "means_hr"}
+            arrays = {name: data[name] for name in data.files if name != "deviations"}
         np.savez(path, **arrays)
     cfg = write_config(tmp_path / "c.json", model_dir=str(model_dir))
     assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
-                "--method", "eigenpatch"]) == cli.EXIT_CONFIG
-    assert str(path) in capsys.readouterr().err
+                "--method", "eigenpatch"]) == cli.EXIT_MISSING_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"irissr sr: stale eigenpatch model: {path} (unreadable model: ")
 
 
 def test_eval_without_genuine_pairs_exit_code(tmp_path):

@@ -44,10 +44,6 @@ def test_hr_patches_cover_plane_without_gap():
     for lr in range(4, 232):
         side, offsets = eigenpatch.hr_offsets(lr, 231)
         assert _covers(offsets, side, 231), lr
-    # both axes of a trained non-square model, 57 x 15 against 231 x 231
-    model = eigenpatch.train([dataset.synth_iris(0, 231)[0]], 57, 15, 1.0)
-    assert _covers(model.positions_hr[:, 0], model.hp_w, 231)
-    assert _covers(model.positions_hr[:, 1], model.hp_h, 231)
 
 
 # --- training -----------------------------------------------------------------
@@ -74,12 +70,12 @@ def test_identical_training_set_is_degenerate():
 def test_single_training_image():
     img = dataset.synth_iris(1, 64)[0]
     model = eigenpatch.train([img], 16, 16, 1.0)
-    assert model.hr_deviations.shape[1] == 1
+    assert model.deviations.shape[0] == 1
     assert int(model.kcounts.max()) == 0
     lr = raster.degrade(img, 16, 16, 1.0)
     # mean_lr equals the single training patch
-    x, y = model.positions_lr[0]
-    assert np.allclose(model.means_lr[0], lr[y:y + 4, x:x + 4].ravel())
+    x, y = eigenpatch.patch_positions(16, 16)[0]
+    assert np.allclose(model.mean_lr[y:y + 4, x:x + 4], lr[y:y + 4, x:x + 4])
 
 
 def test_two_image_eigenpatch_is_normalized_difference(monkeypatch):
@@ -87,8 +83,9 @@ def test_two_image_eigenpatch_is_normalized_difference(monkeypatch):
     imgs = small_corpus(2)
     model = eigenpatch.train(imgs, 16, 16, 1.0)
     lrs = [raster.degrade(im, 16, 16, 1.0) for im in imgs]
-    for i in (0, len(model.positions_lr) // 2):
-        x, y = model.positions_lr[i]
+    positions = eigenpatch.patch_positions(16, 16)
+    for i in (0, len(positions) // 2):
+        x, y = positions[i]
         p1 = lrs[0][y:y + 4, x:x + 4].ravel()
         p2 = lrs[1][y:y + 4, x:x + 4].ravel()
         diff = p1 - p2
@@ -116,11 +113,12 @@ def test_exact_recovery_in_span(monkeypatch):
     imgs = small_corpus(5)
     model = eigenpatch.train(imgs, 16, 16, 1.0)
     lr0 = raster.degrade(imgs[0], 16, 16, 1.0)
+    positions = eigenpatch.patch_positions(16, 16)
     for i in (0, model.n_positions - 1):
-        x, y = model.positions_lr[i]
+        x, y = positions[i]
         patch = lr0[y:y + 4, x:x + 4].ravel()
         e = model.eigen_patches(i)
-        centered = patch - model.means_lr[i]
+        centered = patch - model.mean_lr[y:y + 4, x:x + 4].ravel()
         w = e.T @ centered
         assert np.abs(e @ w - centered).max() < 1e-6
 
@@ -163,6 +161,64 @@ def test_reconstruction_deterministic():
                           eigenpatch.reconstruct(lr, model))
 
 
+def _per_position_reconstruct(hr_images, lr_w, lr_h, sigma, lr):
+    """The per-position model of the `epm-2` format, trained and applied to
+    `lr` with its arithmetic: every patch position stores its own LR and HR
+    means and the HR training patches' deviations (M, hd)."""
+    lr_images = [raster.degrade(im, lr_w, lr_h, sigma) for im in hr_images]
+    hr_h, hr_w = hr_images[0].shape
+    hp_w, hxs = eigenpatch.hr_offsets(lr_w, hr_w)
+    hp_h, hys = eigenpatch.hr_offsets(lr_h, hr_h)
+    positions = list(zip(eigenpatch.patch_positions(lr_w, lr_h),
+                         [(x, y) for y in hys for x in hxs]))
+    m = len(hr_images)
+    trained = []
+    for (x, y), (hx, hy) in positions:
+        patches = np.stack([im[y:y + 4, x:x + 4].ravel() for im in lr_images])
+        mean_lr = patches.mean(axis=0)
+        xc = (patches - mean_lr).T
+        hpat = np.stack([im[hy:hy + hp_h, hx:hx + hp_w].ravel() for im in hr_images])
+        mean_hr = hpat.mean(axis=0)
+        lam, vec = np.linalg.eigh(xc.T @ xc)
+        order = np.argsort(lam)[::-1]
+        lam = np.clip(lam[order], 0.0, None)
+        vec = vec[:, order]
+        total = lam.sum()
+        k = min(int(np.searchsorted(np.cumsum(lam), eigenpatch.VARIANCE_KEEP * total))
+                + 1, m - 1) if total > 0 else 0
+        while k > 0 and lam[k - 1] <= eigenpatch.EIGENVALUE_FLOOR:
+            k -= 1
+        scaled = vec[:, :k] / np.sqrt(lam[:k])
+        trained.append((mean_lr, mean_hr, hpat - mean_hr, xc @ scaled, scaled))
+
+    # basis and coeffs zero-padded to the widest position, as they were stored
+    kmax = max(1, max(t[4].shape[1] for t in trained))
+    accum = np.zeros((hr_h, hr_w))
+    count = np.zeros((hr_h, hr_w))
+    for ((x, y), (hx, hy)), (mean_lr, mean_hr, hr_deviations, e, scaled) in zip(
+            positions, trained):
+        basis = np.zeros((16, kmax))
+        coeffs = np.zeros((m, kmax))
+        basis[:, :e.shape[1]] = e
+        coeffs[:, :e.shape[1]] = scaled
+        centered = lr[y:y + 4, x:x + 4].ravel() - mean_lr
+        hr_patch = mean_hr + (coeffs @ (centered @ basis)) @ hr_deviations
+        accum[hy:hy + hp_h, hx:hx + hp_w] += hr_patch.reshape(hp_h, hp_w)
+        count[hy:hy + hp_h, hx:hx + hp_w] += 1.0
+    return raster.clamp01(accum / count)
+
+
+@pytest.mark.parametrize("m, lr_side", [(4, 57), (6, 57), (12, 115), (18, 29), (18, 15)])
+def test_reconstruct_equals_per_position_model(m, lr_side):
+    eyes = [dataset.synth_iris(seed, 231)[0] for seed in range(m + 1)]
+    sigma = raster.antialias_sigma(231, 231, lr_side, lr_side)
+    # an eye outside the training set, as `sr` reads it back from its PGM
+    lr = np.rint(raster.degrade(eyes[m], lr_side, lr_side, sigma) * 255) / 255
+    model = eigenpatch.train(eyes[:m], lr_side, lr_side, sigma)
+    assert np.array_equal(eigenpatch.reconstruct(lr, model),
+                          _per_position_reconstruct(eyes[:m], lr_side, lr_side, sigma, lr))
+
+
 # --- persistence ----------------------------------------------------------------
 
 def test_model_roundtrip(tmp_path):
@@ -175,6 +231,18 @@ def test_model_roundtrip(tmp_path):
     lr = raster.degrade(imgs[1], 16, 16, 1.0)
     assert np.array_equal(eigenpatch.reconstruct(lr, back),
                           eigenpatch.reconstruct(lr, model))
+
+
+def test_saved_model_stores_each_training_image_once(tmp_path):
+    eyes = [dataset.synth_iris(seed, 231)[0] for seed in range(4)]
+    model = eigenpatch.train(eyes, 57, 57, raster.antialias_sigma(231, 231, 57, 57))
+    path = tmp_path / "model.npz"
+    eigenpatch.save_model(path, model)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["basis", "coeffs", "deviations", "kcounts",
+                                      "mean_hr", "mean_lr", "meta"]
+        assert data["deviations"].shape == (4, 231, 231)
+    assert path.stat().st_size < 3_000_000
 
 
 def test_failed_save_leaves_previous_model(tmp_path, monkeypatch):

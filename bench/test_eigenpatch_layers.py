@@ -2,8 +2,9 @@
 `exchange` workload: `eigenpatch.train` on four 231x231 synthetic eyes at
 1/4 (57x57 LR, 784 patch positions), `eigenpatch.reconstruct` of one 57x57
 image with that model, and `eigenpatch.save_model` followed by
-`eigenpatch.load_model` of it. The save-and-load bench records the model
-file's size in bytes as `model_bytes` in its `extra_info`.
+`eigenpatch.load_model` of it under one tag. The save-and-load bench
+records the model file's size in bytes as `model_bytes` in its
+`extra_info`.
 
     PYTHONPATH=src python -m pytest bench/test_eigenpatch_layers.py --benchmark-enable --benchmark-only
 
@@ -18,6 +19,7 @@ from irissr import dataset, eigenpatch, raster
 EYES = [dataset.synth_iris(seed, 231)[0] for seed in range(4)]
 SIGMA = raster.antialias_sigma(231, 231, 57, 57)
 MODEL = eigenpatch.train(EYES, 57, 57, SIGMA)
+TAG = "bench"
 # an eye outside the training set, as `sr` reads it back from its PGM
 LR = np.rint(raster.degrade(dataset.synth_iris(4, 231)[0], 57, 57, SIGMA) * 255) / 255
 
@@ -36,8 +38,8 @@ def test_save_and_load_model(benchmark, tmp_path):
     path = tmp_path / "eigenpatch_1_4.npz"
 
     def round_trip():
-        eigenpatch.save_model(path, MODEL)
-        return eigenpatch.load_model(path)
+        eigenpatch.save_model(path, MODEL, TAG)
+        return eigenpatch.load_model(path, TAG)
 
     model = benchmark(round_trip)
     benchmark.extra_info["model_bytes"] = path.stat().st_size

@@ -11,14 +11,14 @@ from the summary rows of the quality metas, and `eval` reads only the score
 files a checked match meta hashes and writes every table in `eval/` from
 this run's checked records.
 
-Every (method, factor) set is scored against the same prep images, so
-`quality` stores each prep image's reference maps (`quality.reference_maps`)
-in `quality/reference/<image>.npz`, tagged with the prep fingerprint and
-`quality.reference_tag()`, a digest of the code that builds them. The
-first `quality` command that needs an image builds them; later ones read
-them back, and a tag that differs rebuilds them. The store is no stage's
-output: the tag is its lineage, the zip CRC its integrity check, and a file
-that cannot be read back intact exits 3.
+`sr` stores each factor's eigen-patch model in `models/`, and `quality`
+each prep image's reference maps (`quality.reference_maps`) in
+`quality/reference/`, as every (method, factor) set is scored against the
+same prep images. Neither store is a stage's output: each file is a tagged
+`.npz` (`raster.save_npz`) whose `store_tag` digests the source that builds
+it and holds the fingerprint of its upstream stage (`degrade`, `prep`), so
+an edit to that code or a rerun of that stage rebuilds it, and a file that
+cannot be read back intact exits 3.
 
 Each config key is read by one stage; later stages read what upstream stages
 recorded. Every command checks the whole configuration before it does any
@@ -43,6 +43,7 @@ import csv
 import functools
 import glob
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -249,6 +250,25 @@ def fingerprint(obj: dict) -> str:
     if "extra" in body:
         body["extra"] = {k: v for k, v in body["extra"].items() if k not in RUN_FACTS}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+# the package modules whose source builds each store's arrays: each list is
+# closed under package imports, `errors` aside
+MODEL_SOURCES = ("eigenpatch", "raster", "pgm")
+REFERENCE_SOURCES = ("quality", "iriscode")
+
+
+def store_tag(sources, upstream: str) -> str:
+    """The tag of a stored `.npz` built by the modules `sources` from the stage
+    whose fingerprint is `upstream`: the JSON of the SHA-256 of the modules'
+    source with numpy's version, and `upstream`. An edit to that code or a
+    rerun of that stage gives another tag, so what is stored is stale."""
+    digest = hashlib.sha256()
+    for name in sources:
+        module = importlib.import_module(f".{name}", __package__)
+        with open(module.__file__, "rb") as fh:
+            digest.update(fh.read())
+    return json.dumps([f"{digest.hexdigest()} numpy {np.__version__}", upstream])
 
 
 def file_sha(path) -> str:
@@ -551,9 +571,9 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
     """(model, backend, trained): the model and backend the validated method
     needs, each None when it needs none, and whether this call trained and
     saved the model. The model is an eigen-patch model, retrained when its
-    degrade stage's fingerprint changes; a cached one that cannot be read
-    back ends the command with exit 3. The backend is a config entry with
-    its exchange directory resolved and checked writable."""
+    `store_tag` changes; a stored one that cannot be read back ends the
+    command with exit 3. The backend is a config entry with its exchange
+    directory resolved and checked writable."""
     from . import eigenpatch, raster, sr
 
     method = cfg["method"]
@@ -561,14 +581,12 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
         model_dir = cfg["model_dir"] or os.path.join(out_root, "models")
         ensure_dir(model_dir)
         model_path = os.path.join(model_dir, f"eigenpatch_{factor_slug(label)}.npz")
-        provenance = fingerprint(degrade)
-        model = None
-        if os.path.exists(model_path):
-            try:
-                model = eigenpatch.load_model(model_path)
-            except InputError as exc:
-                raise CliError(EXIT_MISSING_INPUT, f"stale eigenpatch model: {exc}")
-        trained = model is None or model.provenance != provenance
+        tag = store_tag(MODEL_SOURCES, fingerprint(degrade))
+        try:
+            model = eigenpatch.load_model(model_path, tag)
+        except InputError as exc:
+            raise CliError(EXIT_MISSING_INPUT, f"stale eigenpatch model: {exc}")
+        trained = model is None
         if trained:
             if not train_recs:
                 raise CliError(EXIT_CONFIG,
@@ -576,9 +594,10 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
             hr_images = [raster.load_image(os.path.join(prep_dir, r.image_path))
                          for r in train_recs]
             lr_w, lr_h = degrade["extra"]["lr_size"]
-            model = eigenpatch.train(hr_images, lr_w, lr_h, degrade["extra"]["sigma"],
-                                     provenance=provenance)
-            eigenpatch.save_model(model_path, model)
+            model = eigenpatch.train(hr_images, lr_w, lr_h, degrade["extra"]["sigma"])
+            eigenpatch.save_model(model_path, model, tag)
+        print(f"sr[eigenpatch, {label}]: model {'trained' if trained else 'reused'} "
+              f"-> {model_path}")
         return model, None, trained
     if not method.startswith("backend:"):
         return None, None, False
@@ -674,23 +693,19 @@ def _write_quality_table(path, metas) -> str:
 
 def _reference_maps(path, tag, ref, ann):
     """The reference maps of one prep image (`quality.reference_maps`) and
-    whether they were built here: read back from the `.npz` at `path` when
-    it records `tag`, otherwise built and stored there. A file that cannot
-    be read back intact ends the command with exit 3."""
-    import zipfile
-
+    whether they were built here: read back from the store at `path` when it
+    holds `tag`, otherwise built and stored there. A file that cannot be
+    read back intact ends the command with exit 3."""
     from . import quality, raster
 
-    if os.path.exists(path):
-        try:
-            with np.load(path) as data:
-                if bytes(data["tag"]).decode() == tag:
-                    return {name: data[name] for name in quality.REFERENCE_MAPS}, False
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            raise CliError(EXIT_MISSING_INPUT,
-                           f"stale quality reference: unreadable {path} ({exc})")
+    try:
+        maps = raster.load_npz(path, tag, quality.REFERENCE_MAPS)
+    except InputError as exc:
+        raise CliError(EXIT_MISSING_INPUT, f"stale quality reference: {exc}")
+    if maps is not None:
+        return maps, False
     maps = quality.reference_maps(ref, ann)
-    raster.save_npz(path, tag=np.frombuffer(tag.encode(), dtype=np.uint8), **maps)
+    raster.save_npz(path, tag, **maps)
     return maps, True
 
 
@@ -706,8 +721,7 @@ def cmd_quality(cfg, args) -> int:
     # the reference side of every set over this prep stage, stored once per
     # image and tagged with what it was built from
     ref_dir = ensure_dir(os.path.join(out, "reference"))
-    tag = json.dumps([quality.reference_tag(),
-                      inputs[os.path.join("prep", "stage_prep.json")]])
+    tag = store_tag(REFERENCE_SOURCES, inputs[os.path.join("prep", "stage_prep.json")])
 
     def process(rec):
         name = os.path.basename(rec.image_path)

@@ -9,18 +9,21 @@ training images once, as their mean image eta and their deviations H - eta
 (M x hr_h x hr_w), beside the mean LR image mu and, per position, the two
 arrays reconstruction applies there: the orthonormal eigen-patches
 E = X V L^{-1/2} (d x K) and the coefficient map V L^{-1/2} (M x K), both
-zero past the K kept components. Patch positions follow from the plane
-sizes (`patch_positions`, `hr_offsets`), so the model does not store them.
+zero past the K kept components. The plane sizes are the shapes of mu and
+eta, and patch positions follow from them (`patch_positions`, `hr_offsets`),
+so the model stores neither.
 Reconstruction projects the input patch onto E, w = E'(x - mu), converts
 the projection to per-sample coefficients c = V L^{-1/2} w (the zero
 padding adds exact zeros) and synthesizes the HR patch eta + c'(H - eta)
 from the co-located slices of eta and H - eta; overlapping patches are
 blended by uniform per-pixel averaging.
+
+`save_model` and `load_model` keep the six arrays in one tagged `.npz`
+(`raster.save_npz`, `raster.load_npz`). The caller's tag is the model's
+whole lineage: a file under another tag reads back as no model.
 """
 
-import json
 import math
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +36,6 @@ PATCH_SIZE = 4
 STRIDE = 2
 VARIANCE_KEEP = 0.98
 EIGENVALUE_FLOOR = 1e-10
-
-_FORMAT_VERSION = "epm-3"
 
 
 def grid_positions(extent: int) -> list[int]:
@@ -76,18 +77,12 @@ def _patch_slices(lr_w: int, lr_h: int, hr_w: int, hr_h: int) -> list:
 
 @dataclass
 class EigenPatchModel:
-    lr_w: int
-    lr_h: int
-    hr_w: int
-    hr_h: int
-    sigma: float
     mean_lr: np.ndarray     # (lr_h, lr_w) mu
     mean_hr: np.ndarray     # (hr_h, hr_w) eta
     deviations: np.ndarray  # (M, hr_h, hr_w) H - eta
     basis: np.ndarray       # (P, d, Kmax) E = X V L^{-1/2}
     coeffs: np.ndarray      # (P, M, Kmax) V L^{-1/2}
     kcounts: np.ndarray     # (P,) K; basis and coeffs are zero past it
-    provenance: str = ""
 
     @property
     def n_positions(self) -> int:
@@ -98,8 +93,7 @@ class EigenPatchModel:
         return self.basis[i, :, :self.kcounts[i]]
 
 
-def train(hr_images, lr_w: int, lr_h: int, sigma: float,
-          provenance: str = "") -> EigenPatchModel:
+def train(hr_images, lr_w: int, lr_h: int, sigma: float) -> EigenPatchModel:
     """Build the per-position PCA model from aligned same-size HR images.
 
     LR counterparts are produced by the same degradation used at test time.
@@ -154,26 +148,24 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float,
         basis[i, :, :k] = e
         coeffs[i, :, :k] = scaled
 
-    return EigenPatchModel(
-        lr_w=lr_w, lr_h=lr_h, hr_w=hr_w, hr_h=hr_h, sigma=sigma,
-        mean_lr=mean_lr, mean_hr=mean_hr, deviations=hr - mean_hr,
-        basis=basis, coeffs=coeffs, kcounts=kcounts, provenance=provenance)
+    return EigenPatchModel(mean_lr=mean_lr, mean_hr=mean_hr, deviations=hr - mean_hr,
+                           basis=basis, coeffs=coeffs, kcounts=kcounts)
 
 
 def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
     """Hallucinate the HR image for one LR input using the trained model."""
     lr = np.asarray(lr, dtype=np.float64)
-    if lr.shape != (model.lr_h, model.lr_w):
+    lr_h, lr_w = model.mean_lr.shape
+    hr_h, hr_w = model.mean_hr.shape
+    if lr.shape != (lr_h, lr_w):
         raise InputError(
-            f"LR dims {lr.shape[::-1]} do not match model plane "
-            f"({model.lr_w}, {model.lr_h})")
+            f"LR dims {lr.shape[::-1]} do not match model plane ({lr_w}, {lr_h})")
     centered = lr - model.mean_lr
     m = model.deviations.shape[0]
-    accum = np.zeros((model.hr_h, model.hr_w))
-    count = np.zeros((model.hr_h, model.hr_w))
+    accum = np.zeros((hr_h, hr_w))
+    count = np.zeros((hr_h, hr_w))
 
-    for i, (lr_slice, hr_slice) in enumerate(
-            _patch_slices(model.lr_w, model.lr_h, model.hr_w, model.hr_h)):
+    for i, (lr_slice, hr_slice) in enumerate(_patch_slices(lr_w, lr_h, hr_w, hr_h)):
         coeff = model.coeffs[i] @ (centered[lr_slice].ravel() @ model.basis[i])  # (M,)
         # a C-contiguous (M, hd) operand, so that BLAS sums as it does for
         # the per-position reference in tests/test_eigenpatch.py
@@ -191,32 +183,16 @@ def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _ARRAY_FIELDS = ["mean_lr", "mean_hr", "deviations", "basis", "coeffs", "kcounts"]
-_META_FIELDS = ["lr_w", "lr_h", "hr_w", "hr_h", "sigma", "provenance"]
 
 
-def save_model(path, model: EigenPatchModel) -> None:
-    """Write the model through a temporary file in the same directory, so an
-    interrupted write never leaves a partial model at `path`."""
-    meta = json.dumps({"version": _FORMAT_VERSION,
-                       **{name: getattr(model, name) for name in _META_FIELDS}})
-    raster.save_npz(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
+def save_model(path, model: EigenPatchModel, tag: str) -> None:
+    """Write the model under `tag` (`raster.save_npz`)."""
+    raster.save_npz(path, tag,
                     **{name: getattr(model, name) for name in _ARRAY_FIELDS})
 
 
-def load_model(path) -> EigenPatchModel:
-    """Read a model `save_model` wrote. A file of another format version, or
-    one that cannot be read back intact, raises InputError naming `path`."""
-    try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta.get("version") != _FORMAT_VERSION:
-                raise InputError(
-                    f"{path} (unsupported model version {meta.get('version')!r})")
-            fields = {name: meta[name] for name in _META_FIELDS}
-            fields.update((name, data[name]) for name in _ARRAY_FIELDS)
-    except InputError:
-        raise
-    except (OSError, EOFError, KeyError, ValueError, AttributeError,
-            zipfile.BadZipFile) as exc:
-        raise InputError(f"{path} (unreadable model: {exc!r})") from exc
-    return EigenPatchModel(**fields)
+def load_model(path, tag: str) -> EigenPatchModel | None:
+    """The model `save_model` wrote at `path` under `tag`, or None when there
+    is none (`raster.load_npz`, which raises InputError for a damaged file)."""
+    arrays = raster.load_npz(path, tag, _ARRAY_FIELDS)
+    return None if arrays is None else EigenPatchModel(**arrays)

@@ -21,12 +21,12 @@ The reference side of a report (`reference_maps`: phase congruency and
 gradient of the reference, its unwrapped iris and that strip's maps) depends
 on the reference image alone, so a caller that scores many test images
 against one reference can compute it once and pass it to `region_report`.
+All of its code and constants are in this module and `iriscode`, which is
+what the command line's stored maps are tagged with.
 """
 
 import functools
-import hashlib
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,20 +262,6 @@ class QualityReport:
 
 # the arrays `reference_maps` returns, by name
 REFERENCE_MAPS = ("pc", "grad", "iris", "iris_pc", "iris_grad")
-
-
-def reference_tag() -> str:
-    """Names what `reference_maps` depends on besides its image and
-    annotation: the SHA-256 of the source of this module and of `iriscode`,
-    which hold all of its code and constants, and numpy's version. Maps
-    stored under another tag are stale."""
-    from . import iriscode
-
-    digest = hashlib.sha256()
-    for module in (sys.modules[__name__], iriscode):
-        with open(module.__file__, "rb") as fh:
-            digest.update(fh.read())
-    return f"{digest.hexdigest()} numpy {np.__version__}"
 
 
 def reference_maps(ref: np.ndarray, ann) -> dict:

@@ -4,7 +4,8 @@ Images are 2-D float64 arrays with intensities in [0, 1], shape (height, width).
 All operators here are pure functions; nothing mutates its input.
 `read_pgm` and `write_pgm` convert between these arrays and the samples of
 the standard-library PGM codec in `pgm`, which does all the file parsing.
-`save_npz` writes an `.npz` array file so that no reader sees half of one.
+`save_npz` and `load_npz` write and read the tagged `.npz` stores, so that
+no reader sees half a file or one of another tag.
 
 Conventions fixed for the whole package:
   * resampling uses half-pixel centers (output pixel i samples source
@@ -16,6 +17,7 @@ Conventions fixed for the whole package:
 import math
 import os
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -226,18 +228,35 @@ def write_pgm(path, img: np.ndarray) -> None:
     pgm.write(path, w, h, quant.tobytes())
 
 
-def save_npz(path, **arrays) -> None:
-    """`np.savez` through a temporary file in the same directory, so an
-    interrupted write never leaves a partial file at `path`."""
+def save_npz(path, tag: str, **arrays) -> None:
+    """`np.savez` of `arrays` and the string `tag` through a temporary file in
+    the same directory, so an interrupted write never leaves a partial file at
+    `path`."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(fh, tag=np.frombuffer(tag.encode(), dtype=np.uint8), **arrays)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def load_npz(path, tag: str, names) -> dict | None:
+    """The arrays `names` of the file `save_npz` wrote at `path`, or None when
+    there is no file or it holds another tag. A file that cannot be read back
+    intact (the zip CRC checks every array), or that lacks `tag` or one of
+    `names`, raises InputError naming `path`."""
+    try:
+        with np.load(path) as data:
+            if bytes(data["tag"]).decode() != tag:
+                return None
+            return {name: data[name] for name in names}
+    except FileNotFoundError:
+        return None
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise InputError(f"unreadable {path} ({exc!r})") from exc
 
 
 def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:

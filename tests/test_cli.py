@@ -165,26 +165,105 @@ def test_eigenpatch_method_trains_and_caches(own_pipeline, tmp_path):
     sharp = write_config(tmp_path / "sharp.json", blur_sigma=1.0)
     assert run(["degrade", "--config", sharp, "--out", out, "--factor", "1/4"]) == 0
     assert run(sr_argv) == 0
-    model = eigenpatch.load_model(model_path)
-    assert model.sigma == 1.0
-    with open(os.path.join(out, "lr", "1_4", "stage_degrade.json")) as fh:
-        assert model.provenance == cli.fingerprint(json.load(fh))
+    assert sr_meta(out)["extra"]["model_trained"] is True
     mtime = os.path.getmtime(model_path)
     assert run(sr_argv) == 0
     assert os.path.getmtime(model_path) == mtime
 
 
-def test_sr_records_whether_it_trained_the_model(own_pipeline):
+def sr_meta(out, method="eigenpatch"):
+    return cli._read_json(os.path.join(out, "sr", method, "1_4", "stage_sr.json"))
+
+
+def test_sr_records_whether_it_trained_the_model(own_pipeline, capsys):
     out, cfg = own_pipeline
     sr_argv = ["sr", "--config", cfg, "--out", out, "--factor", "1/4",
                "--method", "eigenpatch"]
-    meta_path = os.path.join(out, "sr", "eigenpatch", "1_4", "stage_sr.json")
+    model_path = os.path.join(out, "models", "eigenpatch_1_4.npz")
     metas = []
-    for trained in (True, False):
+    for trained, word in ((True, "trained"), (False, "reused")):
+        capsys.readouterr()
         assert run(sr_argv) == 0
-        metas.append(cli._read_json(meta_path))
+        metas.append(sr_meta(out))
         assert metas[-1]["extra"]["model_trained"] is trained
+        assert f"sr[eigenpatch, 1/4]: model {word} -> {model_path}\n" in \
+            capsys.readouterr().out
     assert cli.fingerprint(metas[0]) == cli.fingerprint(metas[1])
+
+
+def model_tag(out):
+    """The tag `sr` stores the 1/4 eigen-patch model of `out` under."""
+    degrade = cli._read_json(os.path.join(out, "lr", "1_4", "stage_degrade.json"))
+    return cli.store_tag(cli.MODEL_SOURCES, cli.fingerprint(degrade))
+
+
+def test_changed_model_code_retrains_model(own_pipeline, monkeypatch, tmp_path):
+    out, cfg = own_pipeline
+    sr_argv = ["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+               "--method", "eigenpatch"]
+    model_path = os.path.join(out, "models", "eigenpatch_1_4.npz")
+    assert run(sr_argv) == 0
+    # an unchanged source reuses the stored model
+    assert run(sr_argv) == 0
+    assert sr_meta(out)["extra"]["model_trained"] is False
+    # the source a later edit of `eigenpatch` would give
+    before = open(model_path, "rb").read()
+    edited = tmp_path / "eigenpatch.py"
+    edited.write_bytes(open(eigenpatch.__file__, "rb").read() + b"\n")
+    monkeypatch.setattr(eigenpatch, "__file__", str(edited))
+    assert run(sr_argv) == 0
+    assert sr_meta(out)["extra"]["model_trained"] is True
+    after = open(model_path, "rb").read()
+    assert after != before
+    with np.load(model_path) as data:
+        assert bytes(data["tag"]).decode() == model_tag(out)
+    assert run(sr_argv) == 0
+    assert sr_meta(out)["extra"]["model_trained"] is False
+    assert open(model_path, "rb").read() == after
+
+
+@pytest.mark.parametrize("name", sorted({*cli.MODEL_SOURCES, *cli.REFERENCE_SOURCES}))
+def test_store_tag_follows_module_source(monkeypatch, tmp_path, name):
+    # any edit to the code or constants a store is built by makes it stale
+    stores = (cli.MODEL_SOURCES, cli.REFERENCE_SOURCES)
+    tags = [cli.store_tag(sources, "fp") for sources in stores]
+    module = importlib.import_module(f"irissr.{name}")
+    edited = tmp_path / "edited.py"
+    edited.write_bytes(open(module.__file__, "rb").read() + b"\n")
+    monkeypatch.setattr(module, "__file__", str(edited))
+    for sources, before in zip(stores, tags):
+        assert (cli.store_tag(sources, "fp") != before) == (name in sources)
+    assert cli.store_tag(stores[0], "fp") != cli.store_tag(stores[0], "other")
+
+
+def _package_imports(module_name):
+    """The package modules `irissr.<module_name>` imports, at any depth of
+    its code (function bodies included)."""
+    import ast
+
+    path = importlib.import_module(f"irissr.{module_name}").__file__
+    names = set()
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.startswith("irissr"):
+            names.update([node.module.split(".")[1]] if "." in node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("irissr."))
+    return names
+
+
+@pytest.mark.parametrize("sources", ["MODEL_SOURCES", "REFERENCE_SOURCES"])
+def test_store_sources_closed_under_package_imports(sources):
+    # a module a store's code imports is part of that store's tag; `errors`
+    # holds only exception classes
+    listed = set(getattr(cli, sources))
+    for name in listed:
+        assert _package_imports(name) - {"errors"} <= listed, name
 
 
 def test_reproject_flags(pipeline):
@@ -447,15 +526,18 @@ def test_unsupported_cached_model_exit_code(pipeline, tmp_path, capsys):
     model_dir.mkdir()
     path = model_dir / "eigenpatch_1_4.npz"
     cfg = write_config(tmp_path / "c.json", model_dir=str(model_dir))
-    for version in ("epm-0", "epm-2"):
-        meta = np.frombuffer(json.dumps({"version": version}).encode(), dtype=np.uint8)
-        np.savez(path, meta=meta)
-        capsys.readouterr()
-        assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
-                    "--method", "eigenpatch"]) == cli.EXIT_MISSING_INPUT
-        assert capsys.readouterr().err == (
-            f"irissr sr: stale eigenpatch model: {path} "
-            f"(unsupported model version {version!r})\n")
+    # an `epm-3` model: its version in a JSON `meta` entry, and no tag
+    imgs = [dataset.synth_iris(seed, 64)[0] for seed in range(3)]
+    model = eigenpatch.train(imgs, 16, 16, 1.0)
+    meta = json.dumps({"version": "epm-3", "lr_w": 16, "lr_h": 16, "hr_w": 64,
+                       "hr_h": 64, "sigma": 1.0, "provenance": ""})
+    np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **vars(model))
+    capsys.readouterr()
+    assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
+                "--method", "eigenpatch"]) == cli.EXIT_MISSING_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"irissr sr: stale eigenpatch model: unreadable {path} "
+                          "(KeyError(") and "tag" in err
 
 
 @pytest.mark.parametrize("damage", ["truncated", "empty", "missing-array"])
@@ -465,7 +547,8 @@ def test_unreadable_cached_model_exit_code(pipeline, tmp_path, capsys, damage):
     model_dir.mkdir()
     path = model_dir / "eigenpatch_1_4.npz"
     imgs = [dataset.synth_iris(seed, 64)[0] for seed in range(3)]
-    eigenpatch.save_model(path, eigenpatch.train(imgs, 16, 16, 1.0))
+    # under the tag `sr` looks for, so that only the damage can stop it
+    eigenpatch.save_model(path, eigenpatch.train(imgs, 16, 16, 1.0), model_tag(out))
     if damage == "truncated":
         path.write_bytes(path.read_bytes()[:1000])
     elif damage == "empty":
@@ -478,7 +561,7 @@ def test_unreadable_cached_model_exit_code(pipeline, tmp_path, capsys, damage):
     assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
                 "--method", "eigenpatch"]) == cli.EXIT_MISSING_INPUT
     assert capsys.readouterr().err.startswith(
-        f"irissr sr: stale eigenpatch model: {path} (unreadable model: ")
+        f"irissr sr: stale eigenpatch model: unreadable {path} (")
 
 
 def test_eval_without_genuine_pairs_exit_code(tmp_path):
@@ -873,12 +956,14 @@ def test_prep_rerun_rebuilds_quality_reference(own_pipeline, tmp_path):
     assert quality_files(out)["detail_bicubic_1_4.csv"] == detail
 
 
-def test_changed_quality_code_rebuilds_reference(own_pipeline, monkeypatch):
+def test_changed_quality_code_rebuilds_reference(own_pipeline, monkeypatch, tmp_path):
     out, cfg = own_pipeline
     n = quality_meta(out)["extra"]["reference_built"]
     before = quality_files(out)
-    # the tag a later edit of `quality` or `iriscode` would give
-    monkeypatch.setattr(quality, "reference_tag", lambda: "edited")
+    # the source a later edit of `quality` would give
+    edited = tmp_path / "quality.py"
+    edited.write_bytes(open(quality.__file__, "rb").read() + b"\n")
+    monkeypatch.setattr(quality, "__file__", str(edited))
     assert run(["quality", "--config", cfg, "--out", out, "--factor", "1/4",
                 "--method", "bicubic"]) == 0
     assert quality_meta(out)["extra"]["reference_built"] == n

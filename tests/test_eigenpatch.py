@@ -1,4 +1,3 @@
-import json
 import os
 import re
 
@@ -223,11 +222,10 @@ def test_reconstruct_equals_per_position_model(m, lr_side):
 
 def test_model_roundtrip(tmp_path):
     imgs = small_corpus(4)
-    model = eigenpatch.train(imgs, 16, 16, 1.0, provenance="abc")
+    model = eigenpatch.train(imgs, 16, 16, 1.0)
     path = tmp_path / "model.npz"
-    eigenpatch.save_model(path, model)
-    back = eigenpatch.load_model(path)
-    assert back.provenance == "abc"
+    eigenpatch.save_model(path, model, "abc")
+    back = eigenpatch.load_model(path, "abc")
     lr = raster.degrade(imgs[1], 16, 16, 1.0)
     assert np.array_equal(eigenpatch.reconstruct(lr, back),
                           eigenpatch.reconstruct(lr, model))
@@ -237,10 +235,10 @@ def test_saved_model_stores_each_training_image_once(tmp_path):
     eyes = [dataset.synth_iris(seed, 231)[0] for seed in range(4)]
     model = eigenpatch.train(eyes, 57, 57, raster.antialias_sigma(231, 231, 57, 57))
     path = tmp_path / "model.npz"
-    eigenpatch.save_model(path, model)
+    eigenpatch.save_model(path, model, "abc")
     with np.load(path) as data:
         assert sorted(data.files) == ["basis", "coeffs", "deviations", "kcounts",
-                                      "mean_hr", "mean_lr", "meta"]
+                                      "mean_hr", "mean_lr", "tag"]
         assert data["deviations"].shape == (4, 231, 231)
     assert path.stat().st_size < 3_000_000
 
@@ -248,7 +246,7 @@ def test_saved_model_stores_each_training_image_once(tmp_path):
 def test_failed_save_leaves_previous_model(tmp_path, monkeypatch):
     model = eigenpatch.train(small_corpus(3), 16, 16, 1.0)
     path = tmp_path / "model.npz"
-    eigenpatch.save_model(path, model)
+    eigenpatch.save_model(path, model, "abc")
     before = path.read_bytes()
 
     def interrupted(fh, **arrays):
@@ -257,20 +255,15 @@ def test_failed_save_leaves_previous_model(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "savez", interrupted)
     with pytest.raises(OSError, match="write interrupted"):
-        eigenpatch.save_model(path, model)
+        eigenpatch.save_model(path, model, "abc")
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.npz"]
 
 
 def test_model_version_mismatch_rejected(tmp_path):
+    # a model stored under another tag (other code, another degrade stage)
+    # reads back as none, so the caller trains a new one
     model = eigenpatch.train(small_corpus(3), 16, 16, 1.0)
     path = tmp_path / "model.npz"
-    eigenpatch.save_model(path, model)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    meta["version"] = "epm-0"
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-    with pytest.raises(InputError, match="unsupported model version 'epm-0'"):
-        eigenpatch.load_model(path)
+    eigenpatch.save_model(path, model, "abc")
+    assert eigenpatch.load_model(path, "abd") is None

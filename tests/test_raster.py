@@ -310,6 +310,56 @@ def test_pgm_codec_under_raster(tmp_path):
             pgm.read(a)
 
 
+
+# --- tagged .npz stores ------------------------------------------------------
+
+NPZ_ARRAYS = {"plane": np.random.default_rng(7).uniform(size=(6, 5)),
+              "counts": np.arange(4, dtype=np.int64)}
+
+
+def test_npz_roundtrip(tmp_path):
+    path = tmp_path / "store.npz"
+    raster.save_npz(path, "tag 1", **NPZ_ARRAYS)
+    back = raster.load_npz(path, "tag 1", ["plane", "counts"])
+    assert sorted(back) == ["counts", "plane"]
+    for name, arr in NPZ_ARRAYS.items():
+        assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
+
+
+def test_npz_missing_or_other_tag_is_none(tmp_path):
+    path = tmp_path / "store.npz"
+    assert raster.load_npz(path, "tag 1", ["plane"]) is None
+    raster.save_npz(path, "tag 1", **NPZ_ARRAYS)
+    assert raster.load_npz(path, "tag 2", ["plane"]) is None
+    assert raster.load_npz(path, "tag", ["plane"]) is None
+
+
+def _damaged_npz(path, damage):
+    raster.save_npz(path, "tag 1", **NPZ_ARRAYS)
+    blob = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(blob[:len(blob) // 2])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    elif damage in ("missing-array", "missing-tag"):
+        gone = "counts" if damage == "missing-array" else "tag"
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files if name != gone}
+        np.savez(path, **arrays)
+    else:
+        # each array is stored uncompressed: flip a byte inside the plane's data
+        at = blob.index(NPZ_ARRAYS["plane"].tobytes()) + 7
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "missing-array",
+                                    "missing-tag", "flipped-byte"])
+def test_npz_damaged_file_rejected(tmp_path, damage):
+    path = tmp_path / "store.npz"
+    _damaged_npz(path, damage)
+    with pytest.raises(InputError, match=re.escape(f"unreadable {path} (")):
+        raster.load_npz(path, "tag 1", ["plane", "counts"])
+
 def test_png_roundtrip_and_luma(tmp_path):
     pil = pytest.importorskip("PIL.Image")
     img = np.random.default_rng(5).uniform(size=(9, 9))

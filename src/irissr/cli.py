@@ -15,10 +15,10 @@ this run's checked records.
 each prep image's reference maps (`quality.reference_maps`) in
 `quality/reference/`, as every (method, factor) set is scored against the
 same prep images. Neither store is a stage's output: each file is a tagged
-`.npz` (`raster.save_npz`) whose `store_tag` digests the source that builds
-it and holds the fingerprint of its upstream stage (`degrade`, `prep`), so
-an edit to that code or a rerun of that stage rebuilds it, and a file that
-cannot be read back intact exits 3.
+`.npz` (`raster.save_npz`) whose `store_tag` digests the whole package's
+source and holds the fingerprint of its upstream stage (`degrade`, `prep`),
+so an edit to any package module or a rerun of that stage rebuilds it, and
+a file that cannot be read back intact exits 3.
 
 Each config key is read by one stage; later stages read what upstream stages
 recorded. Every command checks the whole configuration before it does any
@@ -43,7 +43,6 @@ import csv
 import functools
 import glob
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -252,22 +251,19 @@ def fingerprint(obj: dict) -> str:
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-# the package modules whose source builds each store's arrays: each list is
-# closed under package imports, `errors` aside
-MODEL_SOURCES = ("eigenpatch", "raster", "pgm")
-REFERENCE_SOURCES = ("quality", "iriscode")
+# the package source every store's tag digests
+SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def store_tag(sources, upstream: str) -> str:
-    """The tag of a stored `.npz` built by the modules `sources` from the stage
-    whose fingerprint is `upstream`: the JSON of the SHA-256 of the modules'
-    source with numpy's version, and `upstream`. An edit to that code or a
-    rerun of that stage gives another tag, so what is stored is stale."""
+def store_tag(upstream: str) -> str:
+    """The tag of a stored `.npz` built from the stage whose fingerprint is
+    `upstream`: the JSON of a SHA-256 over the name and bytes of every `*.py`
+    file of this package, with numpy's version, and `upstream`. An edit to any
+    package module or a rerun of that stage makes what is stored stale."""
     digest = hashlib.sha256()
-    for name in sources:
-        module = importlib.import_module(f".{name}", __package__)
-        with open(module.__file__, "rb") as fh:
-            digest.update(fh.read())
+    for name in sorted(n for n in os.listdir(SOURCE_DIR) if n.endswith(".py")):
+        with open(os.path.join(SOURCE_DIR, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
     return json.dumps([f"{digest.hexdigest()} numpy {np.__version__}", upstream])
 
 
@@ -581,7 +577,7 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
         model_dir = cfg["model_dir"] or os.path.join(out_root, "models")
         ensure_dir(model_dir)
         model_path = os.path.join(model_dir, f"eigenpatch_{factor_slug(label)}.npz")
-        tag = store_tag(MODEL_SOURCES, fingerprint(degrade))
+        tag = store_tag(fingerprint(degrade))
         try:
             model = eigenpatch.load_model(model_path, tag)
         except InputError as exc:
@@ -721,7 +717,7 @@ def cmd_quality(cfg, args) -> int:
     # the reference side of every set over this prep stage, stored once per
     # image and tagged with what it was built from
     ref_dir = ensure_dir(os.path.join(out, "reference"))
-    tag = store_tag(REFERENCE_SOURCES, inputs[os.path.join("prep", "stage_prep.json")])
+    tag = store_tag(inputs[os.path.join("prep", "stage_prep.json")])
 
     def process(rec):
         name = os.path.basename(rec.image_path)

@@ -21,8 +21,8 @@ The reference side of a report (`reference_maps`: phase congruency and
 gradient of the reference, its unwrapped iris and that strip's maps) depends
 on the reference image alone, so a caller that scores many test images
 against one reference can compute it once and pass it to `region_report`.
-All of its code and constants are in this module and `iriscode`, which is
-what the command line's stored maps are tagged with.
+The command line stores these maps, tagged with a digest of every module of
+the package, so an edit to any of them rebuilds the maps.
 """
 
 import functools

@@ -16,7 +16,6 @@ Conventions fixed for the whole package:
 
 import math
 import os
-import tempfile
 import zipfile
 
 import numpy as np
@@ -231,9 +230,9 @@ def write_pgm(path, img: np.ndarray) -> None:
 def save_npz(path, tag: str, **arrays) -> None:
     """`np.savez` of `arrays` and the string `tag` through a temporary file in
     the same directory, so an interrupted write never leaves a partial file at
-    `path`."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+    `path`. The file gets the umask's mode, like every other output."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, tag=np.frombuffer(tag.encode(), dtype=np.uint8), **arrays)

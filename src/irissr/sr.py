@@ -23,18 +23,21 @@ from . import eigenpatch, raster
 from .errors import BackendError, InputError
 
 EXCHANGE_ENV = "IRIS_SR_TMP"
+# seconds one backend call may run when its entry sets no `timeout`
+BACKEND_TIMEOUT_S = 600.0
 
 
 def apply_backend(lr: np.ndarray, backend: dict) -> np.ndarray:
     """One x2 pass through the external backend via the file-exchange protocol.
 
     `backend` is the backend's config entry: `command`, `exchange_dir` and
-    an optional `timeout` in seconds. Each invocation gets a fresh
+    an optional `timeout` in seconds, `BACKEND_TIMEOUT_S` when it has none,
+    so no call can hang the stage. Each invocation gets a fresh
     subdirectory of the exchange dir, so concurrent calls cannot collide;
     the files are left in place for debugging.
     """
     h, w = lr.shape
-    limit = backend.get("timeout")
+    limit = backend.get("timeout") or BACKEND_TIMEOUT_S
     os.makedirs(backend["exchange_dir"], exist_ok=True)
     workdir = tempfile.mkdtemp(prefix="x2-", dir=backend["exchange_dir"])
     in_path = os.path.join(workdir, "in.pgm")
@@ -88,10 +91,10 @@ def super_resolve(lr: np.ndarray, hr_w: int, hr_h: int, method: str,
     if method == "eigenpatch":
         if model is None:
             raise InputError("eigenpatch upscaler requires a model")
-        out = eigenpatch.reconstruct(lr, model)
-        if out.shape != (hr_h, hr_w):
-            out = raster.resize_bicubic(out, hr_w, hr_h)
-        return out, 1
+        if model.mean_hr.shape != (hr_h, hr_w):
+            raise InputError(f"target dims {(hr_w, hr_h)} do not match model HR "
+                             f"plane {model.mean_hr.shape[::-1]}")
+        return eigenpatch.reconstruct(lr, model), 1
     if not method.startswith("backend:"):
         raise InputError(f"unknown SR method {method!r}")
     if backend is None:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import irissr
-from irissr import (cli, dataset, eigenpatch, fusion_eval, iriscode, quality,
-                    raster, siftmatch, sr)
+from irissr import (cli, dataset, eigenpatch, fusion_eval, iriscode, raster,
+                    siftmatch, sr)
 from irissr.errors import BackendError, InputError
 
 
@@ -194,7 +194,24 @@ def test_sr_records_whether_it_trained_the_model(own_pipeline, capsys):
 def model_tag(out):
     """The tag `sr` stores the 1/4 eigen-patch model of `out` under."""
     degrade = cli._read_json(os.path.join(out, "lr", "1_4", "stage_degrade.json"))
-    return cli.store_tag(cli.MODEL_SOURCES, cli.fingerprint(degrade))
+    return cli.store_tag(cli.fingerprint(degrade))
+
+
+PACKAGE_MODULES = sorted(name[:-3] for name in os.listdir(cli.SOURCE_DIR)
+                         if name.endswith(".py"))
+
+
+def edited_source(monkeypatch, tmp_path, name, text=b"\n"):
+    """Point the store tags at a copy of the package source whose module
+    `name` ends with `text` appended, the source a later edit would give."""
+    copy = tmp_path / "src_copy"
+    copy.mkdir(parents=True)
+    for module in PACKAGE_MODULES:
+        shutil.copyfile(os.path.join(cli.SOURCE_DIR, f"{module}.py"),
+                        copy / f"{module}.py")
+    with open(copy / f"{name}.py", "ab") as fh:
+        fh.write(text)
+    monkeypatch.setattr(cli, "SOURCE_DIR", str(copy))
 
 
 def test_changed_model_code_retrains_model(own_pipeline, monkeypatch, tmp_path):
@@ -206,11 +223,8 @@ def test_changed_model_code_retrains_model(own_pipeline, monkeypatch, tmp_path):
     # an unchanged source reuses the stored model
     assert run(sr_argv) == 0
     assert sr_meta(out)["extra"]["model_trained"] is False
-    # the source a later edit of `eigenpatch` would give
     before = open(model_path, "rb").read()
-    edited = tmp_path / "eigenpatch.py"
-    edited.write_bytes(open(eigenpatch.__file__, "rb").read() + b"\n")
-    monkeypatch.setattr(eigenpatch, "__file__", str(edited))
+    edited_source(monkeypatch, tmp_path, "eigenpatch")
     assert run(sr_argv) == 0
     assert sr_meta(out)["extra"]["model_trained"] is True
     after = open(model_path, "rb").read()
@@ -222,48 +236,16 @@ def test_changed_model_code_retrains_model(own_pipeline, monkeypatch, tmp_path):
     assert open(model_path, "rb").read() == after
 
 
-@pytest.mark.parametrize("name", sorted({*cli.MODEL_SOURCES, *cli.REFERENCE_SOURCES}))
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
 def test_store_tag_follows_module_source(monkeypatch, tmp_path, name):
-    # any edit to the code or constants a store is built by makes it stale
-    stores = (cli.MODEL_SOURCES, cli.REFERENCE_SOURCES)
-    tags = [cli.store_tag(sources, "fp") for sources in stores]
-    module = importlib.import_module(f"irissr.{name}")
-    edited = tmp_path / "edited.py"
-    edited.write_bytes(open(module.__file__, "rb").read() + b"\n")
-    monkeypatch.setattr(module, "__file__", str(edited))
-    for sources, before in zip(stores, tags):
-        assert (cli.store_tag(sources, "fp") != before) == (name in sources)
-    assert cli.store_tag(stores[0], "fp") != cli.store_tag(stores[0], "other")
-
-
-def _package_imports(module_name):
-    """The package modules `irissr.<module_name>` imports, at any depth of
-    its code (function bodies included)."""
-    import ast
-
-    path = importlib.import_module(f"irissr.{module_name}").__file__
-    names = set()
-    for node in ast.walk(ast.parse(open(path).read())):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            names.update([node.module] if node.module else
-                         [alias.name for alias in node.names])
-        elif isinstance(node, ast.ImportFrom) and node.module and \
-                node.module.startswith("irissr"):
-            names.update([node.module.split(".")[1]] if "." in node.module else
-                         [alias.name for alias in node.names])
-        elif isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[1] for alias in node.names
-                         if alias.name.startswith("irissr."))
-    return names
-
-
-@pytest.mark.parametrize("sources", ["MODEL_SOURCES", "REFERENCE_SOURCES"])
-def test_store_sources_closed_under_package_imports(sources):
-    # a module a store's code imports is part of that store's tag; `errors`
-    # holds only exception classes
-    listed = set(getattr(cli, sources))
-    for name in listed:
-        assert _package_imports(name) - {"errors"} <= listed, name
+    # an edit to any package module makes both stores stale; the same bytes
+    # in another directory do not
+    before = cli.store_tag("fp")
+    edited_source(monkeypatch, tmp_path / "same", name, text=b"")
+    assert cli.store_tag("fp") == before
+    edited_source(monkeypatch, tmp_path / "edited", name)
+    assert cli.store_tag("fp") != before
+    assert cli.store_tag("fp") != cli.store_tag("other")
 
 
 def test_reproject_flags(pipeline):
@@ -644,14 +626,17 @@ def test_wide_backend_output_exit_code(tmp_path, capsys):
     assert "out.pgm" in err and "bytes after the PGM pixel data" in err
 
 
-def test_backend_timeout_exit_code(tmp_path, capsys):
+def run_sleeping_backend(tmp_path, capsys, **entry):
+    """stderr of an `sr` through a backend that sleeps for a minute, configured
+    with `entry`, after checking that it exits 5 well before then and that the
+    first expiry ended the stage."""
     out = str(tmp_path / "out")
     exchange = tmp_path / "exchange"
     sleeper = f"{sys.executable} -c \"import time; time.sleep(60)\" {{in}} {{out}}"
     cfg = write_config(
         tmp_path / "c.json", seeds=2, sessions=1, train_subjects=0,
-        backends={"slow": {"command": sleeper, "timeout": 0.5,
-                           "exchange_dir": str(exchange)}})
+        backends={"slow": {"command": sleeper, "exchange_dir": str(exchange),
+                           **entry}})
     base = ["--config", cfg, "--out", out]
     assert run(["synth", *base]) == 0
     assert run(["prep", *base]) == 0
@@ -661,10 +646,21 @@ def test_backend_timeout_exit_code(tmp_path, capsys):
     assert run(["sr", *base, "--factor", "1/4",
                 "--method", "backend:slow"]) == cli.EXIT_BACKEND
     assert time.perf_counter() - t0 < 30
-    err = capsys.readouterr().err
-    assert "within 0.5 s" in err and "time.sleep(60)" in err
-    # each call gets its own exchange directory: the first expiry ended the stage
+    # each call gets its own exchange directory
     assert len(os.listdir(exchange)) == 1
+    return capsys.readouterr().err
+
+
+def test_backend_timeout_exit_code(tmp_path, capsys):
+    err = run_sleeping_backend(tmp_path, capsys, timeout=0.5)
+    assert "within 0.5 s" in err and "time.sleep(60)" in err
+
+
+def test_backend_without_timeout_stops_at_default(tmp_path, capsys, monkeypatch):
+    # a backend that never exits cannot hang `sr` when its entry sets no limit
+    monkeypatch.setattr(sr, "BACKEND_TIMEOUT_S", 0.5)
+    err = run_sleeping_backend(tmp_path, capsys)
+    assert "within 0.5 s" in err and "time.sleep(60)" in err
 
 
 def test_match_records_keypoints_and_valid_bits(pipeline, capsys):
@@ -960,14 +956,35 @@ def test_changed_quality_code_rebuilds_reference(own_pipeline, monkeypatch, tmp_
     out, cfg = own_pipeline
     n = quality_meta(out)["extra"]["reference_built"]
     before = quality_files(out)
-    # the source a later edit of `quality` would give
-    edited = tmp_path / "quality.py"
-    edited.write_bytes(open(quality.__file__, "rb").read() + b"\n")
-    monkeypatch.setattr(quality, "__file__", str(edited))
+    edited_source(monkeypatch, tmp_path, "quality")
     assert run(["quality", "--config", cfg, "--out", out, "--factor", "1/4",
                 "--method", "bicubic"]) == 0
     assert quality_meta(out)["extra"]["reference_built"] == n
     assert quality_files(out) == before
+
+
+def test_changed_image_reader_rebuilds_reference(own_pipeline, monkeypatch, tmp_path):
+    # an edit to the code that reads the reference image (not to the code
+    # that builds its maps) rebuilds the maps: a store reused across it
+    # scored the new images against the old maps
+    out, cfg = own_pipeline
+    argv = ["quality", "--config", cfg, "--out", out, "--factor", "1/4",
+            "--method", "bicubic"]
+    n = quality_meta(out)["extra"]["reference_built"]
+    before = quality_files(out)["detail_bicubic_1_4.csv"]
+    read_pgm = raster.read_pgm
+    monkeypatch.setattr(raster, "read_pgm", lambda path: 0.9 * read_pgm(path))
+    edited_source(monkeypatch, tmp_path, "raster",
+                  b"\n_read_pgm = read_pgm\n"
+                  b"def read_pgm(path):\n    return 0.9 * _read_pgm(path)\n")
+    assert run(argv) == 0
+    extra = quality_meta(out)["extra"]
+    assert (extra["reference_built"], extra["reference_reused"]) == (n, 0)
+    edited = quality_files(out)["detail_bicubic_1_4.csv"]
+    assert edited != before
+    shutil.rmtree(os.path.join(out, "quality", "reference"))
+    assert run(argv) == 0
+    assert quality_files(out)["detail_bicubic_1_4.csv"] == edited
 
 
 def test_quality_outputs_equal_from_cold_or_warm_reference(own_pipeline):

@@ -1,8 +1,9 @@
 """Start-up cost: the stage commands run without scipy, the reference backend
-runs without numpy, importing the command line or running a backend loads
-only the modules it uses, and the command line runs BLAS on one thread
-unless its caller says otherwise. The reference backend's output is checked
-against numpy's nearest-neighbour doubling."""
+runs without numpy, importing the command line, running a backend, or
+running `quality` or an eigen-patch `sr` loads only the modules it uses,
+and the command line runs BLAS on one thread unless its caller says
+otherwise. The reference backend's output is checked against numpy's
+nearest-neighbour doubling."""
 
 import json
 import os
@@ -70,6 +71,28 @@ def test_cli_imports_no_command_modules():
     assert not {f"irissr.{m}" for m in heavy} & names
 
 
+def small_run(tmp_path):
+    """The common flags of a small run at 1/16 that has run up to a bicubic
+    `sr`, built in this process."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"factors": {"1/16": [15, 15]}, "seeds": 2,
+                               "sessions": 2, "train_subjects": 1}))
+    base = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    for argv in (["synth"], ["prep"], ["degrade", "--factor", "1/16"],
+                 ["sr", "--factor", "1/16", "--method", "bicubic"]):
+        assert cli.main([*argv, *base]) == 0
+    return base
+
+
+def command_modules(argv):
+    """Names in sys.modules after `cli.main(argv)` in a fresh interpreter."""
+    return loaded_modules(
+        "import contextlib, io\n"
+        "from irissr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0")
+
+
 def test_jobs_1_loads_no_process_pool(tmp_path):
     # only `match` at --jobs > 1 forks workers; importing the command line or
     # a --jobs 1 match pays nothing for the pool's modules
@@ -78,21 +101,24 @@ def test_jobs_1_loads_no_process_pool(tmp_path):
                 or n == "concurrent.futures.process"}
 
     assert not pool_modules(loaded_modules("import irissr.cli"))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"factors": {"1/16": [15, 15]}, "seeds": 2,
-                               "sessions": 2, "train_subjects": 1}))
-    base = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "1"]
-    for argv in (["synth"], ["prep"], ["degrade", "--factor", "1/16"],
-                 ["sr", "--factor", "1/16", "--method", "bicubic"]):
-        assert cli.main([*argv, *base]) == 0
-    match = ["match", "--factor", "1/16", "--method", "bicubic", *base]
-    names = loaded_modules(
-        "import contextlib, io\n"
-        "from irissr import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({match!r}) == 0")
+    base = small_run(tmp_path)
+    names = command_modules(["match", "--factor", "1/16", "--method", "bicubic", *base])
     assert "irissr.siftmatch" in names
     assert not pool_modules(names)
+
+
+def test_store_commands_load_only_their_modules(tmp_path):
+    # the store tags read the package source as files, so `quality` and an
+    # eigen-patch `sr` import no module they do not run
+    base = small_run(tmp_path)
+    for argv, used, unused in (
+            (["quality", "--method", "bicubic"], "quality",
+             {"siftmatch", "fusion_eval", "eigenpatch"}),
+            (["sr", "--method", "eigenpatch"], "eigenpatch",
+             {"quality", "siftmatch", "fusion_eval"})):
+        names = command_modules([*argv, "--factor", "1/16", *base])
+        assert f"irissr.{used}" in names
+        assert not {f"irissr.{m}" for m in unused} & names, argv
 
 
 def test_refbackend_loads_no_numpy(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -324,6 +326,20 @@ def test_npz_roundtrip(tmp_path):
     assert sorted(back) == ["counts", "plane"]
     for name, arr in NPZ_ARRAYS.items():
         assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask-022", "umask-027"])
+def test_npz_file_takes_umask_mode(tmp_path, umask, mode):
+    # a store is as readable as the run's other outputs
+    path = tmp_path / "store.npz"
+    old = os.umask(umask)
+    try:
+        raster.save_npz(path, "tag 1", **NPZ_ARRAYS)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert os.listdir(tmp_path) == ["store.npz"]
 
 
 def test_npz_missing_or_other_tag_is_none(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 
 import numpy as np
@@ -114,3 +115,7 @@ def test_eigenpatch_method_single_pass():
     assert out.shape == (64, 64)
     with pytest.raises(InputError, match="eigenpatch upscaler requires a model"):
         sr.super_resolve(lr, 64, 64, "eigenpatch")  # no model
+    # the model reconstructs its own HR plane, never another size
+    with pytest.raises(InputError, match=re.escape(
+            "target dims (96, 96) do not match model HR plane (64, 64)")):
+        sr.super_resolve(lr, 96, 96, "eigenpatch", model=model)

@@ -4,7 +4,9 @@
 image with that model, and `eigenpatch.save_model` followed by
 `eigenpatch.load_model` of it under one tag. The save-and-load bench
 records the model file's size in bytes as `model_bytes` in its
-`extra_info`.
+`extra_info`. The `_1_2` cases train on eighteen eyes at 1/2 (115x115 LR,
+3249 patch positions), the factor with the most positions per image, and
+reconstruct one 115x115 image with that model.
 
     PYTHONPATH=src python -m pytest bench/test_eigenpatch_layers.py --benchmark-enable --benchmark-only
 
@@ -16,21 +18,40 @@ import numpy as np
 
 from irissr import dataset, eigenpatch, raster
 
-EYES = [dataset.synth_iris(seed, 231)[0] for seed in range(4)]
+
+def _lr_eye(seed, side, sigma):
+    """An eye outside the training set, as `sr` reads it back from its PGM."""
+    return np.rint(raster.degrade(dataset.synth_iris(seed, 231)[0], side, side,
+                                  sigma) * 255) / 255
+
+
+EYES = [dataset.synth_iris(seed, 231)[0] for seed in range(18)]
 SIGMA = raster.antialias_sigma(231, 231, 57, 57)
-MODEL = eigenpatch.train(EYES, 57, 57, SIGMA)
+MODEL = eigenpatch.train(EYES[:4], 57, 57, SIGMA)
 TAG = "bench"
-# an eye outside the training set, as `sr` reads it back from its PGM
-LR = np.rint(raster.degrade(dataset.synth_iris(4, 231)[0], 57, 57, SIGMA) * 255) / 255
+LR = _lr_eye(4, 57, SIGMA)
+SIGMA_1_2 = raster.antialias_sigma(231, 231, 115, 115)
+MODEL_1_2 = eigenpatch.train(EYES, 115, 115, SIGMA_1_2)
+LR_1_2 = _lr_eye(18, 115, SIGMA_1_2)
 
 
 def test_train(benchmark):
-    model = benchmark(eigenpatch.train, EYES, 57, 57, SIGMA)
+    model = benchmark(eigenpatch.train, EYES[:4], 57, 57, SIGMA)
     assert model.n_positions == 28 * 28
 
 
 def test_reconstruct(benchmark):
     img = benchmark(eigenpatch.reconstruct, LR, MODEL)
+    assert img.shape == (231, 231)
+
+
+def test_train_1_2(benchmark):
+    model = benchmark(eigenpatch.train, EYES, 115, 115, SIGMA_1_2)
+    assert model.n_positions == 57 * 57
+
+
+def test_reconstruct_1_2(benchmark):
+    img = benchmark(eigenpatch.reconstruct, LR_1_2, MODEL_1_2)
     assert img.shape == (231, 231)
 
 

@@ -281,9 +281,9 @@ def _read_json(path):
 
 
 def _read_meta(path, stage) -> dict:
-    """The stage meta at `path`; content that is not a JSON object, or whose
-    `inputs` (its lineage) or `outputs` is not a map of strings, ends the
-    command with exit 3."""
+    """The stage meta at `path`; content that is not a JSON object, whose
+    `inputs` (its lineage) or `outputs` is not a map of strings, or whose
+    `extra` is there but not a map, ends the command with exit 3."""
     try:
         meta = _read_json(path)
     except (OSError, ValueError):  # ValueError: bad JSON or encoding
@@ -297,6 +297,9 @@ def _read_meta(path, stage) -> dict:
                                                   for v in value.values()):
             raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: {key} of "
                            f"{path} is missing or not a map of strings")
+    if not isinstance(meta.get("extra", {}), dict):
+        raise CliError(EXIT_MISSING_INPUT,
+                       f"stale {stage} stage: extra of {path} is not a map")
     return meta
 
 
@@ -878,6 +881,8 @@ def cmd_eval(cfg, args) -> int:
     comp_names = [c for c in cfg["comparators"] if c != "fused"]
     eer_rows, roc_rows, trial_counts = [], [], {}
     for method_name in sorted(os.listdir(scores_root)):
+        if not os.path.isdir(os.path.join(scores_root, method_name)):
+            continue
         for slug in sorted(os.listdir(os.path.join(scores_root, method_name))):
             score_dir = os.path.join(scores_root, method_name, slug)
             if not os.path.isdir(score_dir):

@@ -12,11 +12,15 @@ E = X V L^{-1/2} (d x K) and the coefficient map V L^{-1/2} (M x K), both
 zero past the K kept components. The plane sizes are the shapes of mu and
 eta, and patch positions follow from them (`patch_positions`, `hr_offsets`),
 so the model stores neither.
-Reconstruction projects the input patch onto E, w = E'(x - mu), converts
-the projection to per-sample coefficients c = V L^{-1/2} w (the zero
-padding adds exact zeros) and synthesizes the HR patch eta + c'(H - eta)
-from the co-located slices of eta and H - eta; overlapping patches are
-blended by uniform per-pixel averaging.
+Training cuts all positions' patches with one cutter (`_patches`, shared
+with reconstruction) and decomposes their Gram matrices in one batched call.
+Reconstruction projects every input patch onto its E, w = E'(x - mu), and
+converts w to per-sample coefficients c = V L^{-1/2} w (the zero padding
+adds exact zeros). Averaging the overlapping HR patches eta + c'(H - eta)
+per pixel is one separable product, eta + sum_m (R_h' C_m R_w) o (H_m - eta)
+/ count, with C_m sample m's coefficients on the position grid, R_h and R_w
+per-axis 0/1 matrices (one row per grid offset, covering its HR span) and
+count the outer product of their column sums.
 
 `save_model` and `load_model` keep the six arrays in one tagged `.npz`
 (`raster.save_npz`, `raster.load_npz`). The caller's tag is the model's
@@ -63,16 +67,22 @@ def hr_offsets(lr_extent: int, hr_extent: int) -> tuple[int, list[int]]:
                   for x in grid_positions(lr_extent)]
 
 
-def _patch_slices(lr_w: int, lr_h: int, hr_w: int, hr_h: int) -> list:
-    """The (LR, HR) slices of every patch position in `patch_positions`
-    order: the PATCH_SIZE square at (x, y) and its co-located HR patch."""
-    hp_w, hxs = hr_offsets(lr_w, hr_w)
-    hp_h, hys = hr_offsets(lr_h, hr_h)
-    hx_at = dict(zip(grid_positions(lr_w), hxs))
-    hy_at = dict(zip(grid_positions(lr_h), hys))
-    return [(np.s_[y:y + PATCH_SIZE, x:x + PATCH_SIZE],
-             np.s_[hy_at[y]:hy_at[y] + hp_h, hx_at[x]:hx_at[x] + hp_w])
-            for x, y in patch_positions(lr_w, lr_h)]
+def _patches(planes: np.ndarray) -> np.ndarray:
+    """The PATCH_SIZE-square patches of (..., h, w) planes in
+    `patch_positions` order, (..., P, PATCH_SIZE**2)."""
+    ys, xs = grid_positions(planes.shape[-2]), grid_positions(planes.shape[-1])
+    windows = np.lib.stride_tricks.sliding_window_view(
+        planes, (PATCH_SIZE, PATCH_SIZE), axis=(-2, -1))
+    cut = windows[..., np.array(ys)[:, None], xs, :, :]
+    return cut.reshape(*planes.shape[:-2], len(ys) * len(xs), PATCH_SIZE * PATCH_SIZE)
+
+
+def _cover(lr_extent: int, hr_extent: int) -> np.ndarray:
+    """One 0/1 row per grid offset along one axis, marking the HR pixels its
+    patch covers, (len(grid_positions(lr_extent)), hr_extent)."""
+    side, offsets = hr_offsets(lr_extent, hr_extent)
+    inside = np.arange(hr_extent) - np.array(offsets)[:, None]
+    return ((inside >= 0) & (inside < side)).astype(np.float64)
 
 
 @dataclass
@@ -117,36 +127,27 @@ def train(hr_images, lr_w: int, lr_h: int, sigma: float) -> EigenPatchModel:
     hr = np.stack(hr_images)
     mean_lr = lr.mean(axis=0)
     mean_hr = hr.mean(axis=0)
-    lr_deviations = lr - mean_lr
     m = len(hr_images)
 
-    components = []
-    for x, y in patch_positions(lr_w, lr_h):
-        patches = lr_deviations[:, y:y + PATCH_SIZE, x:x + PATCH_SIZE]
-        xc = patches.reshape(m, -1).T  # (d, M)
-        gram = xc.T @ xc
-        lam, vec = np.linalg.eigh(gram)
-        order = np.argsort(lam)[::-1]
-        lam = np.clip(lam[order], 0.0, None)
-        vec = vec[:, order]
-        total = lam.sum()
-        k = min(int(np.searchsorted(np.cumsum(lam), VARIANCE_KEEP * total)) + 1,
-                m - 1) if total > 0 else 0
-        while k > 0 and lam[k - 1] <= EIGENVALUE_FLOOR:
-            k -= 1
-        scaled = vec[:, :k] / np.sqrt(lam[:k])
-        components.append((xc @ scaled, scaled))
-
+    # (P, M, d): each position's centered training patches X', one per row
+    x = _patches(lr - mean_lr).swapaxes(0, 1)
+    lam, vec = np.linalg.eigh(x @ x.swapaxes(1, 2))
+    # eigh sorts ascending; the components go largest first
+    lam = np.clip(lam[:, ::-1], 0.0, None)
+    vec = vec[:, :, ::-1]
+    # K: the VARIANCE_KEEP cut, at most M - 1, and no eigenvalue at or below
+    # EIGENVALUE_FLOOR (which leaves K = 0 where the variance is 0)
+    total = lam.sum(axis=1, keepdims=True)
+    kcounts = np.minimum.reduce([
+        (np.cumsum(lam, axis=1) < VARIANCE_KEEP * total).sum(axis=1) + 1,
+        np.full(len(lam), m - 1),
+        (lam > EIGENVALUE_FLOOR).sum(axis=1)])
     # keep the arrays well-shaped even for all-degenerate models
-    p = len(components)
-    kmax = max(1, max(s.shape[1] for _, s in components))
-    basis = np.zeros((p, PATCH_SIZE * PATCH_SIZE, kmax))
-    coeffs = np.zeros((p, m, kmax))
-    kcounts = np.zeros(p, dtype=np.int64)
-    for i, (e, scaled) in enumerate(components):
-        k = kcounts[i] = scaled.shape[1]
-        basis[i, :, :k] = e
-        coeffs[i, :, :k] = scaled
+    kmax = max(1, kcounts.max())
+    kept = (np.arange(kmax) < kcounts[:, None])[:, None, :]  # (P, 1, Kmax)
+    coeffs = np.where(kept, vec[:, :, :kmax], 0.0) / np.sqrt(
+        np.where(kept, lam[:, None, :kmax], 1.0))
+    basis = x.swapaxes(1, 2) @ coeffs
 
     return EigenPatchModel(mean_lr=mean_lr, mean_hr=mean_hr, deviations=hr - mean_hr,
                            basis=basis, coeffs=coeffs, kcounts=kcounts)
@@ -160,22 +161,15 @@ def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
     if lr.shape != (lr_h, lr_w):
         raise InputError(
             f"LR dims {lr.shape[::-1]} do not match model plane ({lr_w}, {lr_h})")
-    centered = lr - model.mean_lr
     m = model.deviations.shape[0]
-    accum = np.zeros((hr_h, hr_w))
-    count = np.zeros((hr_h, hr_w))
-
-    for i, (lr_slice, hr_slice) in enumerate(_patch_slices(lr_w, lr_h, hr_w, hr_h)):
-        coeff = model.coeffs[i] @ (centered[lr_slice].ravel() @ model.basis[i])  # (M,)
-        # a C-contiguous (M, hd) operand, so that BLAS sums as it does for
-        # the per-position reference in tests/test_eigenpatch.py
-        deviations = np.ascontiguousarray(model.deviations[(..., *hr_slice)])
-        mean = model.mean_hr[hr_slice]
-        offset = coeff @ deviations.reshape(m, -1)
-        accum[hr_slice] += mean + offset.reshape(mean.shape)
-        count[hr_slice] += 1.0
-
-    return raster.clamp01(accum / count)
+    # per position, w = E'(x - mu), then c = V L^{-1/2} w: (P, M)
+    w = np.einsum("pd,pdk->pk", _patches(lr - model.mean_lr), model.basis)
+    c = np.einsum("pmk,pk->pm", model.coeffs, w)
+    r_h, r_w = _cover(lr_h, hr_h), _cover(lr_w, hr_w)
+    spread = r_h.T @ c.T.reshape(m, len(r_h), len(r_w)) @ r_w
+    offset = np.einsum("mij,mij->ij", spread, model.deviations)
+    count = np.outer(r_h.sum(axis=0), r_w.sum(axis=0))
+    return raster.clamp01(model.mean_hr + offset / count)
 
 
 # ---------------------------------------------------------------------------

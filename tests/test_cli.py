@@ -494,6 +494,21 @@ def test_misshapen_stage_meta_exit_code(own_pipeline, capsys, rel, key, value):
                                        f"{path} is missing or not a map of strings\n")
 
 
+@pytest.mark.parametrize("value", [5, [], None], ids=["number", "list", "null"])
+def test_stage_meta_extra_not_a_map_exit_code(own_pipeline, capsys, value):
+    out, cfg = own_pipeline
+    path = os.path.join(out, "prep", "stage_prep.json")
+    meta = cli._read_json(path)
+    meta["extra"] = value
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert run(["degrade", "--factor", "1/4", "--config", cfg, "--out", out]) == \
+        cli.EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == \
+        f"irissr degrade: stale prep stage: extra of {path} is not a map\n"
+
+
 def test_unknown_backend_exit_code(pipeline):
     out, cfg = pipeline
     for stage in ("sr", "quality", "match"):
@@ -855,6 +870,23 @@ def test_eval_outputs_hold_only_this_evals_rows(own_pipeline):
     assert rows[1:] and all(row.startswith("bicubic,1/4,LG,") for row in rows[1:])
     outputs = json.load(open(os.path.join(eval_dir, "stage_eval.json")))["outputs"]
     assert sorted(os.listdir(eval_dir)) == sorted([*outputs, "stage_eval.json"])
+
+
+def test_eval_skips_stray_files_under_scores(own_pipeline):
+    out, cfg = own_pipeline
+    eval_dir = os.path.join(out, "eval")
+
+    def outputs():
+        # every table; run_summary.json holds the timings of the last run
+        rels = json.load(open(os.path.join(eval_dir, "stage_eval.json")))["outputs"]
+        return {rel: open(os.path.join(eval_dir, rel), "rb").read()
+                for rel in rels if rel.endswith(".csv")}
+
+    before = outputs()
+    for rel in ("NOTES.txt", os.path.join("bicubic", "NOTES.txt")):
+        open(os.path.join(out, "scores", rel), "w").close()
+    assert run(["eval", "--config", cfg, "--out", out]) == 0
+    assert outputs() == before
 
 
 def test_quality_table_rebuilt_from_metas(own_pipeline, capsys):

@@ -47,6 +47,11 @@ def test_hr_patches_cover_plane_without_gap():
 
 # --- training -----------------------------------------------------------------
 
+def test_train_rejects_plane_narrower_than_patch():
+    with pytest.raises(InputError, match="patch size 4 exceeds plane extent 3"):
+        eigenpatch.train(small_corpus(3), 3, 3, 1.0)
+
+
 def test_train_rejects_empty_and_mismatched():
     with pytest.raises(InputError, match="empty training set"):
         eigenpatch.train([], 8, 8, 1.0)
@@ -163,7 +168,8 @@ def test_reconstruction_deterministic():
 def _per_position_reconstruct(hr_images, lr_w, lr_h, sigma, lr):
     """The per-position model of the `epm-2` format, trained and applied to
     `lr` with its arithmetic: every patch position stores its own LR and HR
-    means and the HR training patches' deviations (M, hd)."""
+    means and the HR training patches' deviations (M, hd). Returns the K
+    kept at each position and the reconstruction."""
     lr_images = [raster.degrade(im, lr_w, lr_h, sigma) for im in hr_images]
     hr_h, hr_w = hr_images[0].shape
     hp_w, hxs = eigenpatch.hr_offsets(lr_w, hr_w)
@@ -204,7 +210,7 @@ def _per_position_reconstruct(hr_images, lr_w, lr_h, sigma, lr):
         hr_patch = mean_hr + (coeffs @ (centered @ basis)) @ hr_deviations
         accum[hy:hy + hp_h, hx:hx + hp_w] += hr_patch.reshape(hp_h, hp_w)
         count[hy:hy + hp_h, hx:hx + hp_w] += 1.0
-    return raster.clamp01(accum / count)
+    return [t[4].shape[1] for t in trained], raster.clamp01(accum / count)
 
 
 @pytest.mark.parametrize("m, lr_side", [(4, 57), (6, 57), (12, 115), (18, 29), (18, 15)])
@@ -214,8 +220,11 @@ def test_reconstruct_equals_per_position_model(m, lr_side):
     # an eye outside the training set, as `sr` reads it back from its PGM
     lr = np.rint(raster.degrade(eyes[m], lr_side, lr_side, sigma) * 255) / 255
     model = eigenpatch.train(eyes[:m], lr_side, lr_side, sigma)
-    assert np.array_equal(eigenpatch.reconstruct(lr, model),
-                          _per_position_reconstruct(eyes[:m], lr_side, lr_side, sigma, lr))
+    kcounts, expected = _per_position_reconstruct(eyes[:m], lr_side, lr_side, sigma, lr)
+    assert model.kcounts.tolist() == kcounts
+    # the blend sums the overlapping patches in another order than the
+    # per-position loop, so the floats agree to rounding, not bit for bit
+    assert np.abs(eigenpatch.reconstruct(lr, model) - expected).max() <= 1e-14
 
 
 # --- persistence ----------------------------------------------------------------

@@ -161,12 +161,11 @@ def reconstruct(lr: np.ndarray, model: EigenPatchModel) -> np.ndarray:
     if lr.shape != (lr_h, lr_w):
         raise InputError(
             f"LR dims {lr.shape[::-1]} do not match model plane ({lr_w}, {lr_h})")
-    m = model.deviations.shape[0]
     # per position, w = E'(x - mu), then c = V L^{-1/2} w: (P, M)
     w = np.einsum("pd,pdk->pk", _patches(lr - model.mean_lr), model.basis)
     c = np.einsum("pmk,pk->pm", model.coeffs, w)
     r_h, r_w = _cover(lr_h, hr_h), _cover(lr_w, hr_w)
-    spread = r_h.T @ c.T.reshape(m, len(r_h), len(r_w)) @ r_w
+    spread = r_h.T @ c.T.reshape(-1, len(r_h), len(r_w)) @ r_w
     offset = np.einsum("mij,mij->ij", spread, model.deviations)
     count = np.outer(r_h.sum(axis=0), r_w.sum(axis=0))
     return raster.clamp01(model.mean_hr + offset / count)

@@ -303,6 +303,30 @@ def _read_meta(path, stage) -> dict:
     return meta
 
 
+def read_extra(meta, stage_dir, stage, key):
+    """`extra[key]` of the checked `stage` meta in `stage_dir`, for each
+    upstream field a command reads; a value that is missing or not what the
+    table below says (a bool is no number) ends the command with exit 3."""
+    kind, valid = {
+        "crop_side": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+        "lr_size": ("two ints >= 1", lambda v: type(v) is list and len(v) == 2
+                    and all(type(n) is int and n >= 1 for n in v)),
+        "sigma": ("a finite number >= 0",
+                  lambda v: type(v) in (int, float) and 0 <= v < math.inf),
+        "method": ("a string", lambda v: type(v) is str),
+        "factor": ("a string", lambda v: type(v) is str),
+        "summary_rows": ("a list of rows of six strings", lambda v: type(v) is list
+                         and all(type(row) is list and len(row) == 6
+                                 and all(type(c) is str for c in row) for row in v)),
+    }[key]
+    value = meta.get("extra", {}).get(key)
+    if not valid(value):
+        path = os.path.join(stage_dir, f"stage_{stage}.json")
+        raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: extra {key} of "
+                       f"{path} is missing or not {kind}")
+    return value
+
+
 def ensure_dir(path) -> str:
     try:
         os.makedirs(path, exist_ok=True)
@@ -361,9 +385,7 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
 
 def _write_csv(path, header, rows) -> str:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
     return path
 
 
@@ -420,10 +442,7 @@ def cmd_synth(cfg, args) -> int:
     t0 = time.perf_counter()
     out = ensure_dir(os.path.join(args.out, "synth"))
     img_dir = ensure_dir(os.path.join(out, "images"))
-    seeds = cfg["seeds"]
-    sessions = cfg["sessions"]
-    size = cfg["synth_size"]
-
+    seeds, sessions, size = cfg["seeds"], cfg["sessions"], cfg["synth_size"]
     jobs = [(seed, session) for seed in range(seeds) for session in range(sessions)]
 
     def render(job):
@@ -474,17 +493,12 @@ def cmd_prep(cfg, args) -> int:
 
     out = ensure_dir(os.path.join(args.out, "prep"))
     img_dir = ensure_dir(os.path.join(out, "images"))
-    side = cfg["crop_side"]
-    radius = cfg["target_sclera_radius"]
+    side, radius = cfg["crop_side"], cfg["target_sclera_radius"]
 
     def process(rec):
         img = raster.load_image(os.path.join(src_root, rec.image_path))
         rec.annotation.check_in_bounds(img.shape[1], img.shape[0])
-        result = dataset.preprocess(img, rec.annotation, radius, side)
-        if result is None:
-            return rec, None
-        cropped, ann = result
-        return rec, (cropped, ann)
+        return rec, dataset.preprocess(img, rec.annotation, radius, side)
 
     results = _pmap(process, records, cfg["jobs"])
     kept, discarded = [], []
@@ -542,7 +556,7 @@ def cmd_degrade(cfg, args) -> int:
         raise CliError(EXIT_CONFIG, "no target records left after the subject split")
     label = args.factor
     lr_size = cfg["factors"][label]
-    side = prep["extra"]["crop_side"]
+    side = read_extra(prep, prep_dir, "prep", "crop_side")
     sigma = float(cfg["blur_sigma"]) if cfg["blur_sigma"] is not None \
         else raster.antialias_sigma(side, side, lr_size[0], lr_size[1])
 
@@ -592,8 +606,10 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
                                "eigenpatch training needs train_subjects > 0")
             hr_images = [raster.load_image(os.path.join(prep_dir, r.image_path))
                          for r in train_recs]
-            lr_w, lr_h = degrade["extra"]["lr_size"]
-            model = eigenpatch.train(hr_images, lr_w, lr_h, degrade["extra"]["sigma"])
+            lr_stage = os.path.join(out_root, "lr", factor_slug(label))
+            lr_w, lr_h = read_extra(degrade, lr_stage, "degrade", "lr_size")
+            model = eigenpatch.train(hr_images, lr_w, lr_h,
+                                     read_extra(degrade, lr_stage, "degrade", "sigma"))
             eigenpatch.save_model(model_path, model, tag)
         print(f"sr[eigenpatch, {label}]: model {'trained' if trained else 'reused'} "
               f"-> {model_path}")
@@ -623,8 +639,8 @@ def cmd_sr(cfg, args) -> int:
     model, backend, model_trained = _resolve_method(cfg, args.out, label, degrade,
                                                     prep_dir, train_recs)
     method_name = method_dir(cfg)
-    side = prep["extra"]["crop_side"]
-    sigma = degrade["extra"]["sigma"]
+    side = read_extra(prep, prep_dir, "prep", "crop_side")
+    sigma = read_extra(degrade, lr_stage, "degrade", "sigma")
 
     out = ensure_dir(os.path.join(args.out, "sr", method_name, factor_slug(label)))
     img_dir = ensure_dir(os.path.join(out, "images"))
@@ -682,12 +698,6 @@ def _quality_stages(quality_dir) -> list:
     """The stage name of every quality meta in `quality_dir`, sorted."""
     return [os.path.basename(path)[len("stage_"):-len(".json")] for path in
             sorted(glob.glob(os.path.join(quality_dir, "stage_quality_*.json")))]
-
-
-def _write_quality_table(path, metas) -> str:
-    """The quality table: the summary rows the quality metas record, sorted."""
-    return _write_csv(path, QUALITY_HEADER, sorted(
-        row for meta in metas for row in meta.get("extra", {}).get("summary_rows", [])))
 
 
 def _reference_maps(path, tag, ref, ann):
@@ -754,16 +764,17 @@ def cmd_quality(cfg, args) -> int:
 
     # quality.csv gathers every method and factor, so it is no stage's own
     # output: each meta records its own rows, and the table is rebuilt from
-    # the metas (unchecked here; eval checks the ones it gathers)
+    # the metas (their lineage unchecked here; eval checks the ones it gathers)
     write_stage_meta(out, f"quality_{spec_method}_{factor_slug(label)}", inputs,
                      [detail_path], time.perf_counter() - t0,
                      extra={"summary_rows": summary_rows, "reference_built": built,
                             "reference_reused": len(results) - built})
     print(f"quality[{spec_method}, {label}]: reference maps of {len(results)} "
           f"images: {built} built, {len(results) - built} reused -> {ref_dir}")
-    _write_quality_table(os.path.join(out, "quality.csv"), [
-        _read_meta(os.path.join(out, f"stage_{stage}.json"), stage)
-        for stage in _quality_stages(out)])
+    _write_csv(os.path.join(out, "quality.csv"), QUALITY_HEADER, sorted(
+        row for stage in _quality_stages(out) for row in read_extra(
+            _read_meta(os.path.join(out, f"stage_{stage}.json"), stage), out, stage,
+            "summary_rows")))
     return 0
 
 
@@ -867,13 +878,10 @@ def cmd_eval(cfg, args) -> int:
     out = ensure_dir(os.path.join(args.out, "eval"))
     inputs = {}
     quality_dir = os.path.join(args.out, "quality")
-    quality_metas = []
+    quality_rows = []
     for stage in _quality_stages(quality_dir):
         meta = check_stage(args.out, quality_dir, stage, inputs)
-        if "summary_rows" not in meta.get("extra", {}):
-            raise CliError(EXIT_MISSING_INPUT,
-                           f"stale {stage} stage: no summary rows recorded")
-        quality_metas.append(meta)
+        quality_rows += read_extra(meta, quality_dir, stage, "summary_rows")
 
     # every file read below is one the checked match meta hashes; match
     # writes the labels and each score file from one pair list, so their
@@ -888,7 +896,8 @@ def cmd_eval(cfg, args) -> int:
             if not os.path.isdir(score_dir):
                 continue
             match = check_stage(args.out, score_dir, "match", inputs)
-            method, label = match["extra"]["method"], match["extra"]["factor"]
+            method = read_extra(match, score_dir, "match", "method")
+            label = read_extra(match, score_dir, "match", "factor")
             for comp in comp_names:
                 if f"{comp}.csv" not in match["outputs"]:
                     raise CliError(EXIT_MISSING_INPUT,
@@ -948,7 +957,8 @@ def cmd_eval(cfg, args) -> int:
         _write_csv(os.path.join(out, "roc.csv"),
                    ["method", "factor", "comparator", "threshold", "far", "frr"],
                    roc_rows),
-        _write_quality_table(os.path.join(out, "quality.csv"), quality_metas),
+        _write_csv(os.path.join(out, "quality.csv"), QUALITY_HEADER,
+                   sorted(quality_rows)),
     ]
     outputs.append(os.path.join(out, "run_summary.json"))
     with open(outputs[-1], "w") as fh:
@@ -1036,15 +1046,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "prep": cmd_prep,
-    "degrade": cmd_degrade,
-    "sr": cmd_sr,
-    "quality": cmd_quality,
-    "match": cmd_match,
-    "eval": cmd_eval,
-}
+COMMANDS = {"synth": cmd_synth, "prep": cmd_prep, "degrade": cmd_degrade,
+            "sr": cmd_sr, "quality": cmd_quality, "match": cmd_match,
+            "eval": cmd_eval}
 
 
 # Every module raises one of two errors: InputError (exit 2) or BackendError

@@ -12,13 +12,14 @@ would alter the recurrence.
 
 Every operator is linear and separable per axis, so each is a pair of small
 matrices from raster.axis_operator: D (LR x HR), B (LR x LR) and U (HR x LR)
-per axis, built once per call. The residual r_T = degrade(y_T) - x then
-obeys its own LR recurrence,
-    s_T = Bh r_T Bw',   r_{T+1} = r_T - tau * (Dh Uh) s_T (Dw Uw)',
-and the estimate is y_T = y_0 - tau * Uh (s_0 + ... + s_{T-1}) Uw'. The loop
-adds each step s_T into an LR-sized sum, and the HR estimate is formed once,
-after the loop, with one product. The first residual comes from
-raster.degrade_linear, so a fixed point gives a zero step exactly.
+per axis, built once per call. The smoothed residual
+s_T = Bh (degrade(y_T) - x) Bw' obeys its own LR recurrence
+    s_{T+1} = s_T - tau * Gh s_T Gw',   G = B (D U)   (LR x LR),
+so the loop carries that one state and makes two LR products per iteration.
+It adds each s_T into an LR-sized sum, and the estimate
+    y_T = y_0 - tau * Uh (s_0 + ... + s_{T-1}) Uw'
+is formed once, after the loop. s_0 comes from raster.degrade_linear, so a
+fixed point gives a zero step exactly.
 
 The stop test, delta_T = tau * mean|H_T| with H_T = Uh s_T Uw' (N = HR
 pixels), is the only HR-sized job, and most iterations certify it is not
@@ -84,24 +85,20 @@ def reproject(y0: np.ndarray, x: np.ndarray, sigma: float, tau: float = DEFAULT_
         # mean and stall the correction.
         up = raster.axis_operator(lr_n, hr_n)
         blur = raster.axis_operator(lr_n, lr_n, sigma * (lr_n / hr_n))
-        return blur, up, raster.axis_operator(hr_n, lr_n, sigma) @ up
+        return blur, up, blur @ (raster.axis_operator(hr_n, lr_n, sigma) @ up)
 
-    blur_h, up_h, down_up_h = axis_matrices(hr_h, lr_h)
-    blur_w, up_w, down_up_w = axis_matrices(hr_w, lr_w)
+    blur_h, up_h, residual_h = axis_matrices(hr_h, lr_h)
+    blur_w, up_w, residual_w = axis_matrices(hr_w, lr_w)
 
-    residual = raster.degrade_linear(y0, lr_w, lr_h, sigma) - x
-    total = np.zeros_like(residual)
+    smoothed = blur_h @ (raster.degrade_linear(y0, lr_w, lr_h, sigma) - x) @ blur_w.T
+    total = np.zeros_like(smoothed)
     # the certified bound of the module docstring
     weight_h = np.abs(up_h).sum(axis=0)
     weight_w = np.abs(up_w).sum(axis=0)
     slack = (lr_h * lr_w + hr_h + hr_w + lr_h + lr_w + 1) * np.finfo(np.float64).eps
     bound = tol * (1 + 1e-9) * hr_h * hr_w
-    corr = None
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        iterations += 1
-        smoothed = blur_h @ residual @ blur_w.T
+    corr, converged = None, False
+    for iterations in range(1, max_iter + 1):
         total += smoothed
         # a NaN bound certifies nothing and falls through to the exact test
         certain = corr is not None and tau * (
@@ -119,6 +116,5 @@ def reproject(y0: np.ndarray, x: np.ndarray, sigma: float, tau: float = DEFAULT_
                 break
             if trace is None:
                 corr = up_h.T @ np.sign(step) @ up_w
-        residual = residual - tau * (down_up_h @ smoothed @ down_up_w.T)
-    y = y0 - tau * (up_h @ (total @ up_w.T))
-    return raster.clamp01(y), iterations, converged
+        smoothed = smoothed - tau * (residual_h @ smoothed @ residual_w.T)
+    return raster.clamp01(y0 - tau * (up_h @ (total @ up_w.T))), iterations, converged

@@ -509,6 +509,62 @@ def test_stage_meta_extra_not_a_map_exit_code(own_pipeline, capsys, value):
         f"irissr degrade: stale prep stage: extra of {path} is not a map\n"
 
 
+@pytest.mark.parametrize("rel, key, value, argv, kind", [
+    ("prep/stage_prep.json", "crop_side", KeyError, ["degrade"], "an int >= 1"),
+    ("prep/stage_prep.json", "crop_side", True, ["degrade"], "an int >= 1"),
+    ("lr/1_4/stage_degrade.json", "sigma", KeyError, ["sr", "--method", "bicubic"],
+     "a finite number >= 0"),
+    ("lr/1_4/stage_degrade.json", "sigma", "1.0", ["sr", "--method", "bicubic"],
+     "a finite number >= 0"),
+    ("lr/1_4/stage_degrade.json", "lr_size", [57], ["sr", "--method", "eigenpatch"],
+     "two ints >= 1"),
+    ("scores/bicubic/1_4/stage_match.json", "method", KeyError, ["eval"], "a string"),
+    ("scores/bicubic/1_4/stage_match.json", "factor", 5, ["eval"], "a string"),
+    ("quality/stage_quality_bicubic_1_4.json", "summary_rows", 5, ["eval"],
+     "a list of rows of six strings"),
+    ("quality/stage_quality_bicubic_1_4.json", "summary_rows",
+     [["bicubic", "1/4", "full"]], ["eval"], "a list of rows of six strings"),
+], ids=["crop_side-missing", "crop_side-bool", "sigma-missing", "sigma-string",
+        "lr_size-one-int", "method-missing", "factor-number", "summary_rows-number",
+        "summary_rows-short-row"])
+def test_bad_upstream_extra_field_exit_code(own_pipeline, capsys, rel, key, value,
+                                            argv, kind):
+    # each field a command reads from an upstream meta's `extra` (KeyError:
+    # the field is deleted)
+    out, cfg = own_pipeline
+    path = os.path.join(out, *rel.split("/"))
+    meta = cli._read_json(path)
+    if value is KeyError:
+        del meta["extra"][key]
+    else:
+        meta["extra"][key] = value
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+    if argv[0] != "eval":
+        argv = [*argv, "--factor", "1/4"]
+    stage = os.path.basename(path)[len("stage_"):-len(".json")]
+    capsys.readouterr()
+    assert run([*argv, "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == (f"irissr {argv[0]}: stale {stage} stage: extra "
+                                       f"{key} of {path} is missing or not {kind}\n")
+
+
+def test_quality_table_rejects_misshapen_rows_of_another_set(own_pipeline, capsys):
+    # `quality` rebuilds quality.csv from every quality meta, not only its own
+    out, cfg = own_pipeline
+    meta = cli._read_json(os.path.join(out, "quality", "stage_quality_bicubic_1_4.json"))
+    meta["extra"]["summary_rows"] = 5
+    path = os.path.join(out, "quality", "stage_quality_bilinear_1_4.json")
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert run(["quality", "--factor", "1/4", "--method", "bicubic", "--config", cfg,
+                "--out", out]) == cli.EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == (
+        f"irissr quality: stale quality_bilinear_1_4 stage: extra summary_rows of {path} "
+        f"is missing or not a list of rows of six strings\n")
+
+
 def test_unknown_backend_exit_code(pipeline):
     out, cfg = pipeline
     for stage in ("sr", "quality", "match"):

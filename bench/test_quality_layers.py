@@ -7,8 +7,12 @@ one).
     PYTHONPATH=src python -m pytest bench/test_quality_layers.py --benchmark-enable --benchmark-only
 
 The default test run collects it with `--benchmark-disable`: each
-benchmarked call runs once, untimed.
+benchmarked call runs once, untimed. The phase congruency benchmark also
+records one call's traced peak allocation, in MiB, as `traced_peak_mib` in
+its `extra_info`.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +41,14 @@ def test_ssim(benchmark, pair):
 
 
 def test_phase_congruency(benchmark, pair):
+    # the working set of one call, traced outside the timed rounds
+    tracemalloc.start()
+    try:
+        quality.phase_congruency(pair[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["traced_peak_mib"] = round(peak / 2**20, 3)
     pc = benchmark(quality.phase_congruency, pair[0])
     assert pc.shape == pair[0].shape and np.isfinite(pc).all()
 

@@ -49,7 +49,6 @@ import os
 import shlex
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 # read once, when numpy loads: extra BLAS threads busy-wait on the cores that
 # --jobs workers use, and their split moves last bits with the core count
@@ -418,6 +417,8 @@ def _pmap(fn, items, jobs: int, processes: bool = False):
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         pool = ThreadPoolExecutor(max_workers=workers)
     with pool as ex:
         return list(ex.map(fn, items))

@@ -150,7 +150,9 @@ def eer(genuine, impostor, polarity: str = "genuine_high"):
 
     gen_sorted = np.sort(gen)
     imp_sorted = np.sort(imp)
-    thresholds = np.unique(np.concatenate([gen_sorted, imp_sorted]))
+    # np.unique, without its numpy.ma import: one NaN at most, sorted last
+    scores = np.sort(np.concatenate([gen_sorted, imp_sorted]))
+    thresholds = scores[np.r_[True, (scores[1:] != scores[:-1]) & ~np.isnan(scores[:-1])]]
     far = 1.0 - np.searchsorted(imp_sorted, thresholds, side="left") / imp.size
     frr = np.searchsorted(gen_sorted, thresholds, side="left") / gen.size
     # sentinel above every score: FAR 0, FRR 1 guarantees a sign change

@@ -12,10 +12,13 @@ a log-Gabor filter bank (4 scales x 4 orientations) following the standard
 construction used by the index's reference implementation, with the gradient
 step on a Scharr 3x3 operator and constants rescaled for unit peak. The
 parameters are fixed as module constants: SSIM_* for SSIM, PC_* for the bank
-and the noise model, FSIM_* for the pooling. The bank is built once per image
-shape and cached read-only; the scales of one orientation go through one
-batched inverse FFT, in place in a buffer reused across orientations, and the
-local energy is taken in complex form.
+and the noise model, FSIM_* for the pooling. The bank is cached read-only per
+image shape as its two factors, 8 image planes of radial filters and angular
+spreads; each filter is their product, formed in a reused plane. A phase
+congruency call allocates its buffers once (the spectrum, the complex batch of
+scales the inverse FFT runs on in place, the normalised sum, five real planes:
+18 image planes at the peak, with the noise median's copy) and runs each later
+step in them in place, equal bit for bit to the plain expressions.
 
 The reference side of a report (`reference_maps`: phase congruency and
 gradient of the reference, its unwrapped iris and that strip's maps) depends
@@ -115,9 +118,10 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
-def _filter_bank(rows: int, cols: int) -> np.ndarray:
-    """Read-only (PC_NORIENT, PC_NSCALE, rows, cols) bank of log-Gabor radial
-    filters times angular spreads, in FFT frequency layout."""
+def _filter_bank(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only factors of the log-Gabor bank in FFT frequency layout: the
+    (PC_NSCALE, rows, cols) radial filters and (PC_NORIENT, rows, cols)
+    angular spreads, whose products radial[s] * spread[o] are its filters."""
     fx = np.fft.fftfreq(cols)
     fy = np.fft.fftfreq(rows)
     u, v = np.meshgrid(fx, fy)
@@ -131,21 +135,21 @@ def _filter_bank(rows: int, cols: int) -> np.ndarray:
     lowpass = 1.0 / (1.0 + (radius / 0.45) ** 30)
 
     theta_sigma = math.pi / PC_NORIENT / PC_DTHETA_ON_SIGMA
-    bank = np.empty((PC_NORIENT, PC_NSCALE, rows, cols))
+    radial = np.empty((PC_NSCALE, rows, cols))
     for s in range(PC_NSCALE):
         f0 = 1.0 / (PC_MIN_WAVELENGTH * PC_MULT**s)
-        lg = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * math.log(PC_SIGMA_ONF) ** 2))
-        lg *= lowpass
-        lg[0, 0] = 0.0
-        bank[:, s] = lg
+        radial[s] = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * math.log(PC_SIGMA_ONF) ** 2))
+    radial *= lowpass
+    radial[:, 0, 0] = 0.0
+    spread = np.empty((PC_NORIENT, rows, cols))
     for o in range(PC_NORIENT):
         angl = o * math.pi / PC_NORIENT
         ds = sintheta * math.cos(angl) - costheta * math.sin(angl)
         dc = costheta * math.cos(angl) + sintheta * math.sin(angl)
         dtheta = np.abs(np.arctan2(ds, dc))
-        bank[o] *= np.exp(-(dtheta**2) / (2.0 * theta_sigma**2))
-    bank.flags.writeable = False
-    return bank
+        spread[o] = np.exp(-(dtheta**2) / (2.0 * theta_sigma**2))
+    radial.flags.writeable = spread.flags.writeable = False
+    return radial, spread
 
 
 def _median(values: np.ndarray) -> float:
@@ -163,47 +167,60 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
 
     Log-Gabor bank over PC_NSCALE scales and PC_NORIENT orientations with
     median-based noise compensation and a sigmoidal frequency-spread weight.
-    The scales of one orientation go through one inverse FFT, in a buffer
-    reused from orientation to orientation.
     """
     img = np.asarray(img, dtype=np.float64)
     rows, cols = img.shape
+    radial, spread = _filter_bank(rows, cols)
     im_fft = np.fft.fft2(img)
-    bank = _filter_bank(rows, cols)
     nscale, mult, epsilon = PC_NSCALE, PC_MULT, PC_EPSILON
 
     eo = np.empty((nscale, rows, cols), dtype=np.complex128)
-    an = np.empty((nscale, rows, cols))
+    m = np.empty((rows, cols), dtype=np.complex128)
+    plane, sum_an, max_an, energy = (np.empty((rows, cols)) for _ in range(4))
     pc_sum = np.zeros((rows, cols))
     for o in range(PC_NORIENT):
-        np.multiply(im_fft, bank[o], out=eo)
+        for s in range(nscale):
+            np.multiply(radial[s], spread[o], out=plane)
+            np.multiply(im_fft, plane, out=eo[s])
         # the 2-D inverse FFT as two 1-D passes in place: np.fft.ifft2 would
         # allocate a new batch and take twice as long
         np.fft.ifft(eo, axis=-1, out=eo)
         np.fft.ifft(eo, axis=-2, out=eo)
-        np.abs(eo, out=an)
-        sum_an = an.sum(axis=0)
-        max_an = an.max(axis=0)
-        tau = _median(an[0].ravel()) / math.sqrt(math.log(4.0))
+        np.abs(eo[0], out=sum_an)
+        max_an[...] = sum_an
+        tau = _median(sum_an.ravel()) / math.sqrt(math.log(4.0))
+        for s in range(1, nscale):
+            np.abs(eo[s], out=plane)
+            sum_an += plane
+            np.maximum(max_an, plane, out=max_an)
 
-        # energy along the mean phase direction m of the summed response:
-        # sum over scales of Re(conj(eo) m) - |Im(conj(eo) m)|
-        sum_eo = eo.sum(axis=0)
-        sum_eo /= np.abs(sum_eo) + epsilon
+        # energy along the mean phase direction m of the summed response: sum
+        # over scales of Re(conj(eo) m) - |Im(conj(eo) m)|, |Im| in spent Re
+        eo.sum(axis=0, out=m)
+        m /= np.add(np.abs(m, out=plane), epsilon, out=plane)
         np.conjugate(eo, out=eo)
-        eo *= sum_eo
-        energy = eo.real.sum(axis=0)
-        np.abs(eo.imag, out=an)
-        energy -= an.sum(axis=0)
+        eo *= m
+        eo.real.sum(axis=0, out=energy)
+        np.abs(eo.imag, out=eo.real)
+        energy -= eo.real.sum(axis=0, out=plane)
 
         total_tau = tau * (1.0 - (1.0 / mult) ** nscale) / (1.0 - 1.0 / mult)
         noise_mean = total_tau * math.sqrt(math.pi / 2.0)
         noise_sigma = total_tau * math.sqrt((4.0 - math.pi) / 2.0)
-        energy = np.maximum(energy - (noise_mean + PC_K_NOISE * noise_sigma), 0.0)
+        energy -= noise_mean + PC_K_NOISE * noise_sigma
+        np.maximum(energy, 0.0, out=energy)
 
-        width = (sum_an / (max_an + epsilon) - 1.0) / (nscale - 1)
-        weight = 1.0 / (1.0 + np.exp(PC_G * (PC_CUTOFF - width)))
-        pc_sum += weight * energy / (sum_an + epsilon)
+        # weight = 1 / (1 + exp(g (cutoff - width))), in max_an's plane
+        width = np.divide(sum_an, np.add(max_an, epsilon, out=max_an), out=max_an)
+        width -= 1.0
+        width /= nscale - 1
+        weight = np.subtract(PC_CUTOFF, width, out=width)
+        weight *= PC_G
+        np.exp(weight, out=weight)
+        weight += 1.0
+        energy *= np.divide(1.0, weight, out=weight)
+        energy /= np.add(sum_an, epsilon, out=sum_an)
+        pc_sum += energy
 
     return pc_sum
 

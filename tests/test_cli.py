@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib
 import json
@@ -857,7 +858,8 @@ def test_match_scores_in_the_stage_process(own_pipeline, monkeypatch):
     def no_threads(*args, **kwargs):
         raise AssertionError("match started a thread pool")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_threads)
+    # _pmap imports the executor from the package when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
     assert run(["match", "--config", cfg, "--out", out, "--factor", "1/4",
                 "--method", "bicubic", "--jobs", "2"]) == 0
     assert scores() == before

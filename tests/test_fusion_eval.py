@@ -139,6 +139,21 @@ def test_eer_polarity_negation_identity():
     assert low_rate == neg_rate
 
 
+def test_eer_thresholds_equal_numpy_unique():
+    # ties, both signed zeros and NaNs: the sweep keeps np.unique's values,
+    # down to the sign of the zero kept and a single NaN
+    rng = np.random.default_rng(5)
+    values = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, np.nan, -np.nan])
+    for _ in range(50):
+        gen = rng.choice(values, size=int(rng.integers(1, 12)))
+        imp = rng.choice(values, size=int(rng.integers(1, 12)))
+        for polarity in ("genuine_high", "genuine_low"):
+            _, roc = fe.eer(gen, imp, polarity)
+            sign = -1.0 if polarity == "genuine_low" else 1.0
+            want = np.unique(np.concatenate([np.sort(sign * gen), np.sort(sign * imp)]))
+            assert roc.thresholds[:-1].tobytes() == want.tobytes()
+
+
 def test_eer_empty_class_rejected():
     with pytest.raises(InputError, match="both genuine and impostor scores are required"):
         fe.eer([], [0.1])

@@ -1,6 +1,7 @@
 """Start-up cost: the stage commands run without scipy, the reference backend
 runs without numpy, importing the command line, running a backend, or
 running `quality` or an eigen-patch `sr` loads only the modules it uses,
+a `--jobs 1` command loads no pool modules, `eval` loads no `numpy.ma`,
 and the command line runs BLAS on one thread unless its caller says
 otherwise. The reference backend's output is checked against numpy's
 nearest-neighbour doubling."""
@@ -75,7 +76,7 @@ def small_run(tmp_path):
     """The common flags of a small run at 1/16 that has run up to a bicubic
     `sr`, built in this process."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"factors": {"1/16": [15, 15]}, "seeds": 2,
+    cfg.write_text(json.dumps({"factors": {"1/16": [15, 15]}, "seeds": 3,
                                "sessions": 2, "train_subjects": 1}))
     base = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "1"]
     for argv in (["synth"], ["prep"], ["degrade", "--factor", "1/16"],
@@ -94,17 +95,23 @@ def command_modules(argv):
 
 
 def test_jobs_1_loads_no_process_pool(tmp_path):
-    # only `match` at --jobs > 1 forks workers; importing the command line or
-    # a --jobs 1 match pays nothing for the pool's modules
+    # only --jobs > 1 starts a pool, and only `match` forks workers: importing
+    # the command line or a --jobs 1 command pays nothing for the pools'
+    # modules, nor for the logging that concurrent.futures imports
     def pool_modules(names):
-        return {n for n in names if n.split(".")[0] == "multiprocessing"
-                or n == "concurrent.futures.process"}
+        return {n for n in names if n.split(".")[0] in
+                ("multiprocessing", "concurrent", "logging")}
 
     assert not pool_modules(loaded_modules("import irissr.cli"))
     base = small_run(tmp_path)
     names = command_modules(["match", "--factor", "1/16", "--method", "bicubic", *base])
     assert "irissr.siftmatch" in names
     assert not pool_modules(names)
+    # eval's thresholds do not go through np.unique, which imports numpy.ma
+    names = command_modules(["eval", *base])
+    assert "irissr.fusion_eval" in names
+    assert not pool_modules(names)
+    assert not [n for n in names if n == "numpy.ma" or n.startswith("numpy.ma.")]
 
 
 def test_store_commands_load_only_their_modules(tmp_path):

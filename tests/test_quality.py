@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,15 +348,40 @@ def test_filter_bank_cached_read_only():
     strip = np.random.default_rng(13).uniform(size=(20, 240))
     first = quality.phase_congruency(img)
     bank = quality._filter_bank(231, 231)
-    assert bank.shape == (4, 4, 231, 231)
-    assert not bank.flags.writeable
-    with pytest.raises(ValueError):
-        bank[0, 0, 0, 1] = 0.0
+    radial, spread = bank
+    assert radial.shape == (quality.PC_NSCALE, 231, 231)
+    assert spread.shape == (quality.PC_NORIENT, 231, 231)
+    for factor in bank:
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0, 1] = 0.0
     # a second shape gets its own bank and leaves the first one's results alone
     quality.phase_congruency(strip)
     assert quality._filter_bank.cache_info().currsize == 2
     assert np.array_equal(quality.phase_congruency(img), first)
     assert quality._filter_bank(231, 231) is bank
+
+
+def test_filter_bank_holds_eight_planes():
+    # the scale and orientation factors, not their 16 products
+    plane = 231 * 231 * 8
+    assert sum(factor.nbytes for factor in quality._filter_bank(231, 231)) == 8 * plane
+
+
+def test_phase_congruency_working_set():
+    # one 231^2 call with its bank built allocates about 18 image planes: the
+    # spectrum, the complex four-scale batch, the normalised sum, four real
+    # planes, the map and the noise median's copy
+    img = dataset.synth_iris(0, 231)[0]
+    quality.phase_congruency(img)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        quality.phase_congruency(img)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.0 * img.nbytes
 
 
 # --- region reports -----------------------------------------------------------

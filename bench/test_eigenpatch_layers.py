@@ -2,11 +2,12 @@
 `exchange` workload: `eigenpatch.train` on four 231x231 synthetic eyes at
 1/4 (57x57 LR, 784 patch positions), `eigenpatch.reconstruct` of one 57x57
 image with that model, and `eigenpatch.save_model` followed by
-`eigenpatch.load_model` of it under one tag. The save-and-load bench
-records the model file's size in bytes as `model_bytes` in its
-`extra_info`. The `_1_2` cases train on eighteen eyes at 1/2 (115x115 LR,
-3249 patch positions), the factor with the most positions per image, and
-reconstruct one 115x115 image with that model.
+`eigenpatch.load_model` of it under one tag: the library's way to persist a
+model, as the command line trains one in memory and stores none. The
+save-and-load bench records the model file's size in bytes as `model_bytes`
+in its `extra_info`. The `_1_2` cases train on eighteen eyes at 1/2
+(115x115 LR, 3249 patch positions), the factor with the most positions per
+image, and reconstruct one 115x115 image with that model.
 
     PYTHONPATH=src python -m pytest bench/test_eigenpatch_layers.py --benchmark-enable --benchmark-only
 

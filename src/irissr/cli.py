@@ -11,14 +11,14 @@ from the summary rows of the quality metas, and `eval` reads only the score
 files a checked match meta hashes and writes every table in `eval/` from
 this run's checked records.
 
-`sr` stores each factor's eigen-patch model in `models/`, and `quality`
-each prep image's reference maps (`quality.reference_maps`) in
-`quality/reference/`, as every (method, factor) set is scored against the
-same prep images. Neither store is a stage's output: each file is a tagged
+`quality` stores each prep image's reference maps (`quality.reference_maps`)
+in `quality/reference/`, as every (method, factor) set is scored against the
+same prep images. The store is not a stage's output: each file is a tagged
 `.npz` (`raster.save_npz`) whose `store_tag` digests the whole package's
-source and holds the fingerprint of its upstream stage (`degrade`, `prep`),
-so an edit to any package module or a rerun of that stage rebuilds it, and
-a file that cannot be read back intact exits 3.
+source and holds the fingerprint of the `prep` stage, so an edit to any
+package module or a rerun of `prep` rebuilds it, and a file that cannot be
+read back intact exits 3. `sr` keeps no eigen-patch model: each eigen-patch
+command trains one in memory, a few milliseconds more than reading it back.
 
 Each config key is read by one stage; later stages read what upstream stages
 recorded. Every command checks the whole configuration before it does any
@@ -77,7 +77,6 @@ DEFAULT_CONFIG = {
     "blur_sigma": None,  # null -> 0.5 * reduction factor per axis maximum
     "method": "bicubic",
     "backends": {},      # name -> {"command": ..., optional "exchange_dir", "timeout"}
-    "model_dir": None,   # defaults to <out>/models
     "reproject": False,
     "tau": reproject_mod.DEFAULT_TAU,
     "reproject_tol": reproject_mod.DEFAULT_TOL,
@@ -161,6 +160,9 @@ def validate_config(cfg: dict) -> None:
         # an int above the float range turns into inf as a float
         if not val <= sys.float_info.max:
             raise CliError(EXIT_CONFIG, f"{key} must be finite")
+    for key in ("reproject", "fusion_split"):
+        if not isinstance(cfg[key], bool):
+            raise CliError(EXIT_CONFIG, f"{key} must be true or false")
     if not isinstance(cfg["factors"], dict):
         raise CliError(EXIT_CONFIG, "factors must map each label to a [w, h] size")
     seen_sizes, seen_slugs = set(), set()
@@ -236,21 +238,20 @@ def _is_path_component(name: str) -> bool:
 
 # stage meta `extra` keys that say how a run went, not what it made
 RUN_FACTS = ("extract_s", "extract_workers", "backend_call_s",
-             "reference_built", "reference_reused", "model_trained")
+             "reference_built", "reference_reused")
 
 
 def fingerprint(obj: dict) -> str:
     """SHA-256 of the sort_keys JSON of a config or a stage meta, leaving out
-    a meta's timings, worker count, reference-map counts and whether `sr`
-    trained its model, so that identical reruns match at any `--jobs` and
-    over a cold or warm store."""
+    a meta's timings, worker count and reference-map counts, so that
+    identical reruns match at any `--jobs` and over a cold or warm store."""
     body = {k: v for k, v in obj.items() if k != "elapsed_seconds"}
     if "extra" in body:
         body["extra"] = {k: v for k, v in body["extra"].items() if k not in RUN_FACTS}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-# the package source every store's tag digests
+# the package source a store's tag digests
 SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -582,46 +583,32 @@ def cmd_degrade(cfg, args) -> int:
 
 
 def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
-    """(model, backend, trained): the model and backend the validated method
-    needs, each None when it needs none, and whether this call trained and
-    saved the model. The model is an eigen-patch model, retrained when its
-    `store_tag` changes; a stored one that cannot be read back ends the
-    command with exit 3. The backend is a config entry with its exchange
-    directory resolved and checked writable."""
+    """(model, backend): the model and backend the validated method needs,
+    each None when it needs none. The model is an eigen-patch model trained
+    in memory on `train_recs` at the `degrade` record's LR size and blur. The
+    backend is a config entry with its exchange directory resolved and
+    checked writable."""
     from . import eigenpatch, raster, sr
 
     method = cfg["method"]
     if method == "eigenpatch":
-        model_dir = cfg["model_dir"] or os.path.join(out_root, "models")
-        ensure_dir(model_dir)
-        model_path = os.path.join(model_dir, f"eigenpatch_{factor_slug(label)}.npz")
-        tag = store_tag(fingerprint(degrade))
-        try:
-            model = eigenpatch.load_model(model_path, tag)
-        except InputError as exc:
-            raise CliError(EXIT_MISSING_INPUT, f"stale eigenpatch model: {exc}")
-        trained = model is None
-        if trained:
-            if not train_recs:
-                raise CliError(EXIT_CONFIG,
-                               "eigenpatch training needs train_subjects > 0")
-            hr_images = [raster.load_image(os.path.join(prep_dir, r.image_path))
-                         for r in train_recs]
-            lr_stage = os.path.join(out_root, "lr", factor_slug(label))
-            lr_w, lr_h = read_extra(degrade, lr_stage, "degrade", "lr_size")
-            model = eigenpatch.train(hr_images, lr_w, lr_h,
-                                     read_extra(degrade, lr_stage, "degrade", "sigma"))
-            eigenpatch.save_model(model_path, model, tag)
-        print(f"sr[eigenpatch, {label}]: model {'trained' if trained else 'reused'} "
-              f"-> {model_path}")
-        return model, None, trained
+        if not train_recs:
+            raise CliError(EXIT_CONFIG,
+                           "eigenpatch training needs train_subjects > 0")
+        hr_images = [raster.load_image(os.path.join(prep_dir, r.image_path))
+                     for r in train_recs]
+        lr_stage = os.path.join(out_root, "lr", factor_slug(label))
+        lr_w, lr_h = read_extra(degrade, lr_stage, "degrade", "lr_size")
+        model = eigenpatch.train(hr_images, lr_w, lr_h,
+                                 read_extra(degrade, lr_stage, "degrade", "sigma"))
+        return model, None
     if not method.startswith("backend:"):
-        return None, None, False
+        return None, None
     name = method.split(":", 1)[1]
     entry = cfg["backends"][name]
     exchange = entry.get("exchange_dir") or os.environ.get(sr.EXCHANGE_ENV) \
         or os.path.join(out_root, "exchange", name)
-    return None, {**entry, "exchange_dir": ensure_dir(exchange)}, False
+    return None, {**entry, "exchange_dir": ensure_dir(exchange)}
 
 
 def cmd_sr(cfg, args) -> int:
@@ -637,8 +624,8 @@ def cmd_sr(cfg, args) -> int:
     targets = {r.image_path for r in records}
     train_recs = [r for r in prep_records if r.image_path not in targets]
 
-    model, backend, model_trained = _resolve_method(cfg, args.out, label, degrade,
-                                                    prep_dir, train_recs)
+    model, backend = _resolve_method(cfg, args.out, label, degrade, prep_dir,
+                                     train_recs)
     method_name = method_dir(cfg)
     side = read_extra(prep, prep_dir, "prep", "crop_side")
     sigma = read_extra(degrade, lr_stage, "degrade", "sigma")
@@ -667,8 +654,6 @@ def cmd_sr(cfg, args) -> int:
              "reproject_iterations": [i for _, _, i, _, _ in results],
              "tau": cfg["tau"], "tol": cfg["reproject_tol"]}
     line = f"sr[{method_name}, {label}]: {len(results)} images -> {out}"
-    if model is not None:
-        extra["model_trained"] = model_trained
     if backend is not None:
         extra["backend_call_s"] = {name: [round(sec, 4) for sec in call_s]
                                    for name, _, _, _, call_s in results}

@@ -22,9 +22,11 @@ per pixel is one separable product, eta + sum_m (R_h' C_m R_w) o (H_m - eta)
 per-axis 0/1 matrices (one row per grid offset, covering its HR span) and
 count the outer product of their column sums.
 
-`save_model` and `load_model` keep the six arrays in one tagged `.npz`
-(`raster.save_npz`, `raster.load_npz`). The caller's tag is the model's
-whole lineage: a file under another tag reads back as no model.
+The command line keeps no model: each eigen-patch `sr` command trains one in
+memory. `save_model` and `load_model` let a library caller keep the six
+arrays in one tagged `.npz` (`raster.save_npz`, `raster.load_npz`). The
+caller's tag is the model's whole lineage: a file under another tag reads
+back as no model.
 """
 
 import math

@@ -30,6 +30,7 @@ the package, so an edit to any of them rebuilds the maps.
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,11 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
 # phase congruency (log-Gabor bank) and FSIM
 # ---------------------------------------------------------------------------
 
+# held while the bank of a shape is looked up, so that threads mapping one
+# new shape build it once (an lru_cache lets each build its own copy)
+_FILTER_BANK_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=4)
 def _filter_bank(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only factors of the log-Gabor bank in FFT frequency layout: the
@@ -170,7 +176,8 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
     """
     img = np.asarray(img, dtype=np.float64)
     rows, cols = img.shape
-    radial, spread = _filter_bank(rows, cols)
+    with _FILTER_BANK_LOCK:
+        radial, spread = _filter_bank(rows, cols)
     im_fft = np.fft.fft2(img)
     nscale, mult, epsilon = PC_NSCALE, PC_MULT, PC_EPSILON
 

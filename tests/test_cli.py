@@ -151,51 +151,57 @@ def test_backend_call_times_left_out_of_lineage(own_pipeline):
     assert cli.fingerprint(metas[0]) == cli.fingerprint(metas[1])
 
 
-def test_eigenpatch_method_trains_and_caches(own_pipeline, tmp_path):
-    out, cfg = own_pipeline
-    base = ["--config", cfg, "--out", out]
-    sr_argv = ["sr", *base, "--factor", "1/4", "--method", "eigenpatch"]
-    assert run(sr_argv) == 0
-    model_path = os.path.join(out, "models", "eigenpatch_1_4.npz")
-    assert os.path.exists(model_path)
-    mtime = os.path.getmtime(model_path)
-    # second run reuses the cached model
-    assert run(sr_argv) == 0
-    assert os.path.getmtime(model_path) == mtime
-    # a degrade rerun with another blur makes the cached model stale
-    sharp = write_config(tmp_path / "sharp.json", blur_sigma=1.0)
-    assert run(["degrade", "--config", sharp, "--out", out, "--factor", "1/4"]) == 0
-    assert run(sr_argv) == 0
-    assert sr_meta(out)["extra"]["model_trained"] is True
-    mtime = os.path.getmtime(model_path)
-    assert run(sr_argv) == 0
-    assert os.path.getmtime(model_path) == mtime
+def sr_images(out, method="eigenpatch"):
+    """The bytes of each image of the 1/4 SR set of `method`, by name."""
+    img_dir = os.path.join(out, "sr", method, "1_4", "images")
+    return {name: open(os.path.join(img_dir, name), "rb").read()
+            for name in os.listdir(img_dir)}
 
 
 def sr_meta(out, method="eigenpatch"):
     return cli._read_json(os.path.join(out, "sr", method, "1_4", "stage_sr.json"))
 
 
-def test_sr_records_whether_it_trained_the_model(own_pipeline, capsys):
+def test_eigenpatch_sr_trains_in_memory(own_pipeline):
     out, cfg = own_pipeline
     sr_argv = ["sr", "--config", cfg, "--out", out, "--factor", "1/4",
                "--method", "eigenpatch"]
-    model_path = os.path.join(out, "models", "eigenpatch_1_4.npz")
-    metas = []
-    for trained, word in ((True, "trained"), (False, "reused")):
-        capsys.readouterr()
+    runs = []
+    for _ in range(2):
         assert run(sr_argv) == 0
-        metas.append(sr_meta(out))
-        assert metas[-1]["extra"]["model_trained"] is trained
-        assert f"sr[eigenpatch, 1/4]: model {word} -> {model_path}\n" in \
-            capsys.readouterr().out
-    assert cli.fingerprint(metas[0]) == cli.fingerprint(metas[1])
+        runs.append((sr_images(out), cli.fingerprint(sr_meta(out))))
+    assert runs[0][0] and runs[0] == runs[1]
+    assert not os.path.exists(os.path.join(out, "models"))
 
 
-def model_tag(out):
-    """The tag `sr` stores the 1/4 eigen-patch model of `out` under."""
-    degrade = cli._read_json(os.path.join(out, "lr", "1_4", "stage_degrade.json"))
-    return cli.store_tag(cli.fingerprint(degrade))
+def test_degrade_rerun_retrains_eigenpatch_model(own_pipeline, tmp_path):
+    out, cfg = own_pipeline
+    lr_dir = os.path.join(out, "lr", "1_4")
+    degrade = cli._read_json(os.path.join(lr_dir, "stage_degrade.json"))
+    old_sigma = degrade["extra"]["sigma"]
+    sr_argv = ["sr", "--out", out, "--factor", "1/4", "--method", "eigenpatch"]
+    quality_argv = ["quality", "--out", out, "--factor", "1/4", "--method", "eigenpatch"]
+    assert run([*sr_argv, "--config", cfg]) == 0
+    before = sr_images(out)
+    sharp = write_config(tmp_path / "sharp.json", blur_sigma=1.0)
+    assert run(["degrade", "--config", sharp, "--out", out, "--factor", "1/4"]) == 0
+    # the SR set was built from the old LR images, until sr runs again
+    assert run([*quality_argv, "--config", sharp]) == cli.EXIT_MISSING_INPUT
+    assert run([*sr_argv, "--config", sharp]) == 0
+    after = sr_images(out)
+    assert after.keys() == before.keys() and after != before
+    assert run([*quality_argv, "--config", sharp]) == 0
+    # the new set is the one a model trained at the new blur gives
+    prep_dir, _, prep_records = cli._load_prep(out, {})
+    hr = [raster.load_image(os.path.join(prep_dir, r.image_path)) for r in prep_records
+          if os.path.basename(r.image_path) not in after]
+    name = sorted(after)[0]
+    lr = raster.read_pgm(os.path.join(lr_dir, "lr", name))
+    for sigma, same in ((1.0, True), (old_sigma, False)):
+        img, _ = sr.super_resolve(lr, 231, 231, "eigenpatch",
+                                  model=eigenpatch.train(hr, 57, 57, sigma))
+        raster.write_pgm(tmp_path / "expected.pgm", img)
+        assert ((tmp_path / "expected.pgm").read_bytes() == after[name]) is same, sigma
 
 
 PACKAGE_MODULES = sorted(name[:-3] for name in os.listdir(cli.SOURCE_DIR)
@@ -203,7 +209,7 @@ PACKAGE_MODULES = sorted(name[:-3] for name in os.listdir(cli.SOURCE_DIR)
 
 
 def edited_source(monkeypatch, tmp_path, name, text=b"\n"):
-    """Point the store tags at a copy of the package source whose module
+    """Point the store tag at a copy of the package source whose module
     `name` ends with `text` appended, the source a later edit would give."""
     copy = tmp_path / "src_copy"
     copy.mkdir(parents=True)
@@ -215,31 +221,9 @@ def edited_source(monkeypatch, tmp_path, name, text=b"\n"):
     monkeypatch.setattr(cli, "SOURCE_DIR", str(copy))
 
 
-def test_changed_model_code_retrains_model(own_pipeline, monkeypatch, tmp_path):
-    out, cfg = own_pipeline
-    sr_argv = ["sr", "--config", cfg, "--out", out, "--factor", "1/4",
-               "--method", "eigenpatch"]
-    model_path = os.path.join(out, "models", "eigenpatch_1_4.npz")
-    assert run(sr_argv) == 0
-    # an unchanged source reuses the stored model
-    assert run(sr_argv) == 0
-    assert sr_meta(out)["extra"]["model_trained"] is False
-    before = open(model_path, "rb").read()
-    edited_source(monkeypatch, tmp_path, "eigenpatch")
-    assert run(sr_argv) == 0
-    assert sr_meta(out)["extra"]["model_trained"] is True
-    after = open(model_path, "rb").read()
-    assert after != before
-    with np.load(model_path) as data:
-        assert bytes(data["tag"]).decode() == model_tag(out)
-    assert run(sr_argv) == 0
-    assert sr_meta(out)["extra"]["model_trained"] is False
-    assert open(model_path, "rb").read() == after
-
-
 @pytest.mark.parametrize("name", PACKAGE_MODULES)
 def test_store_tag_follows_module_source(monkeypatch, tmp_path, name):
-    # an edit to any package module makes both stores stale; the same bytes
+    # an edit to any package module makes the store stale; the same bytes
     # in another directory do not
     before = cli.store_tag("fp")
     edited_source(monkeypatch, tmp_path / "same", name, text=b"")
@@ -574,48 +558,41 @@ def test_unknown_backend_exit_code(pipeline):
                         "--method", method]) == cli.EXIT_CONFIG, (stage, method)
 
 
-def test_unsupported_cached_model_exit_code(pipeline, tmp_path, capsys):
-    out, _ = pipeline
-    model_dir = tmp_path / "models"
-    model_dir.mkdir()
-    path = model_dir / "eigenpatch_1_4.npz"
-    cfg = write_config(tmp_path / "c.json", model_dir=str(model_dir))
-    # an `epm-3` model: its version in a JSON `meta` entry, and no tag
-    imgs = [dataset.synth_iris(seed, 64)[0] for seed in range(3)]
-    model = eigenpatch.train(imgs, 16, 16, 1.0)
-    meta = json.dumps({"version": "epm-3", "lr_w": 16, "lr_h": 16, "hr_w": 64,
-                       "hr_h": 64, "sigma": 1.0, "provenance": ""})
-    np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **vars(model))
+def test_eigenpatch_without_training_images_exit_code(own_pipeline, tmp_path, capsys):
+    out, _ = own_pipeline
+    # degrade targets every subject, so no prep image is left to train on
+    cfg = write_config(tmp_path / "c.json", train_subjects=0)
+    assert run(["degrade", "--config", cfg, "--out", out, "--factor", "1/4"]) == 0
     capsys.readouterr()
     assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
-                "--method", "eigenpatch"]) == cli.EXIT_MISSING_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith(f"irissr sr: stale eigenpatch model: unreadable {path} "
-                          "(KeyError(") and "tag" in err
+                "--method", "eigenpatch"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "irissr sr: eigenpatch training needs train_subjects > 0\n"
+    assert not os.path.exists(os.path.join(out, "sr", "eigenpatch"))
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty", "missing-array"])
-def test_unreadable_cached_model_exit_code(pipeline, tmp_path, capsys, damage):
+def test_model_dir_config_key_exit_code(pipeline, tmp_path, capsys):
     out, _ = pipeline
-    model_dir = tmp_path / "models"
-    model_dir.mkdir()
-    path = model_dir / "eigenpatch_1_4.npz"
-    imgs = [dataset.synth_iris(seed, 64)[0] for seed in range(3)]
-    # under the tag `sr` looks for, so that only the damage can stop it
-    eigenpatch.save_model(path, eigenpatch.train(imgs, 16, 16, 1.0), model_tag(out))
-    if damage == "truncated":
-        path.write_bytes(path.read_bytes()[:1000])
-    elif damage == "empty":
-        path.write_bytes(b"")
-    else:
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files if name != "deviations"}
-        np.savez(path, **arrays)
-    cfg = write_config(tmp_path / "c.json", model_dir=str(model_dir))
+    cfg = write_config(tmp_path / "c.json", model_dir=str(tmp_path / "models"))
+    capsys.readouterr()
     assert run(["sr", "--config", cfg, "--out", out, "--factor", "1/4",
-                "--method", "eigenpatch"]) == cli.EXIT_MISSING_INPUT
-    assert capsys.readouterr().err.startswith(
-        f"irissr sr: stale eigenpatch model: unreadable {path} (")
+                "--method", "eigenpatch"]) == cli.EXIT_CONFIG
+    assert "unknown config keys: ['model_dir']" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "models")
+
+
+@pytest.mark.parametrize("key, value, argv", [
+    ("reproject", "false", ["sr", "--factor", "1/4", "--method", "bicubic"]),
+    ("fusion_split", 1, ["eval"])])
+def test_boolean_config_key_exit_code(pipeline, tmp_path, capsys, key, value, argv):
+    # a JSON string or number is not a switch: "false" would read as true
+    out, _ = pipeline
+    before = sorted(os.listdir(os.path.join(out, "sr")))
+    cfg = write_config(tmp_path / "c.json", **{key: value})
+    capsys.readouterr()
+    assert run([*argv, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    assert f"{key} must be true or false" in capsys.readouterr().err
+    assert sorted(os.listdir(os.path.join(out, "sr"))) == before
 
 
 def test_eval_without_genuine_pairs_exit_code(tmp_path):

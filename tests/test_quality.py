@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -360,6 +362,23 @@ def test_filter_bank_cached_read_only():
     assert quality._filter_bank.cache_info().currsize == 2
     assert np.array_equal(quality.phase_congruency(img), first)
     assert quality._filter_bank(231, 231) is bank
+
+
+def test_filter_bank_built_once_across_threads():
+    # two pool threads that meet a new shape at once share one bank build
+    quality._filter_bank.cache_clear()
+    images = [dataset.synth_iris(seed, 231)[0] for seed in range(2)]
+    ready = threading.Barrier(2)
+
+    def pc(img):
+        ready.wait(timeout=30)
+        return quality.phase_congruency(img)
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        maps = list(pool.map(pc, images))
+    assert quality._filter_bank.cache_info().misses == 1
+    for img, got in zip(images, maps):
+        assert np.array_equal(got, quality.phase_congruency(img))
 
 
 def test_filter_bank_holds_eight_planes():

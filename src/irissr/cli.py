@@ -2,14 +2,15 @@
 
 Stages communicate only through artifacts on disk (PGM images, CSV manifests
 and score files, JSON stage metadata), so external SR backends can be plugged
-in and intermediates inspected. Each stage meta records the hashes of its
+in and intermediates inspected. Binary PGM (P5) is the only image format, the
+manifest's images included. Each stage meta records the hashes of its
 outputs and the fingerprints of the upstream metas it read; a stage verifies
 both across all its ancestors, so a rerun that changes a stage makes what was
 built from it stale, and an identical rerun does not. The tables are built
 from stage records only: each `quality` run rebuilds `quality/quality.csv`
 from the summary rows of the quality metas, and `eval` reads only the score
-files a checked match meta hashes and writes every table in `eval/` from
-this run's checked records.
+files a checked match meta hashes and writes every table in `eval/`, and
+the run summary's stage timings, from this run's checked records.
 
 `quality` stores each prep image's reference maps (`quality.reference_maps`)
 in `quality/reference/`, as every (method, factor) set is scored against the
@@ -48,6 +49,7 @@ import math
 import os
 import shlex
 import sys
+import tempfile
 import time
 
 # read once, when numpy loads: extra BLAS threads busy-wait on the cores that
@@ -202,6 +204,10 @@ def validate_config(cfg: dict) -> None:
         if not _is_path_component(name):
             raise CliError(EXIT_CONFIG, f"backend name {name!r} must be one path "
                            f"component: it names the SR directory")
+        unknown = set(entry) - {"command", "exchange_dir", "timeout"}
+        if unknown:
+            raise CliError(EXIT_CONFIG, f"backend {name!r}: unknown keys "
+                           f"{sorted(unknown)}")
         try:  # an unclosed quotation or a trailing escape raises
             tokens = shlex.split(entry["command"])
         except ValueError:
@@ -330,10 +336,8 @@ def read_extra(meta, stage_dir, stage, key):
 def ensure_dir(path) -> str:
     try:
         os.makedirs(path, exist_ok=True)
-        probe = os.path.join(path, ".write-probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
+        # an unnamed file: commands sharing `path` cannot remove each other's
+        tempfile.TemporaryFile(dir=path).close()
     except OSError as exc:
         raise CliError(EXIT_UNWRITABLE, f"output directory not writable: {path} ({exc})")
     return path
@@ -354,10 +358,12 @@ def write_stage_meta(stage_dir, stage, inputs, outputs, elapsed, extra=None) -> 
         fh.write("\n")
 
 
-def check_stage(out_root, stage_dir, stage, inputs) -> dict:
+def check_stage(out_root, stage_dir, stage, inputs, metas=None) -> dict:
     """Verify a completed upstream stage: meta present, output hashes intact,
     every ancestor meta as its consumer recorded it (by fingerprint; ancestor
-    outputs are not hashed again). Adds the meta's fingerprint to `inputs`."""
+    outputs are not hashed again). Adds the meta's fingerprint to `inputs`,
+    and the meta and each checked ancestor, by path under `out_root`, to
+    `metas` when given."""
     meta_path = os.path.join(stage_dir, f"stage_{stage}.json")
     if not os.path.exists(meta_path):
         raise CliError(EXIT_MISSING_INPUT,
@@ -379,7 +385,12 @@ def check_stage(out_root, stage_dir, stage, inputs) -> dict:
             raise CliError(EXIT_MISSING_INPUT, f"stale {stage} stage: {rel}, which it "
                            f"was built from, is missing or has changed")
         pending += ancestor["inputs"].items()
-    inputs[os.path.relpath(meta_path, out_root)] = fingerprint(meta)
+        if metas is not None:
+            metas[rel] = ancestor
+    rel = os.path.relpath(meta_path, out_root)
+    inputs[rel] = fingerprint(meta)
+    if metas is not None:
+        metas[rel] = meta
     return meta
 
 
@@ -498,7 +509,7 @@ def cmd_prep(cfg, args) -> int:
     side, radius = cfg["crop_side"], cfg["target_sclera_radius"]
 
     def process(rec):
-        img = raster.load_image(os.path.join(src_root, rec.image_path))
+        img = raster.read_pgm(os.path.join(src_root, rec.image_path))
         rec.annotation.check_in_bounds(img.shape[1], img.shape[0])
         return rec, dataset.preprocess(img, rec.annotation, radius, side)
 
@@ -566,7 +577,7 @@ def cmd_degrade(cfg, args) -> int:
     lr_dir = ensure_dir(os.path.join(out, "lr"))
 
     def process(rec):
-        img = raster.load_image(os.path.join(prep_dir, rec.image_path))
+        img = raster.read_pgm(os.path.join(prep_dir, rec.image_path))
         name = os.path.basename(rec.image_path)
         raster.write_pgm(os.path.join(lr_dir, name),
                          dataset.simulate_lr(img, lr_size[0], lr_size[1], sigma))
@@ -595,7 +606,7 @@ def _resolve_method(cfg, out_root, label, degrade, prep_dir, train_recs):
         if not train_recs:
             raise CliError(EXIT_CONFIG,
                            "eigenpatch training needs train_subjects > 0")
-        hr_images = [raster.load_image(os.path.join(prep_dir, r.image_path))
+        hr_images = [raster.read_pgm(os.path.join(prep_dir, r.image_path))
                      for r in train_recs]
         lr_stage = os.path.join(out_root, "lr", factor_slug(label))
         lr_w, lr_h = read_extra(degrade, lr_stage, "degrade", "lr_size")
@@ -720,7 +731,7 @@ def cmd_quality(cfg, args) -> int:
 
     def process(rec):
         name = os.path.basename(rec.image_path)
-        ref = raster.load_image(os.path.join(prep_dir, rec.image_path))
+        ref = raster.read_pgm(os.path.join(prep_dir, rec.image_path))
         test = raster.read_pgm(os.path.join(sr_dir, "images", name))
         maps, built = _reference_maps(os.path.join(ref_dir, name + ".npz"), tag,
                                       ref, rec.annotation)
@@ -862,11 +873,11 @@ def cmd_eval(cfg, args) -> int:
     if not os.path.isdir(scores_root):
         raise CliError(EXIT_MISSING_INPUT, f"no scores directory at {scores_root}")
     out = ensure_dir(os.path.join(args.out, "eval"))
-    inputs = {}
+    inputs, metas = {}, {}  # metas: every meta the tables were checked against
     quality_dir = os.path.join(args.out, "quality")
     quality_rows = []
     for stage in _quality_stages(quality_dir):
-        meta = check_stage(args.out, quality_dir, stage, inputs)
+        meta = check_stage(args.out, quality_dir, stage, inputs, metas)
         quality_rows += read_extra(meta, quality_dir, stage, "summary_rows")
 
     # every file read below is one the checked match meta hashes; match
@@ -881,7 +892,7 @@ def cmd_eval(cfg, args) -> int:
             score_dir = os.path.join(scores_root, method_name, slug)
             if not os.path.isdir(score_dir):
                 continue
-            match = check_stage(args.out, score_dir, "match", inputs)
+            match = check_stage(args.out, score_dir, "match", inputs, metas)
             method = read_extra(match, score_dir, "match", "method")
             label = read_extra(match, score_dir, "match", "factor")
             for comp in comp_names:
@@ -923,7 +934,6 @@ def cmd_eval(cfg, args) -> int:
     if not eer_rows:
         raise CliError(EXIT_MISSING_INPUT, "no score sets found to evaluate")
 
-    # read before any output is written, so an unreadable meta leaves none
     summary = {
         "config_hash": fingerprint(cfg)[:16],
         "versions": {
@@ -933,7 +943,8 @@ def cmd_eval(cfg, args) -> int:
             # as this process saw it; the import of this module pins it
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
-        "stage_timings": _collect_timings(args.out),
+        "stage_timings": {rel: meta.get("elapsed_seconds")
+                          for rel, meta in metas.items()},
         "trial_counts": trial_counts,
     }
     # the EER, ROC and quality tables hold only what this run checked
@@ -955,18 +966,6 @@ def cmd_eval(cfg, args) -> int:
     for row in eer_rows:
         print(f"eer[{row[0]}, {row[1]}, {row[2]}]: {row[3]}")
     return 0
-
-
-def _collect_timings(out_root) -> dict:
-    timings = {}
-    for dirpath, _dirnames, filenames in os.walk(out_root):
-        for name in sorted(filenames):
-            if name.startswith("stage_") and name.endswith(".json"):
-                path = os.path.join(dirpath, name)
-                stage = name[len("stage_"):-len(".json")]
-                timings[os.path.relpath(path, out_root)] = \
-                    _read_meta(path, stage).get("elapsed_seconds")
-    return timings
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Images are 2-D float64 arrays with intensities in [0, 1], shape (height, width).
 All operators here are pure functions; nothing mutates its input.
-`read_pgm` and `write_pgm` convert between these arrays and the samples of
-the standard-library PGM codec in `pgm`, which does all the file parsing.
+`read_pgm` and `write_pgm` convert between these arrays and binary PGM (P5)
+files, the only image format the package reads, through the standard-library
+codec in `pgm`, which does all the file parsing.
 `save_npz` and `load_npz` write and read the tagged `.npz` stores, so that
 no reader sees half a file or one of another tag.
 
@@ -204,12 +205,8 @@ def axis_operator(in_n: int, out_n: int, sigma: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# image I/O: PGM (P5) through `pgm`, PNG optional via Pillow
+# image I/O: PGM (P5) through `pgm`
 # ---------------------------------------------------------------------------
-
-# ITU-R BT.601 luma weights for color conversion
-_LUMA = (0.299, 0.587, 0.114)
-
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5) into a [0,1] float image."""
@@ -256,30 +253,3 @@ def load_npz(path, tag: str, names) -> dict | None:
         return None
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise InputError(f"unreadable {path} ({exc!r})") from exc
-
-
-def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:
-    """Convert an (h, w, 3) array in [0,1] to luma with BT.601 weights."""
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    return _LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b
-
-
-def read_png(path) -> np.ndarray:
-    try:
-        from PIL import Image as PilImage
-    except ImportError as exc:  # pragma: no cover
-        raise InputError("PNG support requires Pillow (pip install iris-sr[png])") from exc
-    with PilImage.open(path) as im:
-        if im.mode in ("L", "I;16", "I"):
-            arr = np.asarray(im, dtype=np.float64)
-            peak = 65535.0 if im.mode != "L" else 255.0
-            return arr / peak
-        rgb = np.asarray(im.convert("RGB"), dtype=np.float64) / 255.0
-        return rgb_to_luma(rgb)
-
-
-def load_image(path) -> np.ndarray:
-    p = str(path)
-    if p.lower().endswith(".png"):
-        return read_png(path)
-    return read_pgm(path)

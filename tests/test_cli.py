@@ -193,7 +193,7 @@ def test_degrade_rerun_retrains_eigenpatch_model(own_pipeline, tmp_path):
     assert run([*quality_argv, "--config", sharp]) == 0
     # the new set is the one a model trained at the new blur gives
     prep_dir, _, prep_records = cli._load_prep(out, {})
-    hr = [raster.load_image(os.path.join(prep_dir, r.image_path)) for r in prep_records
+    hr = [raster.read_pgm(os.path.join(prep_dir, r.image_path)) for r in prep_records
           if os.path.basename(r.image_path) not in after]
     name = sorted(after)[0]
     lr = raster.read_pgm(os.path.join(lr_dir, "lr", name))
@@ -297,11 +297,18 @@ def test_eval_reads_factor_label_from_match_stage(tmp_path):
     assert rows[1:] and all(r.startswith(f"bicubic,{label},LG,") for r in rows[1:])
 
 
-def test_missing_upstream_exit_code(tmp_path):
+def test_missing_upstream_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     out = str(tmp_path / "out")
     assert run(["degrade", "--config", cfg, "--out", out,
                 "--factor", "1/4"]) == cli.EXIT_MISSING_INPUT
+    # eval needs a scores directory that holds at least one score set
+    scores = os.path.join(out, "scores")
+    for message in (f"no scores directory at {scores}", "no score sets found to evaluate"):
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
+        assert capsys.readouterr().err == f"irissr eval: {message}\n"
+        os.makedirs(scores, exist_ok=True)
 
 
 def test_unknown_factor_exit_code(pipeline):
@@ -311,7 +318,19 @@ def test_unknown_factor_exit_code(pipeline):
                     "--factor", "1/32"]) == cli.EXIT_CONFIG, stage
 
 
-def test_bad_config_exit_code(tmp_path):
+@pytest.mark.parametrize("train_subjects", [3, 4])
+def test_no_target_subjects_exit_code(pipeline, tmp_path, capsys, train_subjects):
+    # the shared run's corpus has 3 subjects: training on all leaves none to test
+    out, _ = pipeline
+    cfg = write_config(tmp_path / "c.json", train_subjects=train_subjects)
+    capsys.readouterr()
+    assert run(["degrade", "--config", cfg, "--out", out,
+                "--factor", "1/4"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "irissr degrade: no target records left after the subject split\n"
+
+
+def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     out = str(tmp_path / "out")
     for text in ('{"factors": {"1/4": [0, 57]}}', '{"no_such_key": 1}',
@@ -327,6 +346,9 @@ def test_bad_config_exit_code(tmp_path):
                  # an int too long for the parser
                  '{"seeds": 1%s}' % ("0" * 5000),
                  '{"comparators": []}', '{"comparators": ["fused"]}',
+                 '{"comparators": ["lg", "iris"]}',
+                 # two labels of one LR size would write one LR set twice
+                 '{"factors": {"1/4": [57, 57], "quarter": [57, 57]}}',
                  # structured keys of the wrong type end in exit 2, not a traceback
                  '{"method": 5}', '{"factors": {"1/4": "ab"}}', '{"factors": [57, 57]}',
                  '{"factors": {"1/4": [57.0, 57]}}', '{"comparators": "lg"}',
@@ -349,9 +371,13 @@ def test_bad_config_exit_code(tmp_path):
                  *('{"backends": {"nn2x": %s}}' % entry for entry in (
                      '{"command": "x \\"y"}', '{"command": ""}', '{"command": " "}',
                      '{"command": "x", "exchange_dir": 5}',
-                     '{"command": "x", "exchange_dir": ""}'))):
+                     '{"command": "x", "exchange_dir": ""}',
+                     # a misspelt key would leave the default timeout in force
+                     '{"command": "x", "timout": 5}'))):
         bad.write_text(text)
         assert run(["synth", "--config", str(bad), "--out", out]) == cli.EXIT_CONFIG, text
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "irissr synth: backend 'nn2x': unknown keys ['timout']"
     for flag in ("--seeds", "--sessions"):
         assert run(["synth", "--out", out, flag, "-2"]) == cli.EXIT_CONFIG, flag
     for flag in ("--tau", "--reproject-tol"):
@@ -418,7 +444,7 @@ def test_prep_rerun_makes_degrade_stale(own_pipeline, tmp_path):
                 "--method", "bicubic"]) == cli.EXIT_MISSING_INPUT
 
 
-def test_stale_artifact_detected(tmp_path):
+def test_stale_artifact_detected(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", seeds=2, sessions=1)
     out = str(tmp_path / "out")
     base = ["--config", cfg, "--out", out]
@@ -427,6 +453,11 @@ def test_stale_artifact_detected(tmp_path):
     victim = os.path.join(out, "synth", "images", "s000_j0.pgm")
     raster.write_pgm(victim, np.zeros((8, 8)))
     assert run(["prep", *base]) == cli.EXIT_MISSING_INPUT
+    # and so must it on a deleted one
+    os.remove(victim)
+    capsys.readouterr()
+    assert run(["prep", *base]) == cli.EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == f"irissr prep: stale synth stage: missing {victim}\n"
     # a meta that records no lineage cannot be trusted either
     assert run(["synth", *base]) == 0
     meta_path = os.path.join(out, "synth", "stage_synth.json")
@@ -444,9 +475,9 @@ def test_stale_artifact_detected(tmp_path):
     ("prep/stage_prep.json", b'{"\xff": 1}', ["degrade", "--factor", "1/4"], "prep"),
     # an ancestor of the stage degrade checks
     ("synth/stage_synth.json", b"{", ["degrade", "--factor", "1/4"], "prep"),
-    # a meta eval reads only for the run summary's timings
-    ("eval/stage_eval.json", b"[]", ["eval"], "eval")],
-    ids=["damaged", "not-object", "not-utf8", "damaged-ancestor", "timings"])
+    # eval reads a meta only as part of a table's lineage
+    ("sr/bicubic/1_4/stage_sr.json", b"{", ["eval"], "quality_bicubic_1_4")],
+    ids=["damaged", "not-object", "not-utf8", "damaged-ancestor", "eval-ancestor"])
 def test_unreadable_stage_meta_exit_code(own_pipeline, capsys, rel, text, argv, stage):
     out, cfg = own_pipeline
     path = os.path.join(out, *rel.split("/"))
@@ -952,6 +983,32 @@ def test_quality_metas_keep_lineage_across_methods(own_pipeline):
     assert run(["eval", "--config", cfg, "--out", out]) == cli.EXIT_MISSING_INPUT
 
 
+def test_eval_reads_only_the_metas_of_its_tables(tmp_path):
+    # degrade at two factors, every later stage at one: the other factor's
+    # meta is outside every table's lineage, so eval neither lists nor reads it
+    out = str(tmp_path / "out")
+    base = ["--config", write_config(tmp_path / "c.json", train_subjects=0),
+            "--out", out]
+    at_1_16 = ["--factor", "1/16", "--method", "bicubic"]
+    for argv in (["synth"], ["prep"], ["degrade", "--factor", "1/4"],
+                 ["degrade", "--factor", "1/16"], ["sr", *at_1_16],
+                 ["quality", *at_1_16], ["match", *at_1_16]):
+        assert run([*argv, *base]) == 0, argv
+    assert run(["eval", *base]) == 0
+    lineage = ["synth/stage_synth.json", "prep/stage_prep.json",
+               "lr/1_16/stage_degrade.json", "sr/bicubic/1_16/stage_sr.json",
+               "quality/stage_quality_bicubic_1_16.json",
+               "scores/bicubic/1_16/stage_match.json"]
+    timings = cli._read_json(os.path.join(out, "eval", "run_summary.json"))["stage_timings"]
+    assert timings == {
+        os.path.normpath(rel): cli._read_json(os.path.join(out, rel))["elapsed_seconds"]
+        for rel in lineage}
+    # so a broken meta outside the lineage leaves eval's tables to stand
+    with open(os.path.join(out, "lr", "1_4", "stage_degrade.json"), "w") as fh:
+        fh.write("{")
+    assert run(["eval", *base]) == 0
+
+
 def quality_meta(out, stage="quality_bicubic_1_4"):
     return cli._read_json(os.path.join(out, "quality", f"stage_{stage}.json"))
 
@@ -1115,6 +1172,17 @@ def test_unwritable_output_exit_code(tmp_path):
                 "--out", str(blocker / "out")]) == cli.EXIT_UNWRITABLE
 
 
+def test_write_probe_takes_no_name_in_the_output_directory(tmp_path):
+    # the writability probe is an unnamed file, so no entry of the directory
+    # (nor another command probing it at the same time) can get in its way
+    out = tmp_path / "out"
+    os.makedirs(out / "synth" / ".write-probe")
+    assert run(["synth", "--config", write_config(tmp_path / "c.json", seeds=2, sessions=1),
+                "--out", str(out)]) == 0
+    assert sorted(os.listdir(out / "synth")) == [
+        ".write-probe", "images", "manifest.csv", "stage_synth.json"]
+
+
 def test_exchange_dir_naming_a_file_exit_code(tmp_path, capsys):
     out = str(tmp_path / "out")
     blocker = tmp_path / "exchange"
@@ -1189,18 +1257,70 @@ def test_prep_rejects_two_images_with_one_file_name(tmp_path, capsys):
     assert not os.path.exists(out / "prep")
 
 
+@pytest.mark.parametrize("case", ["png", "pupil-outside"])
+def test_bad_manifest_image_exit_code(tmp_path, capsys, case):
+    # PGM is the only image format, and a pupil centre must lie in its image:
+    # prep reads every image before it writes any
+    out = tmp_path / "out"
+    src = tmp_path / "data"
+    os.makedirs(src)
+    img, ann = dataset.synth_iris(0, 128)
+    raster.write_pgm(src / "ok.pgm", img)
+    if case == "png":
+        # the codec reads no further than a PNG's signature
+        (src / "eye.png").write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(25))
+        bad = dataset.ManifestRecord("eye.png", "sB", 0, ann)
+        message = f"{src / 'eye.png'}: not a binary PGM (P5) file"
+    else:
+        raster.write_pgm(src / "eye.pgm", img)
+        bad = dataset.ManifestRecord("eye.pgm", "sB", 0, ann.translated(200.0, 0.0))
+        message = f"pupil center ({ann.px + 200.0}, {ann.py}) outside image 128x128"
+    dataset.save_manifest(src / "manifest.csv", [
+        dataset.ManifestRecord("ok.pgm", "sA", 0, ann), bad])
+    assert run(["prep", "--config", write_config(tmp_path / "c.json"),
+                "--out", str(out), "--manifest", str(src / "manifest.csv")]
+               ) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"irissr prep: {message}\n"
+    assert os.listdir(out / "prep" / "images") == []
+    assert not os.path.exists(out / "prep" / "stage_prep.json")
+
+
+def test_prep_skips_blank_manifest_rows(tmp_path):
+    out = tmp_path / "out"
+    src = tmp_path / "data"
+    os.makedirs(src)
+    img, ann = dataset.synth_iris(0, 128)
+    raster.write_pgm(src / "ok.pgm", img)
+    dataset.save_manifest(src / "manifest.csv",
+                          [dataset.ManifestRecord("ok.pgm", "sA", 0, ann)])
+    header, row = (src / "manifest.csv").read_text().splitlines()
+    (src / "manifest.csv").write_text(f"{header}\n\n , ,\n{row}\n,,,,,,,\n")
+    assert run(["prep", "--config", write_config(tmp_path / "c.json"),
+                "--out", str(out), "--manifest", str(src / "manifest.csv")]) == 0
+    assert [r.image_path for r in dataset.load_manifest(out / "prep" / "manifest.csv")] \
+        == [os.path.join("images", "ok.pgm")]
+
+
 @pytest.mark.parametrize("case, code", [
     ("config-dir", cli.EXIT_CONFIG),
     ("manifest-dir", cli.EXIT_CONFIG),
     ("manifest-not-utf8", cli.EXIT_CONFIG),
+    ("manifest-empty", cli.EXIT_CONFIG),
+    ("manifest-other-header", cli.EXIT_CONFIG),
+    ("manifest-short-row", cli.EXIT_CONFIG),
     ("config-missing", cli.EXIT_MISSING_INPUT),
     ("manifest-missing", cli.EXIT_MISSING_INPUT)])
 def test_unreadable_config_or_manifest_exit_code(tmp_path, capsys, case, code):
     bad = tmp_path / "bad"
+    header = ",".join(dataset.MANIFEST_HEADER).encode() + b"\n"
+    texts = {"manifest-not-utf8": b"path,subject\n\xff\xfe.pgm,s1\n",
+             "manifest-empty": b"",
+             "manifest-other-header": b"path,subject,session\n",
+             "manifest-short-row": header + b"a.pgm,s1,0,50,50,10,25\n"}
     if case.endswith("-dir"):
         bad.mkdir()
-    elif case.endswith("-utf8"):
-        bad.write_bytes(b"path,subject\n\xff\xfe.pgm,s1\n")
+    elif case in texts:
+        bad.write_bytes(texts[case])
     flag = "--config" if case.startswith("config") else "--manifest"
     argv = ["prep", "--out", str(tmp_path / "out"), flag, str(bad)]
     if flag == "--manifest":

@@ -120,6 +120,11 @@ def test_crop_square_discard_at_corner():
     assert dataset.crop_square(img, ann, 231) is None
 
 
+def test_crop_square_rejects_side_0():
+    with pytest.raises(InputError, match="crop side must be >= 1, got 0"):
+        dataset.crop_square(np.zeros((8, 8)), make_ann(px=4.0, py=4.0), 0)
+
+
 def test_crop_square_whole_image():
     img = np.random.default_rng(4).uniform(size=(231, 231))
     ann = make_ann(px=115.0, py=115.0, pr=20, ir=60, sr=100)

@@ -60,6 +60,12 @@ def test_train_rejects_empty_and_mismatched():
         eigenpatch.train(imgs, 8, 8, 1.0)
 
 
+def test_train_rejects_lr_plane_above_hr_plane():
+    for lr_w, lr_h in ((33, 16), (16, 33)):
+        with pytest.raises(InputError, match="LR plane must not exceed the HR plane"):
+            eigenpatch.train([np.zeros((32, 32))] * 3, lr_w, lr_h, 1.0)
+
+
 def test_identical_training_set_is_degenerate():
     img = dataset.synth_iris(0, 64)[0]
     model = eigenpatch.train([img] * 5, 16, 16, 1.0)

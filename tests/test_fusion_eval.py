@@ -161,6 +161,11 @@ def test_eer_empty_class_rejected():
         fe.eer([0.1], [])
 
 
+def test_eer_unknown_polarity_rejected():
+    with pytest.raises(InputError, match="unknown polarity 'genuine_middle'"):
+        fe.eer([0.9], [0.1], "genuine_middle")
+
+
 def test_roc_staircase_monotone():
     rng = np.random.default_rng(4)
     _, roc = fe.eer(rng.normal(1, 1, 50), rng.normal(0, 1, 80))
@@ -224,6 +229,13 @@ def test_train_fusion_duplicated_comparator_matches_single():
 def test_train_fusion_single_class_rejected():
     with pytest.raises(InputError, match="trial set contains a single class"):
         fe.train_fusion([(0.5,)], [])
+
+
+def test_train_fusion_misshapen_rows_rejected():
+    with pytest.raises(InputError, match="genuine and impostor rows differ in score arity"):
+        fe.train_fusion([(0.5, 0.2)], [(0.1,)])
+    with pytest.raises(InputError, match="trials carry no comparator scores"):
+        fe.train_fusion(np.zeros((2, 0)), np.zeros((3, 0)))
 
 
 def test_fused_not_worse_than_ignoring_a_comparator():

@@ -4,7 +4,8 @@ running `quality` or an eigen-patch `sr` loads only the modules it uses,
 a `--jobs 1` command loads no pool modules, `eval` loads no `numpy.ma`,
 and the command line runs BLAS on one thread unless its caller says
 otherwise. The reference backend's output is checked against numpy's
-nearest-neighbour doubling."""
+nearest-neighbour doubling. numpy is the package's only import outside the
+standard library and its only runtime dependency."""
 
 import json
 import os
@@ -181,3 +182,30 @@ def test_refbackend_rejects_bad_input(tmp_path, body, message):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"refbackend: {src}: {message}"]
     assert not dst.exists()
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    import ast
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+
+    pkg = os.path.dirname(irissr.__file__)
+    foreign = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [(name, top) for top in tops
+                        if top != "numpy" and top not in sys.stdlib_module_names]
+    assert foreign == []
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+    assert list(project["optional-dependencies"]) == ["test"]

@@ -63,6 +63,21 @@ def test_unwrap_degenerate_annotation():
         iriscode.unwrap(np.zeros((128, 128)), ann)
 
 
+def test_unwrap_nonpositive_pupil_radius():
+    for radius in (0.0, -3.0):
+        ann = dataset.IrisAnnotation(px=64, py=64, pupil_radius=radius,
+                                     iris_radius=20, sclera_radius=40)
+        with pytest.raises(InputError, match="pupil radius must be positive"):
+            iriscode.unwrap(np.zeros((128, 128)), ann)
+
+
+def test_encode_rejects_narrow_plane():
+    norm = iriscode.NormalizedIris(values=np.full((4, 7), 0.5),
+                                   mask=np.ones((4, 7), dtype=bool))
+    with pytest.raises(InputError, match="angular resolution 7 too small to filter"):
+        iriscode.encode(norm)
+
+
 def test_unwrap_out_of_bounds_masked():
     ann = dataset.IrisAnnotation(px=10, py=64, pupil_radius=5,
                                  iris_radius=30, sclera_radius=40)

@@ -72,6 +72,13 @@ def test_bilinear_zero_target_rejected():
         raster.resize_bilinear(img, 4, 0)
 
 
+def test_as_image_rejects_bad_arrays():
+    with pytest.raises(InputError, match=re.escape("expected a 2-D image, got shape (2, 2, 3)")):
+        raster.as_image(np.zeros((2, 2, 3)))
+    with pytest.raises(InputError, match="image contains non-finite values"):
+        raster.as_image([[0.5, math.nan]])
+
+
 def test_bicubic_constant_and_identity():
     img = np.full((6, 6), 0.3)
     assert np.allclose(raster.resize_bicubic(img, 17, 5), 0.3, atol=1e-12)
@@ -375,20 +382,6 @@ def test_npz_damaged_file_rejected(tmp_path, damage):
     _damaged_npz(path, damage)
     with pytest.raises(InputError, match=re.escape(f"unreadable {path} (")):
         raster.load_npz(path, "tag 1", ["plane", "counts"])
-
-def test_png_roundtrip_and_luma(tmp_path):
-    pil = pytest.importorskip("PIL.Image")
-    img = np.random.default_rng(5).uniform(size=(9, 9))
-    path = tmp_path / "img.png"
-    pil.fromarray(np.rint(img * 255).astype(np.uint8)).save(path)
-    back = raster.read_png(path)
-    assert np.abs(back - np.rint(img * 255) / 255.0).max() < 1e-12
-    # color to luma via BT.601
-    rgb = np.zeros((4, 4, 3), dtype=np.uint8)
-    rgb[..., 0] = 255
-    pil.fromarray(rgb, mode="RGB").save(tmp_path / "red.png")
-    red = raster.read_png(tmp_path / "red.png")
-    assert np.allclose(red, 0.299, atol=1e-12)
 
 
 def test_determinism_bit_identical():

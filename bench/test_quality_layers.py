@@ -7,9 +7,9 @@ one).
     PYTHONPATH=src python -m pytest bench/test_quality_layers.py --benchmark-enable --benchmark-only
 
 The default test run collects it with `--benchmark-disable`: each
-benchmarked call runs once, untimed. The phase congruency benchmark also
-records one call's traced peak allocation, in MiB, as `traced_peak_mib` in
-its `extra_info`.
+benchmarked call runs once, untimed. The phase congruency and given-maps
+report benchmarks also record one call's traced peak allocation, in MiB, as
+`traced_peak_mib` in their `extra_info`.
 """
 
 import tracemalloc
@@ -40,15 +40,20 @@ def test_ssim(benchmark, pair):
     assert 0.0 < value < 1.0
 
 
-def test_phase_congruency(benchmark, pair):
-    # the working set of one call, traced outside the timed rounds
+def traced_peak_mib(fn, *args):
+    """The peak allocation of one call, traced outside the timed rounds."""
     tracemalloc.start()
     try:
-        quality.phase_congruency(pair[0])
+        fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    benchmark.extra_info["traced_peak_mib"] = round(peak / 2**20, 3)
+    return round(peak / 2**20, 3)
+
+
+def test_phase_congruency(benchmark, pair):
+    benchmark.extra_info["traced_peak_mib"] = traced_peak_mib(
+        quality.phase_congruency, pair[0])
     pc = benchmark(quality.phase_congruency, pair[0])
     assert pc.shape == pair[0].shape and np.isfinite(pc).all()
 
@@ -66,5 +71,7 @@ def test_reference_maps(benchmark):
 
 def test_region_report_given_maps(benchmark):
     maps = quality.reference_maps(EYE, ANN)
+    benchmark.extra_info["traced_peak_mib"] = traced_peak_mib(
+        quality.region_report, EYE, BASE, ANN, maps)
     full, iris = benchmark(quality.region_report, EYE, BASE, ANN, maps)
     assert 0.0 < full.fsim < 1.0 and 0.0 < iris.fsim < 1.0

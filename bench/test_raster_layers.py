@@ -30,7 +30,7 @@ def test_axis_operator(benchmark):
 
 
 def test_candidate_extrema(benchmark):
-    dog = siftmatch._build_pyramid(EYE)[1][0]
+    dog = next(siftmatch._build_pyramid(EYE))[1]
     idx = benchmark(siftmatch._candidate_extrema, dog)
     assert len(idx) > 0
 

@@ -7,8 +7,11 @@ candidates.
 
 The default test run collects it with `--benchmark-disable`: each
 benchmarked call runs once, untimed. The eyes are quantised to 8 bits, as
-the pipeline's PGM files are.
+the pipeline's PGM files are. `detect_describe` also records one call's
+traced peak allocation, in MiB, as `traced_peak_mib` in its `extra_info`.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,12 +30,20 @@ def upscaled_eye(lr):
 @pytest.mark.parametrize("lr", [57, 15], ids=["1/4", "1/16"])
 def test_detect_describe(benchmark, lr):
     img = upscaled_eye(lr)
+    # the working set of one call, traced outside the timed rounds
+    tracemalloc.start()
+    try:
+        siftmatch.detect_describe(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["traced_peak_mib"] = round(peak / 2**20, 3)
     kps, desc = benchmark(siftmatch.detect_describe, img)
     assert len(kps) == len(desc) > 0
 
 
 def test_refine_octave(benchmark):
-    dog = siftmatch._build_pyramid(upscaled_eye(57))[1][0]
+    dog = next(siftmatch._build_pyramid(upscaled_eye(57)))[1]
     cands = siftmatch._candidate_extrema(dog)
     refined = benchmark(siftmatch._refine_octave, dog, cands)
     assert 0 < len(refined) <= len(cands)

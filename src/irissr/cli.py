@@ -715,8 +715,25 @@ def _reference_maps(path, tag, ref, ann):
     return maps, True
 
 
-def cmd_quality(cfg, args) -> int:
+def _score(prep_dir, sr_dir, ref_dir, tag, rec):
+    """One SR image's full-frame and iris reports against its prep image:
+    (image name, full, iris, whether its reference maps were built here).
+    The SR image's phase congruency is computed before the reference image
+    and its maps are read, so the peak of that call holds neither."""
     from . import quality, raster
+
+    name = os.path.basename(rec.image_path)
+    test = raster.read_pgm(os.path.join(sr_dir, "images", name))
+    test_pc = quality.phase_congruency(test)
+    ref = raster.read_pgm(os.path.join(prep_dir, rec.image_path))
+    maps, built = _reference_maps(os.path.join(ref_dir, name + ".npz"), tag,
+                                  ref, rec.annotation)
+    full, iris = quality.region_report(ref, test, rec.annotation, maps, test_pc)
+    return name, full, iris, built
+
+
+def cmd_quality(cfg, args) -> int:
+    from . import quality
 
     t0 = time.perf_counter()
     inputs = {}
@@ -728,17 +745,8 @@ def cmd_quality(cfg, args) -> int:
     # image and tagged with what it was built from
     ref_dir = ensure_dir(os.path.join(out, "reference"))
     tag = store_tag(inputs[os.path.join("prep", "stage_prep.json")])
-
-    def process(rec):
-        name = os.path.basename(rec.image_path)
-        ref = raster.read_pgm(os.path.join(prep_dir, rec.image_path))
-        test = raster.read_pgm(os.path.join(sr_dir, "images", name))
-        maps, built = _reference_maps(os.path.join(ref_dir, name + ".npz"), tag,
-                                      ref, rec.annotation)
-        full, iris = quality.region_report(ref, test, rec.annotation, maps)
-        return name, full, iris, built
-
-    results = _pmap(process, records, cfg["jobs"])
+    results = _pmap(functools.partial(_score, prep_dir, sr_dir, ref_dir, tag),
+                    records, cfg["jobs"])
     built = sum(r[3] for r in results)
     detail_path = _write_csv(
         os.path.join(out, f"detail_{spec_method}_{factor_slug(label)}.csv"),

@@ -17,15 +17,19 @@ image shape as its two factors, 8 image planes of radial filters and angular
 spreads; each filter is their product, formed in a reused plane. A phase
 congruency call allocates its buffers once (the spectrum, the complex batch of
 scales the inverse FFT runs on in place, the normalised sum, five real planes:
-18 image planes at the peak, with the noise median's copy) and runs each later
-step in them in place, equal bit for bit to the plain expressions.
+17 image planes at the peak) and runs each later step in them in place, equal
+bit for bit to the plain expressions; the noise median partitions a copy of
+the first scale's amplitude in the spare real plane.
 
 The reference side of a report (`reference_maps`: phase congruency and
 gradient of the reference, its unwrapped iris and that strip's maps) depends
 on the reference image alone, so a caller that scores many test images
 against one reference can compute it once and pass it to `region_report`.
 The command line stores these maps, tagged with a digest of every module of
-the package, so an edit to any of them rebuilds the maps.
+the package, so an edit to any of them rebuilds the maps. It computes the
+test image's full-frame phase congruency first and passes it to
+`region_report` as `test_pc`, before it reads the reference image and its
+maps, so the peak of that call holds neither.
 """
 
 import functools
@@ -158,14 +162,16 @@ def _filter_bank(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return radial, spread
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of a flat array by partial sort: the mean of the two middle
-    values when the count is even."""
+def _median_in_place(values: np.ndarray) -> float:
+    """np.median of a flat array by partial sort in place, so `values` is
+    left reordered: the mean of the two middle values when the count is
+    even."""
     k = values.size // 2
     if values.size % 2:
-        return float(np.partition(values, k)[k])
-    part = np.partition(values, (k - 1, k))
-    return float((part[k - 1] + part[k]) / 2.0)
+        values.partition(k)
+        return float(values[k])
+    values.partition((k - 1, k))
+    return float((values[k - 1] + values[k]) / 2.0)
 
 
 def phase_congruency(img: np.ndarray) -> np.ndarray:
@@ -195,7 +201,8 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
         np.fft.ifft(eo, axis=-2, out=eo)
         np.abs(eo[0], out=sum_an)
         max_an[...] = sum_an
-        tau = _median(sum_an.ravel()) / math.sqrt(math.log(4.0))
+        plane[...] = sum_an
+        tau = _median_in_place(plane.reshape(-1)) / math.sqrt(math.log(4.0))
         for s in range(1, nscale):
             np.abs(eo[s], out=plane)
             sum_an += plane
@@ -250,16 +257,17 @@ def gradient_magnitude(img: np.ndarray) -> np.ndarray:
     return np.hypot(_correlate3x3(padded, SCHARR_X), _correlate3x3(padded, SCHARR_Y))
 
 
-def fsim(ref: np.ndarray, test: np.ndarray, ref_maps=None) -> float:
+def fsim(ref: np.ndarray, test: np.ndarray, ref_maps=None, test_pc=None) -> float:
     """Feature similarity: phase-congruency/gradient similarity weighted by PC.
 
     `ref_maps` is the reference's (phase congruency, gradient magnitude)
-    when the caller has them; otherwise they are computed here.
+    and `test_pc` the test image's phase congruency when the caller has
+    them; otherwise they are computed here.
     """
     ref, test = _check_pair(ref, test)
     pc1, g1 = ref_maps if ref_maps is not None else (phase_congruency(ref),
                                                       gradient_magnitude(ref))
-    pc2 = phase_congruency(test)
+    pc2 = test_pc if test_pc is not None else phase_congruency(test)
     pcm = np.maximum(pc1, pc2)
     total = float(pcm.sum())
     if total < 1e-12:
@@ -301,15 +309,16 @@ def reference_maps(ref: np.ndarray, ann) -> dict:
             "iris_grad": gradient_magnitude(iris)}
 
 
-def region_report(ref: np.ndarray, test: np.ndarray, ann, maps=None):
+def region_report(ref: np.ndarray, test: np.ndarray, ann, maps=None, test_pc=None):
     """Metrics on the raw pair plus on the rubber-sheet unwrapped iris region.
-    `maps` is `reference_maps(ref, ann)`, computed here when not given."""
+    `maps` is `reference_maps(ref, ann)` and `test_pc` is
+    `phase_congruency(test)`, each computed here when not given."""
     from . import iriscode
 
     if maps is None:
         maps = reference_maps(ref, ann)
     full = QualityReport(psnr(ref, test), ssim(ref, test),
-                         fsim(ref, test, (maps["pc"], maps["grad"])), "full")
+                         fsim(ref, test, (maps["pc"], maps["grad"]), test_pc), "full")
     nref = maps["iris"]
     ntest = iriscode.unwrap(test, ann).values
     iris = QualityReport(psnr(nref, ntest), ssim(nref, ntest),

@@ -4,7 +4,8 @@ Images are 2-D float64 arrays with intensities in [0, 1], shape (height, width).
 All operators here are pure functions; nothing mutates its input.
 `read_pgm` and `write_pgm` convert between these arrays and binary PGM (P5)
 files, the only image format the package reads, through the standard-library
-codec in `pgm`, which does all the file parsing.
+codec in `pgm`, which does all the file parsing; `read_pgm` also rejects a
+sample above the file's maxval.
 `save_npz` and `load_npz` write and read the tagged `.npz` stores, so that
 no reader sees half a file or one of another tag.
 
@@ -209,10 +210,14 @@ def axis_operator(in_n: int, out_n: int, sigma: float = 0.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) into a [0,1] float image."""
+    """Read a binary PGM (P5) into a [0,1] float image. A sample above the
+    file's maxval raises InputError naming the file."""
     width, height, maxval, samples = pgm.read(path)
     dtype = ">u2" if maxval > 255 else np.uint8
     pixels = np.frombuffer(samples, dtype=dtype).reshape(height, width)
+    # only a maxval below its sample width's largest value can be exceeded
+    if maxval < np.iinfo(dtype).max and int(pixels.max()) > maxval:
+        raise InputError(f"{path}: PGM sample {int(pixels.max())} above maxval {maxval}")
     return pixels.astype(np.float64) / float(maxval)
 
 

@@ -11,16 +11,19 @@ EDGE_RATIO and BORDER for keypoints; ORIENTATION_BINS and PEAK_RATIO for
 orientations; DESCRIPTOR_WIDTH, DESCRIPTOR_BINS, DESCRIPTOR_SCALE_MULT and
 DESCRIPTOR_CLAMP for the 128-d descriptor; MATCH_RATIO for scoring.
 
-Extrema detection runs on whole DoG octaves, and the Newton refinement on all
-candidates of an octave at once. As in the IPOL reference ("Anatomy of the
-SIFT Method", Rey-Otero and Delbracio, 2014), gradient magnitude and angle
-are computed once per Gaussian level that holds a keypoint; each keypoint's
-orientation histogram and descriptor are then built from slices of them, one
-`np.bincount` per histogram. Each histogram bin sums its addends in a fixed
-order, and the per-keypoint scalars (window radii, Gaussian widths, the
-rotation) are Python floats, so results do not depend on how keypoints are
-grouped. Everything is deterministic: candidates are visited in array order
-and the final list is sorted by (octave, y, x, orientation).
+The pyramid is built and consumed one octave at a time: extrema detection
+runs on the octave's whole DoG stack and the Newton refinement on all its
+candidates at once, after which the stack is dropped. As in the IPOL
+reference ("Anatomy of the SIFT Method", Rey-Otero and Delbracio, 2014),
+gradient magnitude and angle are computed once per Gaussian level that holds
+a keypoint, one level at a time; each keypoint's orientation histogram and
+descriptor are then built from slices of them, one `np.bincount` per
+histogram. Each histogram bin sums its addends in a fixed order, and the
+per-keypoint scalars (window radii, Gaussian widths, the rotation) are Python
+floats, so results do not depend on how keypoints are grouped. Everything is
+deterministic: candidates are visited in array order and the final list is
+sorted by (octave, y, x, orientation), the first refined of exact duplicates
+kept.
 """
 
 import math
@@ -63,7 +66,9 @@ class Keypoint:
 # ---------------------------------------------------------------------------
 
 def _build_pyramid(img: np.ndarray):
-    """Gaussian and DoG pyramids. Returns (gauss_octaves, dog_octaves)."""
+    """Gaussian and DoG pyramids, one octave at a time: yields each octave's
+    (Gaussian levels, DoG stack), the stack holding no other reference, so a
+    caller that drops it frees it."""
     s = INTERVALS
     k = 2.0 ** (1.0 / s)
     base_sigma = math.sqrt(max(INITIAL_SIGMA**2 - ASSUMED_BLUR**2, 0.01))
@@ -74,16 +79,22 @@ def _build_pyramid(img: np.ndarray):
         prev = INITIAL_SIGMA * k ** (l - 1)
         increments.append(math.sqrt((prev * k) ** 2 - prev**2))
 
-    gauss_octaves = []
-    dog_octaves = []
     while min(level.shape) >= MIN_OCTAVE_DIM:
         levels = [level]
         for inc in increments:
             levels.append(raster.gaussian_blur(levels[-1], inc))
-        gauss_octaves.append(levels)
-        dog_octaves.append(np.stack([b - a for a, b in zip(levels, levels[1:])]))
+        yield levels, _dog_stack(levels)
         level = levels[s][::2, ::2]
-    return gauss_octaves, dog_octaves
+
+
+def _dog_stack(levels: list) -> np.ndarray:
+    """The differences of successive Gaussian levels as one stack, each
+    written in place; built outside `_build_pyramid`'s frame, which would
+    otherwise hold the stack while it waits at its yield."""
+    dog = np.empty((len(levels) - 1,) + levels[0].shape)
+    for layer, (a, b) in enumerate(zip(levels, levels[1:])):
+        np.subtract(b, a, out=dog[layer])
+    return dog
 
 
 def _fold3(a: np.ndarray, op) -> np.ndarray:
@@ -307,30 +318,37 @@ def detect_describe(img: np.ndarray, annulus: tuple | None = None):
     if img.shape[0] < 32 or img.shape[1] < 32:
         raise InputError(f"image {img.shape[1]}x{img.shape[0]} too small for SIFT")
 
-    gauss_octaves, dog_octaves = _build_pyramid(img)
-    records = []  # (octave, y, x, orientation, scale, response, descriptor)
-
-    for octave, dog in enumerate(dog_octaves):
-        gauss = gauss_octaves[octave]
+    # (octave, y, x, orientation, refine index, scale, response, descriptor);
+    # among exact duplicates the first refined survives, whatever the order
+    # in which levels are described
+    records = []
+    octave = 0
+    # not enumerate(): its reused result tuple would keep the DoG stack alive
+    for gauss, dog in _build_pyramid(img):
+        refined = _refine_octave(dog, _candidate_extrema(dog))
+        del dog
         scale_factor = 2.0 ** octave
-        gradients = {}  # level index -> (mag, ang), for levels holding keypoints
-        for l, i, j, offset, value in _refine_octave(dog, _candidate_extrema(dog)):
+        by_level = {}  # Gaussian level index -> its keypoints in refine order
+        for n, (l, i, j, offset, value) in enumerate(refined):
             layer_cont = l + float(offset[2])
-            sigma_oct = INITIAL_SIGMA * 2.0 ** (layer_cont / INTERVALS)
-            fi = i + float(offset[1])
-            fj = j + float(offset[0])
             layer_idx = int(np.clip(round(layer_cont), 0, INTERVALS + 2))
-            if layer_idx not in gradients:
-                gradients[layer_idx] = _gradients(gauss[layer_idx])
-            mag, ang = gradients[layer_idx]
-            for theta in _orientations(mag, ang, fi, fj, sigma_oct):
-                desc = _descriptor(mag, ang, fi, fj, sigma_oct, theta)
-                records.append((
-                    octave, fi * scale_factor, fj * scale_factor, theta,
-                    sigma_oct * scale_factor, abs(value), desc,
-                ))
+            by_level.setdefault(layer_idx, []).append(
+                (n, layer_cont, i + float(offset[1]), j + float(offset[0]), value))
+        for layer_idx, keypoints in by_level.items():
+            # one level's gradients at a time, dropped when it is done
+            mag, ang = _gradients(gauss[layer_idx])
+            for n, layer_cont, fi, fj, value in keypoints:
+                sigma_oct = INITIAL_SIGMA * 2.0 ** (layer_cont / INTERVALS)
+                for theta in _orientations(mag, ang, fi, fj, sigma_oct):
+                    desc = _descriptor(mag, ang, fi, fj, sigma_oct, theta)
+                    records.append((
+                        octave, fi * scale_factor, fj * scale_factor, theta, n,
+                        sigma_oct * scale_factor, abs(value), desc,
+                    ))
+            del mag, ang
+        octave += 1
 
-    records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    records.sort(key=lambda r: r[:5])
     # drop exact duplicates (same extremum reached from adjacent start cells)
     unique = []
     last_key = None
@@ -345,10 +363,10 @@ def detect_describe(img: np.ndarray, annulus: tuple | None = None):
         unique = [r for r in unique
                   if r_in <= math.hypot(r[2] - cx, r[1] - cy) <= r_out]
 
-    keypoints = [Keypoint(x=r[2], y=r[1], scale=r[4], orientation=r[3],
-                          response=r[5]) for r in unique]
+    keypoints = [Keypoint(x=r[2], y=r[1], scale=r[5], orientation=r[3],
+                          response=r[6]) for r in unique]
     if unique:
-        descriptors = np.stack([r[6] for r in unique])
+        descriptors = np.stack([r[7] for r in unique])
     else:
         descriptors = np.zeros((0, DESCRIPTOR_WIDTH ** 2 * DESCRIPTOR_BINS))
     return keypoints, descriptors

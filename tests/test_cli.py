@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -706,6 +707,15 @@ def test_wide_backend_output_exit_code(tmp_path, capsys):
     assert "out.pgm" in err and "bytes after the PGM pixel data" in err
 
 
+def test_backend_output_above_maxval_exit_code(tmp_path, capsys):
+    # samples of 200 under a maxval-100 header would read as 2.0
+    err = run_malformed_backend(
+        tmp_path, capsys,
+        "d = open(sys.argv[1], 'rb').read().split(); w, h = 2 * int(d[1]), 2 * int(d[2]); "
+        "open(sys.argv[2], 'wb').write(b'P5 %d %d 100 ' % (w, h) + bytes([200]) * (w * h))")
+    assert "out.pgm: PGM sample 200 above maxval 100" in err
+
+
 def run_sleeping_backend(tmp_path, capsys, **entry):
     """stderr of an `sr` through a backend that sleeps for a minute, configured
     with `entry`, after checking that it exits 5 well before then and that the
@@ -1136,6 +1146,29 @@ def test_quality_outputs_equal_from_cold_or_warm_reference(own_pipeline):
     assert not [rel for rel in summary["stage_timings"] if "reference" in rel]
 
 
+def test_quality_image_working_set(tmp_path):
+    # one 231^2 image's quality work, with the filter banks built and its
+    # reference maps stored, holds at most 19 image planes at its peak: the
+    # SR image's phase congruency runs before the reference side is read
+    eye, ann = dataset.synth_iris(0, 231)
+    os.mkdir(tmp_path / "images")
+    raster.write_pgm(tmp_path / "eye.pgm", eye)
+    raster.write_pgm(tmp_path / "images" / "eye.pgm", raster.resize_bicubic(
+        dataset.simulate_lr(eye, 57, 57, 2.0), 231, 231))
+    rec = dataset.ManifestRecord("eye.pgm", "0", 0, ann)
+    args = (str(tmp_path), str(tmp_path), str(tmp_path), "tag", rec)
+    assert cli._score(*args)[3]  # built and stored
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = cli._score(*args)[3]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not built
+    assert peak <= 19.0 * eye.nbytes
+
+
 def test_fusion_split_option(pipeline):
     out, cfg = pipeline
     score_dir = os.path.join(out, "scores", "bicubic", "1_4")
@@ -1257,10 +1290,11 @@ def test_prep_rejects_two_images_with_one_file_name(tmp_path, capsys):
     assert not os.path.exists(out / "prep")
 
 
-@pytest.mark.parametrize("case", ["png", "pupil-outside"])
+@pytest.mark.parametrize("case", ["png", "above-maxval", "pupil-outside"])
 def test_bad_manifest_image_exit_code(tmp_path, capsys, case):
-    # PGM is the only image format, and a pupil centre must lie in its image:
-    # prep reads every image before it writes any
+    # PGM is the only image format, its samples lie within its maxval, and a
+    # pupil centre must lie in its image: prep reads every image before it
+    # writes any
     out = tmp_path / "out"
     src = tmp_path / "data"
     os.makedirs(src)
@@ -1271,6 +1305,13 @@ def test_bad_manifest_image_exit_code(tmp_path, capsys, case):
         (src / "eye.png").write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(25))
         bad = dataset.ManifestRecord("eye.png", "sB", 0, ann)
         message = f"{src / 'eye.png'}: not a binary PGM (P5) file"
+    elif case == "above-maxval":
+        # the eye at maxval 100, with one sample above it
+        samples = np.rint(img * 100).astype(np.uint8)
+        samples[0, 0] = 101
+        (src / "eye.pgm").write_bytes(b"P5 128 128 100\n" + samples.tobytes())
+        bad = dataset.ManifestRecord("eye.pgm", "sB", 0, ann)
+        message = f"{src / 'eye.pgm'}: PGM sample 101 above maxval 100"
     else:
         raster.write_pgm(src / "eye.pgm", img)
         bad = dataset.ManifestRecord("eye.pgm", "sB", 0, ann.translated(200.0, 0.0))

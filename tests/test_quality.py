@@ -341,7 +341,8 @@ def test_noise_median_matches_numpy():
     rng = np.random.default_rng(12)
     for n in (4800, 4801, 1, 2):
         values = rng.uniform(size=n)
-        assert quality._median(values) == float(np.median(values))
+        # the median reorders the array it is given, so it gets a copy
+        assert quality._median_in_place(values.copy()) == float(np.median(values))
 
 
 def test_filter_bank_cached_read_only():
@@ -388,9 +389,9 @@ def test_filter_bank_holds_eight_planes():
 
 
 def test_phase_congruency_working_set():
-    # one 231^2 call with its bank built allocates about 18 image planes: the
+    # one 231^2 call with its bank built allocates about 17 image planes: the
     # spectrum, the complex four-scale batch, the normalised sum, four real
-    # planes, the map and the noise median's copy
+    # planes and the map; the noise median partitions one of those planes
     img = dataset.synth_iris(0, 231)[0]
     quality.phase_congruency(img)
     tracemalloc.start()
@@ -400,7 +401,7 @@ def test_phase_congruency_working_set():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 19.0 * img.nbytes
+    assert peak <= 17.5 * img.nbytes
 
 
 # --- region reports -----------------------------------------------------------

@@ -297,6 +297,22 @@ def test_pgm_rejects_wrong_magic_and_trailing_bytes(tmp_path):
     assert raster.read_pgm(p).shape == (2, 2)
 
 
+@pytest.mark.parametrize("maxval, at_max, above", [
+    (100, bytes([100]), bytes([200])),
+    (1000, bytes([3, 232]), bytes([3, 233])),
+], ids=["8-bit", "16-bit"])
+def test_pgm_rejects_sample_above_maxval(tmp_path, maxval, at_max, above):
+    p = tmp_path / "bad.pgm"
+    header = b"P5 2 1 %d\n" % maxval
+    p.write_bytes(header + at_max + above)
+    sample = int.from_bytes(above, "big")
+    with pytest.raises(InputError,
+                       match=re.escape(f"{p}: PGM sample {sample} above maxval {maxval}")):
+        raster.read_pgm(p)
+    p.write_bytes(header + at_max * 2)
+    assert np.array_equal(raster.read_pgm(p), [[1.0, 1.0]])
+
+
 def test_pgm_codec_under_raster(tmp_path):
     # raster's PGM functions wrap the standard-library codec in numpy
     pixels = np.random.default_rng(12).integers(0, 256, size=(5, 7)).astype(np.uint8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,8 +72,8 @@ def candidate_extrema_reference(dog, cfg=REFERENCE_CONFIG):
 
 def extrema_stacks():
     img, _ = dataset.synth_iris(0, 231)
-    stacks = list(siftmatch._build_pyramid(img)[1])
-    stacks.append(siftmatch._build_pyramid(smooth_noise(7))[1][0])
+    stacks = [dog for _, dog in siftmatch._build_pyramid(img)]
+    stacks.append(next(siftmatch._build_pyramid(smooth_noise(7)))[1])
     rng = np.random.default_rng(3)
     # coarse quantisation: many equal neighbours, so ties decide
     stacks.append(np.round(rng.normal(0.0, 0.02, size=(5, 40, 37)), 2))
@@ -93,6 +94,21 @@ def test_candidate_extrema_equal_scipy_filters():
         assert got.dtype == want.dtype and np.array_equal(got, want), dog.shape
         counts.append(len(want))
     assert min(counts) == 0 and max(counts) > 100
+
+
+def test_detect_describe_working_set():
+    # one 231^2 eye holds at most 20.5 image planes at the peak: the pyramid
+    # is built and consumed one octave at a time, its DoG stack dropped once
+    # refined and one level's gradients held at a time
+    img = dataset.synth_iris(0, 231)[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        siftmatch.detect_describe(img)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.5 * img.nbytes
 
 
 def test_detect_describe_deterministic():
@@ -477,7 +493,7 @@ def test_detect_describe_equals_reference(name):
 
 def test_refine_octave_equals_per_candidate_refine():
     cfg = REFERENCE_CONFIG
-    dog = siftmatch._build_pyramid(dataset.synth_iris(2, 231)[0])[1][0].copy()
+    dog = next(siftmatch._build_pyramid(dataset.synth_iris(2, 231)[0]))[1].copy()
     # a flat 3x3x3 cube: its centre's Hessian is zero, so the batched solve
     # of the first step raises and the step is solved one candidate at a time
     dog[1:4, 39:42, 59:62] = dog[2, 40, 60]
